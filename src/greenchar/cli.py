@@ -18,9 +18,8 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
-from .poly import eval_at_root
+from .poly import eval_at_root, render_terms
 from .rootsys import build_root_system, levi_config
 from .symfun import Partition, partitions_of, springer_graded_char
 from .verify import (
@@ -62,6 +61,16 @@ def partition_arg(text: str) -> Partition:
         return Partition(parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def labels_arg(text: str):
@@ -145,77 +154,11 @@ def build_block_config(args) -> InductionConfig:
 # rendering
 
 
-def frac_text(fr) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-def value_text(value) -> str:
-    """A cyclotomic value as plain text: a decimal string when it is
-    rational, else a polynomial in the distinguished root z."""
-    if value.is_rational:
-        return frac_text(value.as_fraction())
-    out = []
-    for k, c in enumerate(value.coords):
-        if not c:
-            continue
-        if k == 0:
-            term = frac_text(abs(c))
-        else:
-            var = "z" if k == 1 else f"z^{k}"
-            term = var if abs(c) == 1 else f"{frac_text(abs(c))}{var}"
-        if not out:
-            out.append(("-" if c < 0 else "") + term)
-        else:
-            out.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(out)
-
-
-def poly_text(coeffs) -> str:
-    if not any(coeffs):
-        return "0"
-    out = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k == 0:
-            term = str(abs(c))
-        else:
-            var = "q" if k == 1 else f"q^{k}"
-            term = var if abs(c) == 1 else f"{abs(c)}{var}"
-        if not out:
-            out.append(("-" if c < 0 else "") + term)
-        else:
-            out.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(out)
-
-
 def cycle_notation(w) -> str:
     """Cycles on moved letters; a leading minus marks a negative cycle."""
-    seen = set()
-    out = []
-    for start in range(1, w.n + 1):
-        if start in seen:
-            continue
-        orbit = []
-        cur = start
-        negative = False
-        while True:
-            orbit.append(cur)
-            seen.add(cur)
-            image = w.perm[cur - 1]
-            if image < 0:
-                negative = not negative
-                image = -image
-            if image == start:
-                break
-            cur = image
-        if len(orbit) == 1 and not negative:
-            continue
-        sign = "-" if negative else ""
-        out.append("(" + sign + ",".join(str(x) for x in orbit) + ")")
-    return "".join(out) or "()"
+    return "".join(f"({'-' if sign < 0 else ''}{','.join(map(str, letters))})"
+                   for letters, sign in w.signed_cycles()
+                   if len(letters) > 1 or sign < 0) or "()"
 
 
 def part_text(rho) -> str:
@@ -281,7 +224,7 @@ def cmd_green(args) -> int:
         rows = [[part_text(rho), " ".join(str(c) for c in g[rho].coeffs)]
                 for rho in classes]
     else:
-        rows = [[f"({part_text(rho)})", poly_text(g[rho].coeffs)]
+        rows = [[f"({part_text(rho)})", render_terms(g[rho].coeffs, "q")]
                 for rho in classes]
     emit_table(args, payload, ["class", "polynomial"], rows,
                f"Green polynomials for mu=({part_text(mu)}), one row per class")
@@ -311,7 +254,7 @@ def cmd_eval(args) -> int:
     rows = []
     for rho in classes:
         values = [eval_at_root(g[rho], e, j) for j in exponents]
-        cells = [value_text(v) for v in values]
+        cells = [render_terms(v.coords, "z") for v in values]
         json_row = {"class": list(rho), "values": cells}
         row = [f"({part_text(rho)})" if args.format != "csv" else part_text(rho)]
         row.extend(cells)
@@ -320,9 +263,9 @@ def cmd_eval(args) -> int:
             counts = [coset_count(w, cfg, j) for j in exponents]
             ok = all(v.is_rational and v.as_fraction() == c
                      for v, c in zip(values, counts))
-            json_row["counts"] = [frac_text(c) for c in counts]
+            json_row["counts"] = [str(c) for c in counts]
             json_row["match"] = ok
-            row.extend(frac_text(c) for c in counts)
+            row.extend(str(c) for c in counts)
             row.append("ok" if ok else "MISMATCH")
             failed = failed or not ok
         json_rows.append(json_row)
@@ -365,13 +308,13 @@ def run_checks(args):
         return [ALL_CHECKS[name](nus[0][0], args.e)]
     cfg = build_block_config(args)
     if name == "all":
-        def run_one(check_name):
+        reports = []
+        for check_name in CONFIG_CHECKS:
             try:
-                return ALL_CHECKS[check_name](cfg)
+                reports.append(ALL_CHECKS[check_name](cfg))
             except ValueError as exc:
-                return _skipped(check_name, cfg, exc)
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(run_one, CONFIG_CHECKS))
+                reports.append(_skipped(check_name, cfg, exc))
+        return reports
     return [ALL_CHECKS[name](cfg)]
 
 
@@ -462,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="values at roots of unity, with "
                                          "coset counts when --nu is given")
     p_eval.add_argument("--mu", type=partition_arg, required=True)
-    p_eval.add_argument("--e", type=int, required=True)
+    p_eval.add_argument("--e", type=positive_int, required=True)
     p_eval.add_argument("--j", type=int)
     p_eval.add_argument("--nu", type=partition_arg, action="append",
                         help="rotating block type; repeat for several "
@@ -484,11 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="merged type; the part not covered by the "
                                "rotating blocks sits on a fixed block")
     p_verify.add_argument("--nu", type=partition_arg, action="append")
-    p_verify.add_argument("--e", type=int)
+    p_verify.add_argument("--e", type=positive_int)
     p_verify.add_argument("--variant", default="a")
     p_verify.add_argument("--family", help="restrict regular-catalog")
     p_verify.add_argument("--rank", type=int, help="restrict regular-catalog")
-    p_verify.add_argument("--jobs", type=int, default=1)
     common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -496,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                "and rank")
     p_regular.add_argument("--family", required=True)
     p_regular.add_argument("--rank", type=int, required=True)
-    p_regular.add_argument("--e", type=int, required=True)
+    p_regular.add_argument("--e", type=positive_int, required=True)
     p_regular.add_argument("--variant", default="a")
     p_regular.add_argument("--pi-L", dest="pi_L", type=labels_arg,
                            help="test regularity relative to this parabolic "
@@ -509,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--n", type=int)
     p_validate.add_argument("--mu", type=partition_arg)
     p_validate.add_argument("--nu", type=partition_arg, action="append")
-    p_validate.add_argument("--e", type=int)
+    p_validate.add_argument("--e", type=positive_int)
     p_validate.add_argument("--variant", default="a")
     common(p_validate)
     p_validate.set_defaults(func=cmd_config_validate)

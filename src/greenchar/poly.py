@@ -14,6 +14,26 @@ from functools import lru_cache
 from math import gcd
 
 
+def render_terms(coeffs, var: str) -> str:
+    """Plain text for sum(coeffs[k] * var^k), lowest degree first, such
+    as "1 - q + 2q^2" or "-1/2 + z"; "0" when every coefficient is zero.
+    Coefficients may be ints or Fractions."""
+    out = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if k == 0:
+            term = str(abs(c))
+        else:
+            power = var if k == 1 else f"{var}^{k}"
+            term = power if abs(c) == 1 else f"{abs(c)}{power}"
+        if not out:
+            out.append(("-" if c < 0 else "") + term)
+        else:
+            out.append(("- " if c < 0 else "+ ") + term)
+    return " ".join(out) or "0"
+
+
 class IntPolynomial:
     """Dense polynomial in q with integer coefficients.
 
@@ -182,26 +202,8 @@ class IntPolynomial:
         k %= e
         return sum(c for i, c in enumerate(self.coeffs) if i % e == k)
 
-    def to_str(self, var: str = "q") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                term = str(abs(c))
-            else:
-                base = var if n == 1 else f"{var}^{n}"
-                term = base if abs(c) == 1 else f"{abs(c)}*{base}"
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
-
     def __repr__(self):
-        return f"IntPolynomial({self.to_str()!r})"
+        return f"IntPolynomial({render_terms(self.coeffs, 'q')!r})"
 
 
 @lru_cache(maxsize=None)
@@ -450,26 +452,8 @@ class Cyclotomic:
             return hash(self.coords[0])
         return hash((self.e, self.coords))
 
-    def _basis_str(self) -> str:
-        if not any(self.coords):
-            return "0"
-        parts = []
-        for n, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if n == 0:
-                term = str(abs(c))
-            else:
-                base = "z" if n == 1 else f"z^{n}"
-                term = base if abs(c) == 1 else f"{abs(c)}*{base}"
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
-
     def __repr__(self):
-        return f"Cyclotomic(e={self.e}: {self._basis_str()})"
+        return f"Cyclotomic(e={self.e}: {render_terms(self.coords, 'z')})"
 
 
 def eval_at_root(p: IntPolynomial, e: int, j: int) -> Cyclotomic:

@@ -23,6 +23,8 @@ from .weyl import (
     SubgroupTable,
     SymmetricClasses,
     WeylElt,
+    block_permutation,
+    block_restriction,
     coset_character,
     coset_count,
     coset_elements,
@@ -31,13 +33,14 @@ from .weyl import (
     enumerate_group,
     extended_subgroup,
     from_cycles,
-    identity_elt,
     induced_character,
     is_L_regular,
     levi_elements,
+    orbits,
     regular_element,
     standard_block_config,
     validate_config,
+    young_subgroup,
 )
 from .rootsys import build_root_system, levi_config
 
@@ -54,53 +57,22 @@ def class_representative(rho) -> WeylElt:
     return from_cycles(rho.size, *cycles)
 
 
-def mod_e_slice(p: IntPolynomial, e: int, k: int) -> int:
-    """Sum of the coefficients in degrees congruent to k mod e."""
-    return sum(p.coefficient(n) for n in range(k % e, p.degree + 1, e))
-
-
 # ---------------------------------------------------------------------------
 # the extension of the block character to the twisted subgroup
-
-
-def _block_index_map(cfg: InductionConfig):
-    index_of = {}
-    for bi, block in enumerate(cfg.blocks):
-        for letter in block:
-            index_of[letter] = bi
-    return index_of
 
 
 def _orbit_profile(cfg: InductionConfig, z: WeylElt):
     """How z moves the blocks around: one entry per block orbit, holding
     the orbit length, the cycle type of the return map on the starting
     block, and the block's Jordan type."""
-    index_of = _block_index_map(cfg)
-    sigma = []
-    for block in cfg.blocks:
-        targets = {index_of[z.perm[letter - 1]] for letter in block}
-        if len(targets) != 1:
-            raise ValueError("element does not permute the blocks")
-        sigma.append(targets.pop())
+    sigma = block_permutation(cfg.blocks, z)
+    if sigma is None:
+        raise ValueError("element does not permute the blocks")
     profile = []
-    seen = set()
-    for start in range(len(sigma)):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = sigma[start]
-        while cur != start:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = sigma[cur]
-        length = len(orbit)
-        ret = z ** length
-        block = cfg.blocks[start]
-        base = block[0]
-        inner = WeylElt(perm=tuple(ret.perm[letter - 1] - base + 1
-                                   for letter in block))
-        profile.append((length, inner.cycle_type(), cfg.block_types[start]))
+    for orbit in orbits(sigma):
+        start = orbit[0]
+        inner = block_restriction(z ** len(orbit), cfg.blocks[start])
+        profile.append((len(orbit), inner.cycle_type(), cfg.block_types[start]))
     return tuple(sorted(profile))
 
 
@@ -206,9 +178,6 @@ def twisted_induction_trace(ext: ExtendedGradedCharacter, w: WeylElt,
 # ---------------------------------------------------------------------------
 # explicit matrix model of the induced module
 
-_TRIVIAL_MODULE = ((0,), None)
-
-
 def _block_module(jtype: Partition):
     """Tiny explicit graded module for one block: the trivial module for
     a one-row type, the rank-one coinvariant algebra for (1,1)."""
@@ -250,15 +219,9 @@ class _InducedModel:
         for ri, r in enumerate(self.reps):
             for h in levi:
                 self.rep_index[(r @ h).perm] = ri
-        self.index_of_letter = _block_index_map(cfg)
 
     def degree(self, vec) -> int:
         return sum(self.degrees[b][k] for b, k in enumerate(vec))
-
-    def _block_perm(self, h: WeylElt, bi: int):
-        block = self.cfg.blocks[bi]
-        base = block[0]
-        return tuple(h.perm[letter - 1] - base + 1 for letter in block)
 
     def _levi_matrix(self, h: WeylElt):
         """Matrix of an element of the plain block subgroup on the
@@ -269,7 +232,8 @@ class _InducedModel:
             if mats.get(None) is not None:
                 per_block.append(mats[None])
             else:
-                per_block.append(mats[self._block_perm(h, bi)])
+                per_block.append(
+                    mats[block_restriction(h, self.cfg.blocks[bi]).perm])
         for src, vec in enumerate(self.basis):
             for dst, wec in enumerate(self.basis):
                 entry = Fraction(1)
@@ -284,10 +248,7 @@ class _InducedModel:
     def _shift_matrix(self):
         """Matrix of the twist generator on the tensor space: content of
         each block moves to the image block."""
-        index_of = self.index_of_letter
-        sigma = []
-        for block in self.cfg.blocks:
-            sigma.append(index_of[self.cfg.a.perm[block[0] - 1]])
+        sigma = block_permutation(self.cfg.blocks, self.cfg.a)
         mat = [[Fraction(0)] * self.dim_v for _ in range(self.dim_v)]
         pos = {vec: i for i, vec in enumerate(self.basis)}
         for src, vec in enumerate(self.basis):
@@ -471,7 +432,7 @@ def check_component_dims(cfg: InductionConfig) -> VerificationReport:
     validate_config(cfg)
     mu = cfg.merged_type()
     poincare = springer_graded_char(mu)[Partition((1,) * cfg.n)]
-    dims = [mod_e_slice(poincare, cfg.e, k) for k in range(cfg.e)]
+    dims = [poincare.mod_sum(cfg.e, k) for k in range(cfg.e)]
     block_dim = 1
     for jtype in cfg.block_types:
         block_dim *= springer_graded_char(jtype)[
@@ -523,7 +484,7 @@ def check_mod_e_induction(cfg: InductionConfig) -> VerificationReport:
     for k in range(cfg.e):
         ind = induced_character(table, coset_character(cfg, k))
         for rho in partitions_of(cfg.n):
-            lhs = mod_e_slice(g[rho], cfg.e, k)
+            lhs = g[rho].mod_sum(cfg.e, k)
             rhs = ind[rho]
             if lhs != rhs:
                 bad.append((tuple(rho), k, lhs, str(rhs)))
@@ -546,20 +507,15 @@ def check_component_induction(cfg: InductionConfig) -> VerificationReport:
     g_block = springer_graded_char(nu)
     mu = cfg.merged_type()
     g = springer_graded_char(mu)
-    base = distinguished[0]
     e = cfg.e
     table = extended_subgroup(cfg)
-
-    def restriction_type(h: WeylElt) -> Partition:
-        inner = tuple(h.perm[letter - 1] - base + 1 for letter in distinguished)
-        return WeylElt(perm=inner).cycle_type()
 
     bad = []
     for k in range(e):
         def evaluate(y, k=k):
             i = coset_exponent(cfg, y)
             h = (cfg.a ** (-i)) @ y
-            poly = g_block[restriction_type(h)]
+            poly = g_block[block_restriction(h, distinguished).cycle_type()]
             acc = Cyclotomic.zeta(e, 0) * 0
             for n in range(poly.degree + 1):
                 c = poly.coefficient(n)
@@ -569,7 +525,7 @@ def check_component_induction(cfg: InductionConfig) -> VerificationReport:
 
         ind = induced_character(table, ClassFunction(None, evaluate=evaluate))
         for rho in partitions_of(cfg.n):
-            lhs = mod_e_slice(g[rho], e, k)
+            lhs = g[rho].mod_sum(e, k)
             rhs = ind[rho]
             if lhs != rhs:
                 bad.append((tuple(rho), k, lhs, str(rhs)))
@@ -591,23 +547,13 @@ def check_ungraded_induction(n: int, block_types) -> VerificationReport:
         raise ValueError("block types must fill all the letters")
     mu = Partition(tuple(sorted((p for t in types for p in t), reverse=True)))
     g = springer_graded_char(mu)
-    gens = []
-    for block in blocks:
-        for letter in block[:-1]:
-            gens.append(from_cycles(n, (letter, letter + 1)))
-    if gens:
-        table = SubgroupTable.from_generators(gens)
-    else:
-        table = SubgroupTable([identity_elt(n)])
+    table = SubgroupTable(young_subgroup(blocks))
     block_chars = [springer_graded_char(t) for t in types]
 
     def evaluate(y):
         total = 1
         for block, chars in zip(blocks, block_chars):
-            base = block[0]
-            inner = WeylElt(perm=tuple(y.perm[letter - 1] - base + 1
-                                       for letter in block))
-            total *= chars[inner.cycle_type()](1)
+            total *= chars[block_restriction(y, block).cycle_type()](1)
         return total
 
     ind = induced_character(table, ClassFunction(None, evaluate=evaluate))

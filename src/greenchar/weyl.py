@@ -22,11 +22,10 @@ condition that failed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial, lcm
 
 from .poly import Cyclotomic, kernel_basis
@@ -34,11 +33,6 @@ from .rootsys import LeviConfig, RootSystem, build_root_system, levi_config
 from .symfun import Partition, partitions_of
 
 DEFAULT_BOUND = 10 ** 7
-
-
-def enumeration_bound() -> int:
-    return int(os.environ.get("GREENCHAR_BOUND", DEFAULT_BOUND))
-
 
 def _identity_matrix(n: int):
     return tuple(tuple(Fraction(1 if r == c else 0) for c in range(n))
@@ -258,8 +252,7 @@ class SubgroupTable:
         self._classes = None
 
     @classmethod
-    def from_generators(cls, gens, bound=None):
-        limit = bound if bound is not None else enumeration_bound()
+    def from_generators(cls, gens, bound=DEFAULT_BOUND):
         gens = tuple(gens)
         n = gens[0].n
         start = identity_elt(n) if gens[0].perm is not None \
@@ -273,9 +266,9 @@ class SubgroupTable:
                 for g in gens:
                     y = x @ g
                     if y not in seen:
-                        if len(seen) >= limit:
+                        if len(seen) >= bound:
                             raise ValueError(
-                                f"closure exceeded the bound {limit}")
+                                f"closure exceeded the bound {bound}")
                         seen.add(y)
                         ordered.append(y)
                         next_frontier.append(y)
@@ -329,12 +322,11 @@ class SubgroupTable:
         return tuple(reps)
 
 
-def enumerate_group(rs: RootSystem, bound=None) -> SubgroupTable:
-    limit = bound if bound is not None else enumeration_bound()
+def enumerate_group(rs: RootSystem, bound=DEFAULT_BOUND) -> SubgroupTable:
     order = weyl_order(rs.family, rs.rank)
-    if order > limit:
+    if order > bound:
         raise ValueError(
-            f"{rs.name} has order {order}, beyond the enumeration bound {limit}")
+            f"{rs.name} has order {order}, beyond the enumeration bound {bound}")
     if rs.family == "A":
         elements = [WeylElt(perm=p) for p in permutations(range(1, rs.rank + 2))]
     elif rs.family in ("B", "C"):
@@ -350,7 +342,7 @@ def enumerate_group(rs: RootSystem, bound=None) -> SubgroupTable:
                     if signs.count(-1) % 2 == 0]
     else:
         gens = [WeylElt(mat=rs.simple_reflection(i)) for i in range(1, rs.rank + 1)]
-        table = SubgroupTable.from_generators(gens, bound=limit)
+        table = SubgroupTable.from_generators(gens, bound=bound)
         assert len(table) == order
         return table
     assert len(elements) == order
@@ -728,21 +720,56 @@ class InductionConfig:
         return Partition(tuple(sorted(parts, reverse=True)))
 
 
+def young_subgroup(blocks):
+    """The product of the symmetric groups on consecutive runs of
+    letters covering 1..n, in lexicographic order of the permutations:
+    each element is the concatenation of its images of the blocks."""
+    return tuple(WeylElt(perm=tuple(chain.from_iterable(images)))
+                 for images in product(*(permutations(b) for b in blocks)))
+
+
+def block_permutation(blocks, z: WeylElt):
+    """How z permutes the blocks: sigma with z(blocks[i]) =
+    blocks[sigma[i]], or None when z splits some block."""
+    index_of = {letter: bi for bi, block in enumerate(blocks) for letter in block}
+    sigma = []
+    for block in blocks:
+        targets = {index_of[z.perm[letter - 1]] for letter in block}
+        if len(targets) != 1:
+            return None
+        sigma.append(targets.pop())
+    return tuple(sigma)
+
+
+def orbits(sigma):
+    """Cycles of a permutation of 0..len(sigma)-1, each listed from its
+    smallest index."""
+    seen = set()
+    out = []
+    for start in range(len(sigma)):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        cur = sigma[start]
+        while cur != start:
+            orbit.append(cur)
+            seen.add(cur)
+            cur = sigma[cur]
+        out.append(tuple(orbit))
+    return out
+
+
+def block_restriction(z: WeylElt, block) -> WeylElt:
+    """z on a block it maps onto itself, relabelled to act on 1..k."""
+    shift = block[0] - 1
+    return WeylElt(perm=tuple(z.perm[letter - 1] - shift for letter in block))
+
+
 @lru_cache(maxsize=None)
 def levi_elements(cfg: InductionConfig):
     """The block subgroup as explicit permutations."""
-    pools = []
-    for block in cfg.blocks:
-        pools.append([dict(zip(block, images))
-                      for images in permutations(block)])
-    elements = []
-    for choice in product(*pools):
-        perm = list(range(1, cfg.n + 1))
-        for mapping in choice:
-            for src, dst in mapping.items():
-                perm[src - 1] = dst
-        elements.append(WeylElt(perm=tuple(perm)))
-    return tuple(elements)
+    return young_subgroup(cfg.blocks)
 
 
 @lru_cache(maxsize=None)
@@ -853,43 +880,6 @@ def l_regular_config(n: int, m: int, e: int, nu: Partition | None = None,
                            block_types=tuple(types), a=WeylElt(perm=tuple(perm)))
 
 
-def _block_image_permutation(cfg: InductionConfig):
-    """How the twisting element permutes the blocks, or None if it
-    fails to send some block onto a block."""
-    index_of = {}
-    for bi, block in enumerate(cfg.blocks):
-        for letter in block:
-            index_of[letter] = bi
-    sigma = []
-    for block in cfg.blocks:
-        images = {abs(cfg.a.perm[letter - 1]) for letter in block}
-        targets = {index_of[v] for v in images}
-        if len(targets) != 1:
-            return None
-        target = targets.pop()
-        if len(cfg.blocks[target]) != len(block):
-            return None
-        sigma.append(target)
-    return tuple(sigma)
-
-
-def _orbits(sigma):
-    seen = set()
-    orbits = []
-    for start in range(len(sigma)):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = sigma[start]
-        while cur != start:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = sigma[cur]
-        orbits.append(tuple(orbit))
-    return orbits
-
-
 def validate_config(cfg: InductionConfig) -> str:
     """Classify the configuration, or explain why it is inadmissible.
 
@@ -905,7 +895,7 @@ def validate_config(cfg: InductionConfig) -> str:
             f"twisting element has order {order}, expected e = {cfg.e}")
     if cfg.e == 1:
         return "ungraded"
-    sigma = _block_image_permutation(cfg)
+    sigma = block_permutation(cfg.blocks, cfg.a)
     if sigma is None:
         raise InvalidConfigError(
             "twisting element does not permute the blocks, so it fails "
@@ -936,7 +926,7 @@ def validate_config(cfg: InductionConfig) -> str:
         return "l-regular"
     # candidate for the rotating-blocks shape
     rotating = []
-    for orbit in _orbits(sigma):
+    for orbit in orbits(sigma):
         if len(orbit) == 1:
             bi = orbit[0]
             if any(cfg.a.perm[letter - 1] != letter for letter in cfg.blocks[bi]):

@@ -42,7 +42,7 @@ from greenchar.symfun import (Partition, char_sn, class_size, green_at_root,
 from greenchar.verify import (check_closed_form, check_component_dims,
                               check_mod_e_induction, check_regular_catalog,
                               check_roots_of_unity, check_twisted_induction,
-                              check_ungraded_induction, mod_e_slice,
+                              check_ungraded_induction,
                               standard_block_config)
 from greenchar.weyl import (embed_component_element, from_cycles,
                             l_regular_config, regular_element)
@@ -163,7 +163,7 @@ def test_criterion_2_residue_slices_equal_induced_characters():
     classes = list(partitions_of(4))[::-1]
     reference = {0: (3, 1, 3, 0, 1), 1: (3, 1, -1, 0, -1)}
     for k, expected in reference.items():
-        got = tuple(mod_e_slice(g[rho], 2, k) for rho in classes)
+        got = tuple(g[rho].mod_sum(2, k) for rho in classes)
         if got != expected:
             failures.append(
                 (f"reference row k={k}", f"expected {expected}, got {got}"))
@@ -205,7 +205,7 @@ def test_criterion_4_residue_components_share_one_dimension():
         (springer_graded_char((1,) * 5)[Partition((1,) * 5)], 3, 40),
     ]
     for poincare, e, expected in spots:
-        dims = tuple(mod_e_slice(poincare, e, k) for k in range(e))
+        dims = tuple(poincare.mod_sum(e, k) for k in range(e))
         if dims != (expected,) * e:
             failures.append((f"spot e={e}", f"dims {dims} != {expected}"))
     line = announce(4, not failures,

@@ -9,8 +9,11 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenchar.cli import main
 
@@ -146,8 +149,7 @@ def test_verify_single_check_json(capsys):
 
 def test_verify_all_on_rotating_blocks(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "all", "--mu", "2,2,1",
-                           "--nu", "2", "--e", "2", "--format", "json",
-                           "--jobs", "2")
+                           "--nu", "2", "--e", "2", "--format", "json")
     assert code == 0
     reports = json.loads(out)
     status = {r["check"]: r["status"] for r in reports}
@@ -187,6 +189,16 @@ def test_verify_ungraded(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "ungraded-induction",
                            "--nu", "2", "--nu", "1,1", "--format", "json")
     assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_verify_ungraded_ignores_the_letter_bound(capsys, monkeypatch):
+    # GREENCHAR_BOUND caps the letters of green and eval, not the order
+    # of the block subgroup
+    monkeypatch.setenv("GREENCHAR_BOUND", "12")
+    code, out, err = run_cli(capsys, "verify", "--check", "ungraded-induction",
+                             "--nu", "4", "--nu", "1", "--format", "json")
+    assert code == 0, err
     assert json.loads(out)["status"] == "pass"
 
 
@@ -273,6 +285,51 @@ def test_config_validate_rejects(capsys):
                            "--nu", "1,1", "--e", "2")
     assert code == 2
     assert "do not fit" in err
+
+
+# ---------------------------------------------------------------------------
+# the order flag
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--mu", "2,2", "--e", "0"),
+    ("eval", "--mu", "2,2", "--e", "-2"),
+    ("verify", "--check", "closed-form-count", "--nu", "2", "--e", "0"),
+])
+def test_nonpositive_order_is_invalid(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def _witnesses(payload):
+    """Counterexamples of a verify report, or mismatched rows of eval."""
+    if "counterexamples" in payload:
+        return payload["counterexamples"]
+    return [row for row in payload.get("rows", []) if row.get("match") is False]
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "--mu", "2,2"),
+    ("eval", "--mu", "2,2", "--nu", "2"),
+    ("verify", "--check", "closed-form-count", "--nu", "2"),
+    ("regular", "--family", "A", "--rank", "5"),
+    ("config-validate", "--nu", "2"),
+])
+@settings(max_examples=20, deadline=None)
+@given(e=st.integers(min_value=-3, max_value=6))
+def test_order_flag_keeps_exit_codes_honest(command, e):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([*command, "--e", str(e), "--format", "json"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert _witnesses(json.loads(out.getvalue()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from greenchar.poly import (
     eval_at_root,
     kernel_basis,
     rank,
+    render_terms,
 )
 
 small_coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=6)
@@ -52,6 +53,22 @@ def test_mod_sum():
     assert p.mod_sum(2, 1) == 3
     assert p.mod_sum(3, 0) == 1
     assert p.mod_sum(1, 0) == 6
+    p = IntPolynomial((1, 2, 3, 4, 5))
+    assert p.mod_sum(2, 0) == 9
+    assert p.mod_sum(2, 1) == 6
+    assert p.mod_sum(3, 0) == 5
+    assert p.mod_sum(1, 0) == 15
+
+
+def test_render_terms():
+    assert render_terms((), "q") == "0"
+    assert render_terms((0, 0), "z") == "0"
+    assert render_terms((1, -1, 2), "q") == "1 - q + 2q^2"
+    assert render_terms((0, -1, 0, -3), "q") == "-q - 3q^3"
+    assert render_terms((-2,), "q") == "-2"
+    assert render_terms((Fraction(-1, 2),), "z") == "-1/2"
+    assert render_terms((Fraction(-1, 2), 1, Fraction(3, 2)), "z") \
+        == "-1/2 + z + 3/2z^2"
 
 
 @given(small_coeffs, small_coeffs, small_coeffs)

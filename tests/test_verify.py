@@ -40,7 +40,6 @@ from greenchar.verify import (
     check_ungraded_induction,
     class_representative,
     extend_block_character,
-    mod_e_slice,
     model_twisted_trace,
     tensor_cyclic_extension,
     twisted_induction_trace,
@@ -171,14 +170,6 @@ def test_model_size_guard():
 # degree slices
 
 
-def test_mod_e_slice_values():
-    p = IntPolynomial((1, 2, 3, 4, 5))
-    assert mod_e_slice(p, 2, 0) == 9
-    assert mod_e_slice(p, 2, 1) == 6
-    assert mod_e_slice(p, 3, 0) == 5
-    assert mod_e_slice(p, 1, 0) == 15
-
-
 @pytest.mark.parametrize("mu,e", [((2, 2), 2), ((2, 1, 1), 2),
                                   ((2, 2, 1), 3), ((1, 1, 1, 1), 4)])
 def test_slice_equals_root_average(mu, e):
@@ -193,7 +184,7 @@ def test_slice_equals_root_average(mu, e):
                 total = total + eval_at_root(p, e, i) * Cyclotomic.zeta(e, (-k * i) % e)
             avg = total * Fraction(1, e)
             assert avg.is_rational
-            assert avg.as_fraction() == mod_e_slice(p, e, k)
+            assert avg.as_fraction() == p.mod_sum(e, k)
 
 
 def test_class_representative_types():

@@ -46,6 +46,7 @@ from greenchar.weyl import (
     standard_block_config,
     validate_config,
     weyl_order,
+    young_subgroup,
 )
 
 
@@ -140,11 +141,6 @@ class TestEnumeration:
     def test_default_bound_refuses_largest_group(self):
         with pytest.raises(ValueError, match="bound"):
             enumerate_group(build_root_system("E", 8))
-
-    def test_env_var_overrides_bound(self, monkeypatch):
-        monkeypatch.setenv("GREENCHAR_BOUND", "5")
-        with pytest.raises(ValueError, match="bound"):
-            enumerate_group(build_root_system("A", 2))
 
     def test_coset_reps_tile_the_parent(self):
         s4 = enumerate_group(build_root_system("A", 3))
@@ -582,6 +578,40 @@ class TestConfigs:
             InductionConfig(n=4, e=2, blocks=((1, 3), (2, 4)),
                             block_types=(Partition((2,)), Partition((2,))),
                             a=from_cycles(4, (1, 2)))
+
+
+def _block_layouts(n):
+    """Every way to cut the letters 1..n into consecutive runs."""
+    for cuts in product((False, True), repeat=n - 1):
+        blocks, start = [], 1
+        for letter, cut in enumerate(cuts + (True,), start=1):
+            if cut:
+                blocks.append(tuple(range(start, letter + 1)))
+                start = letter + 1
+        yield tuple(blocks)
+
+
+class TestYoungSubgroup:
+    def test_matches_the_closure_of_adjacent_transpositions(self):
+        for n in range(1, 7):
+            for blocks in _block_layouts(n):
+                gens = [identity_elt(n)] + [from_cycles(n, (x, x + 1))
+                                            for block in blocks
+                                            for x in block[:-1]]
+                closure = SubgroupTable.from_generators(gens)
+                elements = young_subgroup(blocks)
+                assert len(set(elements)) == len(elements), blocks
+                assert set(elements) == set(closure.elements), blocks
+
+    def test_levi_elements_keep_their_order(self):
+        assert [h.perm for h in levi_elements(standard_block_config(2, 2))] \
+            == [(1, 2, 3, 4), (1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 4, 3)]
+        for cfg in (standard_block_config(3, 2),
+                    standard_block_config(2, 3, fixed_size=1),
+                    l_regular_config(5, 3, 2)):
+            perms = [h.perm for h in levi_elements(cfg)]
+            assert perms == sorted(perms)
+            assert levi_elements(cfg) == young_subgroup(cfg.blocks)
 
 
 def naive_coset_count(cfg, w, j, table):
