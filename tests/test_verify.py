@@ -170,6 +170,14 @@ def test_model_size_guard():
 # degree slices
 
 
+def test_mod_e_slice_values():
+    p = IntPolynomial((1, 2, 3, 4, 5))
+    assert p.mod_sum(2, 0) == 9
+    assert p.mod_sum(2, 1) == 6
+    assert p.mod_sum(3, 0) == 5
+    assert p.mod_sum(1, 0) == 15
+
+
 @pytest.mark.parametrize("mu,e", [((2, 2), 2), ((2, 1, 1), 2),
                                   ((2, 2, 1), 3), ((1, 1, 1, 1), 4)])
 def test_slice_equals_root_average(mu, e):
