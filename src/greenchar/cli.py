@@ -86,6 +86,14 @@ def enumeration_bound(args) -> int:
     return int(os.environ.get(BOUND_ENV, DEFAULT_BOUND))
 
 
+def require_letters_within_bound(n: int, args):
+    """The one letter cap, shared by green, eval and the letter requests
+    of verify; above it the request is invalid (exit 2)."""
+    bound = enumeration_bound(args)
+    if n > bound:
+        raise ValueError(f"n = {n} exceeds the enumeration bound {bound}")
+
+
 def fixed_block_type(mu: Partition, nus, e: int):
     """What is left of mu after removing e copies of every rotating
     type; None when nothing is left."""
@@ -210,12 +218,8 @@ def cmd_green(args) -> int:
     if args.n is not None and args.n != n:
         print(f"error: --n {args.n} does not match |mu| = {n}", file=sys.stderr)
         return 2
-    bound = enumeration_bound(args)
-    if n > bound:
-        print(f"error: n = {n} exceeds the enumeration bound {bound}",
-              file=sys.stderr)
-        return 2
-    g = springer_graded_char(mu, bound=bound)
+    require_letters_within_bound(n, args)
+    g = springer_graded_char(mu)
     classes = list(partitions_of(n))
     payload = {"command": "green", "mu": list(mu), "n": n,
                "rows": [{"class": list(rho), "coeffs": list(g[rho].coeffs)}
@@ -235,11 +239,7 @@ def cmd_eval(args) -> int:
     mu = args.mu
     n = mu.size
     e = args.e
-    bound = enumeration_bound(args)
-    if n > bound:
-        print(f"error: n = {n} exceeds the enumeration bound {bound}",
-              file=sys.stderr)
-        return 2
+    require_letters_within_bound(n, args)
     exponents = [args.j % e] if args.j is not None else list(range(e))
     cfg = None
     if args.nu:
@@ -248,7 +248,7 @@ def cmd_eval(args) -> int:
             raise InvalidConfigError(
                 f"blocks merge to {tuple(cfg.merged_type())}, not {tuple(mu)}")
     failed = False
-    g = springer_graded_char(mu, bound=bound)
+    g = springer_graded_char(mu)
     classes = list(partitions_of(n))
     json_rows = []
     rows = []
@@ -297,6 +297,7 @@ def run_checks(args):
         if not nus:
             raise InvalidConfigError("ungraded-induction needs --nu per block")
         n = args.n if args.n is not None else sum(nu.size for nu in nus)
+        require_letters_within_bound(n, args)
         return [check_ungraded_induction(n, [tuple(nu) for nu in nus])]
     if name == "closed-form-count":
         nus = list(args.nu or [])
@@ -307,6 +308,7 @@ def run_checks(args):
             raise InvalidConfigError("--e is required here")
         return [ALL_CHECKS[name](nus[0][0], args.e)]
     cfg = build_block_config(args)
+    require_letters_within_bound(cfg.n, args)
     if name == "all":
         reports = []
         for check_name in CONFIG_CHECKS:

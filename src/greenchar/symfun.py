@@ -16,13 +16,17 @@ easy cross-checks K(lambda,lambda) = 1 and K((n),(1^n)) = q^(n(n-1)/2)
 do not pin the scan direction; the tests therefore also compare against
 a Gram-Schmidt computation in the Hall-Littlewood inner product, which
 detects the difference (it first matters at n = 5).
+
+springer_graded_char is cached: each Jordan type is built once per
+process, and every caller gets the same GradedCharacter.  Its values
+are a read-only mapping, so no caller can change a shared table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from greenchar.poly import Cyclotomic, IntPolynomial, eval_at_root
 
@@ -227,11 +231,12 @@ def sn_dim(lam) -> int:
 
 
 class GradedCharacter:
-    """Class function on S_n with IntPolynomial values, keyed by cycle type."""
+    """Class function on S_n with IntPolynomial values, keyed by cycle
+    type; values is a read-only mapping."""
 
     def __init__(self, n: int, values):
         self.n = n
-        self.values = {Partition(r): v for r, v in values.items()}
+        self.values = MappingProxyType({Partition(r): v for r, v in values.items()})
         if set(self.values) != set(partitions_of(n)):
             raise ValueError("graded character must cover every cycle type")
 
@@ -241,9 +246,6 @@ class GradedCharacter:
     def items(self):
         return [(rho, self.values[rho]) for rho in partitions_of(self.n)]
 
-    def dimension(self) -> int:
-        return sum(self[Partition([1] * self.n)].coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, GradedCharacter)
                 and self.n == other.n and self.values == other.values)
@@ -252,17 +254,18 @@ class GradedCharacter:
         return f"GradedCharacter(n={self.n})"
 
 
-def springer_graded_char(mu, bound: int = 10) -> GradedCharacter:
+@lru_cache(maxsize=None)
+def springer_graded_char(mu) -> GradedCharacter:
     """Graded character of the cohomology of the fiber for Jordan type mu.
 
     Value at cycle type rho is the Green polynomial: the coefficient of
     q^d at the identity is the 2d-th Betti number of the fiber, and the
-    top degree at the identity is n(mu).
+    top degree at the identity is n(mu).  Cached per Jordan type (a
+    tuple and the equal Partition share one entry); the size is not
+    capped here, callers that take n from a user check it first.
     """
     mu = Partition(mu)
     n = mu.size
-    if n > bound:
-        raise ValueError(f"degree {n} above bound {bound}")
     nmu = mu.n_stat
     terms = []
     for lam in partitions_of(n):

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .poly import Cyclotomic, IntPolynomial, eval_at_root
 from .symfun import Partition, partitions_of, springer_graded_char
-from .symfun import closed_form_coset_count, green_at_root
+from .symfun import closed_form_coset_count
 from .weyl import (
     ClassFunction,
     InductionConfig,
@@ -88,10 +88,8 @@ class ExtendedGradedCharacter:
 
     def __init__(self, config: InductionConfig):
         self.config = config
-        self._block_chars = {}
-        for jtype in config.block_types:
-            if jtype not in self._block_chars:
-                self._block_chars[jtype] = springer_graded_char(jtype)
+        self._block_chars = {jtype: springer_graded_char(jtype)
+                             for jtype in set(config.block_types)}
         self.values = {}
         for i in range(config.e):
             for z in coset_elements(config, i):
@@ -405,7 +403,6 @@ def check_twisted_induction(cfg: InductionConfig) -> VerificationReport:
     character of the merged type, for every class, twist exponent, and
     primitive root."""
     t0 = time.perf_counter()
-    validate_config(cfg)
     ext = extend_block_character(cfg)
     mu = cfg.merged_type()
     g = springer_graded_char(mu)
@@ -455,16 +452,18 @@ def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
     _require_regular_blocks(cfg)
     validate_config(cfg)
     mu = cfg.merged_type()
+    g = springer_graded_char(mu)
     bad = []
     for rho in partitions_of(cfg.n):
         w = class_representative(rho)
+        poly = g[rho]
         for j in range(cfg.e):
-            value = green_at_root(mu, rho, cfg.e, j)
+            value = eval_at_root(poly, cfg.e, j)
             count = coset_count(w, cfg, j)
             if not value.is_rational or value.as_fraction() != count:
                 bad.append((tuple(rho), j, str(value), str(count)))
             for t in _primitive_exponents(cfg.e):
-                other = green_at_root(mu, rho, cfg.e, (t * j) % cfg.e)
+                other = eval_at_root(poly, cfg.e, (t * j) % cfg.e)
                 if other != value:
                     bad.append((tuple(rho), (j, t), str(value), str(other)))
     return _finish("roots-of-unity", _config_echo(cfg), bad, t0,

@@ -7,14 +7,17 @@ subprocess test covers the installed entry point.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenchar
 from greenchar.cli import main
 
 
@@ -193,11 +196,27 @@ def test_verify_ungraded(capsys):
 
 
 def test_verify_ungraded_ignores_the_letter_bound(capsys, monkeypatch):
-    # GREENCHAR_BOUND caps the letters of green and eval, not the order
-    # of the block subgroup
+    # GREENCHAR_BOUND caps letters, not the order of the block subgroup
     monkeypatch.setenv("GREENCHAR_BOUND", "12")
     code, out, err = run_cli(capsys, "verify", "--check", "ungraded-induction",
                              "--nu", "4", "--nu", "1", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_verify_obeys_the_letter_bound(capsys, monkeypatch):
+    # verify caps letters like green and eval, and a capped request is
+    # invalid rather than a pass with every check skipped
+    code, out, err = run_cli(capsys, "verify", "--check", "all", "--mu",
+                             "3,3,3,2", "--nu", "3", "--e", "3")
+    assert code == 2 and out == ""
+    assert "n = 11 exceeds the enumeration bound 10" in err
+    code, _, err = run_cli(capsys, "verify", "--check", "ungraded-induction",
+                           "--nu", "6", "--nu", "5")
+    assert code == 2 and "bound 10" in err
+    monkeypatch.setenv("GREENCHAR_BOUND", "12")
+    code, out, err = run_cli(capsys, "verify", "--check", "ungraded-induction",
+                             "--nu", "6", "--nu", "5", "--format", "json")
     assert code == 0, err
     assert json.loads(out)["status"] == "pass"
 
@@ -360,8 +379,12 @@ def test_eval_csv_parses(capsys):
 
 
 def test_entry_point_runs():
+    # the child imports the same greenchar as this process, installed or not
+    src = str(Path(greenchar.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path]) if path else src)
     proc = subprocess.run([sys.executable, "-m", "greenchar.cli", "green",
                            "--mu", "2,1", "--format", "json"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "green"

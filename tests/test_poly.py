@@ -115,6 +115,21 @@ def test_eval_at_root_multiplicative(a, b, e, j):
     assert lhs == eval_at_root(pa, e, j) * eval_at_root(pb, e, j)
 
 
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=41),
+       st.integers(min_value=1, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_eval_at_root_fold_matches_horner(coeffs, e):
+    # the residue fold against Horner's rule in the cyclotomic field
+    p = IntPolynomial(coeffs)
+    for j in range(e):
+        assert eval_at_root(p, e, j) == p(Cyclotomic.zeta(e, j))
+
+
+def test_eval_at_root_needs_a_positive_conductor():
+    with pytest.raises(ValueError):
+        eval_at_root(IntPolynomial((1, 1)), 0, 0)
+
+
 def test_zeta_is_primitive():
     z = Cyclotomic.zeta(6)
     powers = [z ** k for k in range(1, 6)]
