@@ -143,18 +143,8 @@ class IntPolynomial:
 
     def divmod_exact(self, other: "IntPolynomial"):
         """Polynomial division; raises unless quotient and remainder are integral."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        d = other.degree
-        lead = Fraction(other.coeffs[-1])
-        quo = [Fraction(0)] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
-            if c:
-                quo[i - d] = c
-                for k, oc in enumerate(other.coeffs):
-                    rem[i - d + k] -= c * oc
+        quo, rem = _fp_divmod([Fraction(c) for c in self.coeffs],
+                              [Fraction(c) for c in other.coeffs])
 
         def back(fs):
             out = []

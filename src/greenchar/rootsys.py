@@ -150,9 +150,6 @@ class RootSystem:
     def simple_reflection(self, label: int):
         return self.reflection_matrix(self.simple_roots[label - 1])
 
-    def is_root_vector(self, vec) -> bool:
-        return tuple(vec) in self.root_set
-
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -291,19 +288,11 @@ class LeviConfig:
     def phi_L(self):
         return tuple(self.parent.ambient(c) for c in self.phi_L_coords)
 
-    def phi_Lprime(self):
-        return tuple(self.parent.ambient(c) for c in self.phi_Lprime_coords)
-
     def crossing_roots(self):
         """Roots of the parent outside Phi_L, as ambient vectors."""
         inside = frozenset(self.phi_L_coords)
         return tuple(self.parent.ambient(c) for c in self.parent.root_coords
                      if c not in inside)
-
-    def sub_cartan(self, labels):
-        labels = tuple(sorted(labels))
-        return tuple(tuple(self.parent.cartan[i - 1][j - 1] for j in labels)
-                     for i in labels)
 
 
 def levi_config(rs: RootSystem, pi_L) -> LeviConfig:

@@ -225,11 +225,6 @@ def char_sn(lam, rho) -> int:
     return sum((-1) ** h * char_sn(new, rest) for new, h in _strip_removals(lam, r))
 
 
-def sn_dim(lam) -> int:
-    lam = Partition(lam)
-    return char_sn(lam, Partition([1] * lam.size))
-
-
 class GradedCharacter:
     """Class function on S_n with IntPolynomial values, keyed by cycle
     type; values is a read-only mapping."""

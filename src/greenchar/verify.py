@@ -18,10 +18,8 @@ from .poly import Cyclotomic, IntPolynomial, eval_at_root
 from .symfun import Partition, partitions_of, springer_graded_char
 from .symfun import closed_form_coset_count
 from .weyl import (
-    ClassFunction,
     InductionConfig,
     SubgroupTable,
-    SymmetricClasses,
     WeylElt,
     block_permutation,
     block_restriction,
@@ -79,24 +77,30 @@ def _orbit_profile(cfg: InductionConfig, z: WeylElt):
 class ExtendedGradedCharacter:
     """Graded trace of every element of the twisted block subgroup.
 
-    values maps (coset exponent i, orbit label) to the trace polynomial
-    Sigma_n Tr(z, component of degree n) q^n.  A block orbit of length
-    l under z contributes the per-block graded character of the return
-    map with q replaced by q^l, so the i = 0 layer restricts to the
-    ordinary product character of the block subgroup.
+    The trace polynomial of z is Sigma_n Tr(z, component of degree n)
+    q^n.  A block orbit of length l under z contributes the per-block
+    graded character of the return map with q replaced by q^l, so the
+    i = 0 layer restricts to the ordinary product character of the block
+    subgroup.  coset_sums[i] maps each cycle type to the sum of the
+    trace polynomials over the elements of that type in the i-th
+    shifted coset.
     """
 
     def __init__(self, config: InductionConfig):
         self.config = config
         self._block_chars = {jtype: springer_graded_char(jtype)
                              for jtype in set(config.block_types)}
-        self.values = {}
+        self.coset_sums = []
         for i in range(config.e):
+            counts = {}
             for z in coset_elements(config, i):
-                label = _orbit_profile(config, z)
-                if (i, label) not in self.values:
-                    self.values[(i, label)] = self._assemble(label)
-        self._coset_profiles = {}
+                key = (z.cycle_type(), self.label_of(z))
+                counts[key] = counts.get(key, 0) + 1
+            sums = {}
+            for (ctype, label), count in counts.items():
+                sums[ctype] = (sums.get(ctype, IntPolynomial())
+                               + self._assemble(label) * count)
+            self.coset_sums.append(sums)
 
     def _assemble(self, label) -> IntPolynomial:
         poly = IntPolynomial((1,))
@@ -109,23 +113,8 @@ class ExtendedGradedCharacter:
         return _orbit_profile(self.config, z)
 
     def trace_poly(self, z: WeylElt) -> IntPolynomial:
-        i = coset_exponent(self.config, z)
-        return self.values[(i, self.label_of(z))]
-
-    def coset_profile(self, i: int):
-        """Per cycle type: the trace polynomials on the i-th coset with
-        multiplicities, for class-function sums."""
-        if i not in self._coset_profiles:
-            counts = {}
-            for z in coset_elements(self.config, i):
-                key = (z.cycle_type(), self.label_of(z))
-                counts[key] = counts.get(key, 0) + 1
-            grouped = {}
-            for (ctype, label), count in counts.items():
-                grouped.setdefault(ctype, []).append(
-                    (self.values[(i, label)], count))
-            self._coset_profiles[i] = grouped
-        return self._coset_profiles[i]
+        coset_exponent(self.config, z)  # raises outside the subgroup
+        return self._assemble(self.label_of(z))
 
 
 def extend_block_character(cfg: InductionConfig) -> ExtendedGradedCharacter:
@@ -134,22 +123,6 @@ def extend_block_character(cfg: InductionConfig) -> ExtendedGradedCharacter:
     the cyclic permutation action on the tensor product."""
     validate_config(cfg)
     return ExtendedGradedCharacter(cfg)
-
-
-def tensor_cyclic_extension(g, e: int) -> ExtendedGradedCharacter:
-    """Extension for e equal blocks from the per-block graded character.
-
-    g must be the graded Springer character of some Jordan type; the
-    type is recovered by matching against the catalog for its degree.
-    """
-    nu = None
-    for cand in partitions_of(g.n):
-        if springer_graded_char(cand).values == g.values:
-            nu = cand
-            break
-    if nu is None:
-        raise ValueError("not a graded Springer character")
-    return extend_block_character(standard_block_config(g.n, e, nu=nu))
 
 
 def twisted_induction_trace(ext: ExtendedGradedCharacter, w: WeylElt,
@@ -163,14 +136,10 @@ def twisted_induction_trace(ext: ExtendedGradedCharacter, w: WeylElt,
     """
     cfg = ext.config
     e = cfg.e
-    parent = SymmetricClasses(cfg.n)
-    key = parent.key(w)
-    point = Cyclotomic.zeta(e, (j_root * i) % e)
-    total = Cyclotomic.zeta(e, 0) * 0
-    for poly, count in ext.coset_profile(i % e).get(key, []):
-        total = total + poly(point) * count
-    weight = Fraction(parent.centralizer_order(key), len(levi_elements(cfg)))
-    return total * weight
+    key = w.cycle_type()
+    poly = ext.coset_sums[i % e].get(key, IntPolynomial())
+    weight = Fraction(key.centralizer_order(), len(levi_elements(cfg)))
+    return eval_at_root(poly, e, (j_root * i) % e) * weight
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +484,9 @@ def check_component_induction(cfg: InductionConfig) -> VerificationReport:
             i = coset_exponent(cfg, y)
             h = (cfg.a ** (-i)) @ y
             poly = g_block[block_restriction(h, distinguished).cycle_type()]
-            acc = Cyclotomic.zeta(e, 0) * 0
-            for n in range(poly.degree + 1):
-                c = poly.coefficient(n)
-                if c:
-                    acc = acc + Cyclotomic.zeta(e, ((n - k) * i) % e) * c
-            return acc
+            return eval_at_root(poly, e, i) * Cyclotomic.zeta(e, -k * i)
 
-        ind = induced_character(table, ClassFunction(None, evaluate=evaluate))
+        ind = induced_character(table, evaluate)
         for rho in partitions_of(cfg.n):
             lhs = g[rho].mod_sum(e, k)
             rhs = ind[rho]
@@ -555,7 +519,7 @@ def check_ungraded_induction(n: int, block_types) -> VerificationReport:
             total *= chars[block_restriction(y, block).cycle_type()](1)
         return total
 
-    ind = induced_character(table, ClassFunction(None, evaluate=evaluate))
+    ind = induced_character(table, evaluate)
     bad = []
     for rho in partitions_of(n):
         lhs = g[rho](1)
@@ -638,8 +602,11 @@ def check_regular_catalog(family: str | None = None,
     L-regularity in the two big exceptional groups is tested, a false
     one being reported as a counterexample.
 
-    family and rank restrict the run to one slice of the catalog."""
+    family (in either case) and rank restrict the run to one slice of
+    the catalog; a slice with no case in it is refused."""
     t0 = time.perf_counter()
+    if family is not None:
+        family = family.upper()
 
     def wanted(fam: str, rk: int) -> bool:
         return ((family is None or fam == family)
@@ -703,6 +670,11 @@ def check_regular_catalog(family: str | None = None,
                          "its eigenvector on the hyperplanes of four "
                          "crossing roots (two opposite pairs), so the "
                          "claimed admissibility fails")
+    if not tried and not exhaustive_sweep:
+        selection = " ".join(f"{name}={value}" for name, value in
+                             (("family", family), ("rank", rank))
+                             if value is not None)
+        raise ValueError(f"no regular-catalog case matches {selection}")
     if family is not None and exhaustive_sweep and not spots and not bad:
         notes = "no L-regular elements"
     return _finish("regular-catalog", f"{tried} cases", bad, t0, notes)

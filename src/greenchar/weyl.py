@@ -243,13 +243,11 @@ def weyl_order(family: str, rank: int) -> int:
 
 
 class SubgroupTable:
-    """An explicit subgroup: the element list, plus optional generators."""
+    """An explicit subgroup as its element list."""
 
-    def __init__(self, elements, gens=None):
+    def __init__(self, elements):
         self.elements = tuple(elements)
-        self.gens = tuple(gens) if gens is not None else None
         self._set = frozenset(self.elements)
-        self._classes = None
 
     @classmethod
     def from_generators(cls, gens, bound=DEFAULT_BOUND):
@@ -275,7 +273,7 @@ class SubgroupTable:
             frontier = next_frontier
         if start.perm is not None:
             ordered.sort(key=lambda e: e.perm)
-        return cls(ordered, gens=gens)
+        return cls(ordered)
 
     def __len__(self):
         return len(self.elements)
@@ -285,30 +283,6 @@ class SubgroupTable:
 
     def __contains__(self, elt):
         return elt in self._set
-
-    def classes(self):
-        """Conjugacy classes as tuples, by orbit closure under conjugation."""
-        if self._classes is None:
-            conjugators = self.gens if self.gens else self.elements
-            inv = [(g, g.inverse()) for g in conjugators]
-            assigned = set()
-            classes = []
-            for x in self.elements:
-                if x in assigned:
-                    continue
-                orbit = {x}
-                queue = [x]
-                while queue:
-                    y = queue.pop()
-                    for g, gi in inv:
-                        z = gi @ y @ g
-                        if z not in orbit:
-                            orbit.add(z)
-                            queue.append(z)
-                assigned |= orbit
-                classes.append(tuple(e for e in self.elements if e in orbit))
-            self._classes = tuple(classes)
-        return self._classes
 
     def coset_reps(self, parent: "SubgroupTable"):
         """Left-coset representatives of self inside the parent table."""
@@ -350,81 +324,7 @@ def enumerate_group(rs: RootSystem, bound=DEFAULT_BOUND) -> SubgroupTable:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy-class descriptors
-
-
-@dataclass(frozen=True)
-class SymmetricClasses:
-    """Class bookkeeping for the symmetric group on n letters."""
-
-    n: int
-
-    def key(self, w) -> Partition:
-        if isinstance(w, Partition):
-            return w
-        if isinstance(w, tuple):
-            w = WeylElt(perm=w)
-        assert all(v > 0 for v in w.perm), "signed entries in a type A element"
-        return w.cycle_type()
-
-    def centralizer_order(self, key: Partition) -> int:
-        return key.centralizer_order()
-
-    def group_order(self) -> int:
-        return factorial(self.n)
-
-    def all_classes(self):
-        return partitions_of(self.n)
-
-
-@dataclass(frozen=True)
-class HyperoctahedralClasses:
-    """Class bookkeeping for the signed permutations on n letters."""
-
-    n: int
-
-    def key(self, w):
-        if isinstance(w, tuple) and w and isinstance(w[0], int):
-            w = WeylElt(perm=w)
-        return w.signed_cycle_type()
-
-    def centralizer_order(self, key) -> int:
-        pos, neg = key
-        total = 1
-        for part in (pos, neg):
-            for length, mult in part.multiplicities().items():
-                total *= (2 * length) ** mult * factorial(mult)
-        return total
-
-    def group_order(self) -> int:
-        return 2 ** self.n * factorial(self.n)
-
-    def all_classes(self):
-        return tuple((lam, mu)
-                     for k in range(self.n + 1)
-                     for lam in partitions_of(k)
-                     for mu in partitions_of(self.n - k))
-
-
-class ClassFunction:
-    """An exact class function, backed by a value table or an evaluator."""
-
-    def __init__(self, domain, values=None, evaluate=None):
-        if (values is None) == (evaluate is None):
-            raise ValueError("supply exactly one of values and evaluate")
-        self.domain = domain
-        self.values = dict(values) if values is not None else None
-        self._evaluate = evaluate
-
-    def value_at(self, elt):
-        if self._evaluate is not None:
-            return self._evaluate(elt)
-        return self.values[self.domain.key(elt)]
-
-    def __getitem__(self, key):
-        if self.values is None:
-            raise KeyError("evaluator-backed class function has no table")
-        return self.values[key]
+# class functions
 
 
 def _normalize_scalar(x):
@@ -435,19 +335,19 @@ def _normalize_scalar(x):
     return x
 
 
-def induced_character(H: SubgroupTable, chi: ClassFunction) -> ClassFunction:
+def induced_character(H: SubgroupTable, chi) -> dict:
     """Frobenius induction from an explicit subgroup of the full symmetric
-    group on the letters the elements act on."""
-    n = H.elements[0].n
-    parent = SymmetricClasses(n)
-    sums = {rho: 0 for rho in parent.all_classes()}
+    group on the letters the elements act on.
+
+    chi is a class function of H, called on its elements; the result
+    maps each cycle type to the induced value, rational ones as int or
+    Fraction."""
+    sums = dict.fromkeys(partitions_of(H.elements[0].n), 0)
     for y in H.elements:
-        sums[parent.key(y)] += chi.value_at(y)
-    values = {}
-    for rho, total in sums.items():
-        scaled = Fraction(parent.centralizer_order(rho), len(H)) * total
-        values[rho] = _normalize_scalar(scaled)
-    return ClassFunction(parent, values=values)
+        sums[y.cycle_type()] += chi(y)
+    return {rho: _normalize_scalar(
+                Fraction(rho.centralizer_order(), len(H)) * total)
+            for rho, total in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -956,24 +856,22 @@ def validate_config(cfg: InductionConfig) -> str:
 # coset counting and coset characters
 
 
-def coset_count(w, cfg: InductionConfig, j: int) -> Fraction:
+def coset_count(w: WeylElt, cfg: InductionConfig, j: int) -> Fraction:
     """Number of cosets of the block subgroup whose twist-shifted copy
     meets the conjugacy class of w, counted with the centralizer weight."""
-    parent = SymmetricClasses(cfg.n)
-    key = parent.key(w)
+    key = w.cycle_type()
     matches = sum(1 for y in coset_elements(cfg, j)
                   if y.cycle_type() == key)
-    return Fraction(parent.centralizer_order(key) * matches,
+    return Fraction(key.centralizer_order() * matches,
                     len(levi_elements(cfg)))
 
 
-def coset_character(cfg: InductionConfig, k: int) -> ClassFunction:
+def coset_character(cfg: InductionConfig, k: int):
     """Linear character of the extended subgroup that reads off the
     coset exponent: value zeta_e^(-k i) on the i-th shifted coset."""
-    table = extended_subgroup(cfg)
 
     def evaluate(y):
         i = coset_exponent(cfg, y)
         return Cyclotomic.zeta(cfg.e, (-k * i) % cfg.e)
 
-    return ClassFunction(table, evaluate=evaluate)
+    return evaluate

@@ -230,6 +230,32 @@ def test_verify_catalog_restricted(capsys):
     assert payload["notes"] == "no L-regular elements"
 
 
+@pytest.mark.parametrize("selection", [
+    ("--family", "Q"),
+    ("--rank", "99"),
+    ("--family", "E", "--rank", "8"),
+    ("--family", "A", "--rank", "1"),
+])
+def test_verify_catalog_empty_selection_is_invalid(capsys, selection):
+    code, out, err = run_cli(capsys, "verify", "--check", "regular-catalog",
+                             *selection)
+    assert code == 2
+    assert out == ""
+    assert "no regular-catalog case matches" in err
+
+
+def test_verify_catalog_family_ignores_case(capsys):
+    runs = [run_cli(capsys, "verify", "--check", "regular-catalog",
+                    "--family", family, "--rank", "2", "--format", "json")
+            for family in ("g", "G")]
+    assert [code for code, _, _ in runs] == [0, 0]
+    lower, upper = (json.loads(out) for _, out, _ in runs)
+    lower.pop("elapsed_ms")
+    upper.pop("elapsed_ms")
+    assert lower == upper
+    assert upper["notes"] == "no L-regular elements"
+
+
 def test_verify_catalog_full_fails_honestly(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "regular-catalog",
                            "--format", "json")
@@ -347,6 +373,25 @@ def test_order_flag_keeps_exit_codes_honest(command, e):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert _witnesses(json.loads(out.getvalue()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from("ABDFGQag"),
+       rank=st.integers(min_value=-1, max_value=8))
+def test_catalog_selection_keeps_exit_codes_honest(family, rank):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--check", "regular-catalog", "--family",
+                     family, "--rank", str(rank), "--format", "json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        # the G2 sweep runs and finds no orthogonal component to test
+        payload = json.loads(out.getvalue())
+        assert (int(payload["config"].split()[0]) >= 1
+                or payload["notes"] == "no L-regular elements")
     if code == 1:
         assert _witnesses(json.loads(out.getvalue()))
 

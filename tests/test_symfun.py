@@ -20,7 +20,6 @@ from greenchar.symfun import (
     green_at_root,
     kostka_foulkes,
     partitions_of,
-    sn_dim,
     springer_graded_char,
 )
 
@@ -140,7 +139,7 @@ def test_kostka_foulkes_at_one_counts_tableaux(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_kostka_weighted_dimension_sum(n):
     for mu in partitions_of(n):
-        total = sum(sn_dim(lam) * kostka_foulkes(lam, mu)(1)
+        total = sum(char_sn(lam, (1,) * n) * kostka_foulkes(lam, mu)(1)
                     for lam in partitions_of(n))
         denom = 1
         for p in mu:
@@ -182,7 +181,7 @@ def test_char_sn_trivial_and_sign(n):
 def test_char_sn_dims_match_hooks():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            assert sn_dim(lam) == hook_dim(lam)
+            assert char_sn(lam, (1,) * n) == hook_dim(lam)
 
 
 def test_springer_regular_orbit_is_trivial():

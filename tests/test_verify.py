@@ -13,7 +13,6 @@ import pytest
 
 from greenchar.poly import Cyclotomic, IntPolynomial, eval_at_root
 from greenchar.symfun import (
-    GradedCharacter,
     Partition,
     partitions_of,
     springer_graded_char,
@@ -23,6 +22,7 @@ from greenchar.weyl import (
     InvalidConfigError,
     WeylElt,
     block_shift_element,
+    coset_elements,
     from_cycles,
     identity_elt,
     l_regular_config,
@@ -41,7 +41,6 @@ from greenchar.verify import (
     class_representative,
     extend_block_character,
     model_twisted_trace,
-    tensor_cyclic_extension,
     twisted_induction_trace,
 )
 
@@ -116,20 +115,6 @@ def test_extension_layer_polynomials():
     assert ext.trace_poly(identity_elt(4)).coeffs == (1, 2, 1)
     trivial = extend_block_character(two_blocks((2,)))
     assert trivial.trace_poly(trivial.config.a).coeffs == (1,)
-
-
-def test_tensor_cyclic_extension_recovers_type():
-    wrap = tensor_cyclic_extension(springer_graded_char(Partition((1, 1))), 2)
-    assert wrap.config.blocks == ((1, 2), (3, 4))
-    assert tuple(tuple(t) for t in wrap.config.block_types) == ((1, 1), (1, 1))
-    assert wrap.trace_poly(wrap.config.a).coeffs == (1, 0, 1)
-
-
-def test_tensor_cyclic_extension_rejects_non_springer():
-    fake = GradedCharacter(2, {Partition((1, 1)): IntPolynomial((2,)),
-                               Partition((2,)): IntPolynomial(())})
-    with pytest.raises(ValueError, match="not a graded Springer character"):
-        tensor_cyclic_extension(fake, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +206,28 @@ def test_twisted_induction_check_passes(tag):
     assert report.passed
     assert report.status == "pass"
     assert report.counterexamples == []
+
+
+@pytest.mark.parametrize("tag", list(CONFIGS))
+def test_trace_matches_per_element_horner(tag):
+    # reference route: evaluate each element's own trace polynomial by
+    # Horner's rule at the root and sum over the matching coset elements
+    cfg = CONFIGS[tag]
+    ext = extend_block_character(cfg)
+    e = cfg.e
+    order = len(coset_elements(cfg, 0))
+    for rho in partitions_of(cfg.n):
+        w = class_representative(rho)
+        for i in range(e):
+            for j in range(e):
+                point = Cyclotomic.zeta(e, j * i)
+                total = Cyclotomic.zeta(e, 0) * 0
+                for z in coset_elements(cfg, i):
+                    if z.cycle_type() == rho:
+                        total = total + ext.trace_poly(z)(point)
+                expected = total * Fraction(rho.centralizer_order(), order)
+                assert twisted_induction_trace(ext, w, i, j) == expected, \
+                    (rho, i, j)
 
 
 def test_twisted_induction_notes():
