@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from collections import Counter
+from functools import partial
 
 from .poly import eval_at_root, render_terms
 from .rootsys import build_root_system, levi_config
@@ -26,6 +27,7 @@ from .verify import (
     ALL_CHECKS,
     VerificationReport,
     _config_echo,
+    _require_regular_blocks,
     check_regular_catalog,
     check_ungraded_induction,
     class_representative,
@@ -247,6 +249,7 @@ def cmd_eval(args) -> int:
         if tuple(cfg.merged_type()) != tuple(mu):
             raise InvalidConfigError(
                 f"blocks merge to {tuple(cfg.merged_type())}, not {tuple(mu)}")
+        _require_regular_blocks(cfg)
     failed = False
     g = springer_graded_char(mu)
     classes = list(partitions_of(n))
@@ -385,10 +388,13 @@ def cmd_config_validate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="greenchar",
+        prog="greenchar", allow_abbrev=False,
         description="Exact Green polynomial tables, root-of-unity values, "
                     "and induction checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: --n must not be read as --nu, --bo as --bound
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "text"),

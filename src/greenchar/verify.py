@@ -3,9 +3,9 @@
 Each check assembles both sides of one identity with exact arithmetic
 and returns a structured report.  The left sides come from Green
 polynomials of the merged Jordan type; the right sides from coset
-counts or Frobenius induction over the extended block subgroup.  A
-small explicit matrix model of the induced module doubles as an
-independent oracle for the trace formula.
+counts, graded traces and induced residue characters, all read off
+weyl.coset_census, or from Frobenius induction over the block
+subgroup.
 """
 
 import math
@@ -21,27 +21,23 @@ from .weyl import (
     InductionConfig,
     SubgroupTable,
     WeylElt,
-    block_permutation,
+    _normalize_scalar,
     block_restriction,
-    coset_character,
+    coset_census,
     coset_count,
     coset_elements,
-    coset_exponent,
     embed_component_element,
-    enumerate_group,
-    extended_subgroup,
     from_cycles,
     induced_character,
     is_L_regular,
     levi_elements,
-    orbits,
+    orbit_profile,
     regular_element,
     standard_block_config,
     validate_config,
     young_subgroup,
 )
 from .rootsys import build_root_system, levi_config
-
 
 def class_representative(rho) -> WeylElt:
     """A permutation with the given cycle type, cycles on consecutive
@@ -59,21 +55,6 @@ def class_representative(rho) -> WeylElt:
 # the extension of the block character to the twisted subgroup
 
 
-def _orbit_profile(cfg: InductionConfig, z: WeylElt):
-    """How z moves the blocks around: one entry per block orbit, holding
-    the orbit length, the cycle type of the return map on the starting
-    block, and the block's Jordan type."""
-    sigma = block_permutation(cfg.blocks, z)
-    if sigma is None:
-        raise ValueError("element does not permute the blocks")
-    profile = []
-    for orbit in orbits(sigma):
-        start = orbit[0]
-        inner = block_restriction(z ** len(orbit), cfg.blocks[start])
-        profile.append((len(orbit), inner.cycle_type(), cfg.block_types[start]))
-    return tuple(sorted(profile))
-
-
 class ExtendedGradedCharacter:
     """Graded trace of every element of the twisted block subgroup.
 
@@ -83,38 +64,32 @@ class ExtendedGradedCharacter:
     i = 0 layer restricts to the ordinary product character of the block
     subgroup.  coset_sums[i] maps each cycle type to the sum of the
     trace polynomials over the elements of that type in the i-th
-    shifted coset.
+    shifted coset, one term per orbit profile of its census.
     """
 
     def __init__(self, config: InductionConfig):
         self.config = config
         self._block_chars = {jtype: springer_graded_char(jtype)
                              for jtype in set(config.block_types)}
-        self.coset_sums = []
-        for i in range(config.e):
-            counts = {}
-            for z in coset_elements(config, i):
-                key = (z.cycle_type(), self.label_of(z))
-                counts[key] = counts.get(key, 0) + 1
-            sums = {}
-            for (ctype, label), count in counts.items():
-                sums[ctype] = (sums.get(ctype, IntPolynomial())
-                               + self._assemble(label) * count)
-            self.coset_sums.append(sums)
+        self.coset_sums = [
+            {ctype: sum((self._assemble(profile) * count
+                         for profile, count in by_profile.items()),
+                        IntPolynomial())
+             for ctype, by_profile in coset_census(config, i).items()}
+            for i in range(config.e)]
 
-    def _assemble(self, label) -> IntPolynomial:
+    def _assemble(self, profile) -> IntPolynomial:
         poly = IntPolynomial((1,))
-        for length, inner_type, jtype in label:
+        for length, inner_type, jtype in profile:
             factor = self._block_chars[jtype][inner_type]
             poly = poly * factor.compose_power(length)
         return poly
 
-    def label_of(self, z: WeylElt):
-        return _orbit_profile(self.config, z)
-
     def trace_poly(self, z: WeylElt) -> IntPolynomial:
-        coset_exponent(self.config, z)  # raises outside the subgroup
-        return self._assemble(self.label_of(z))
+        cfg = self.config
+        if not any(z in coset_elements(cfg, i) for i in range(cfg.e)):
+            raise ValueError("element lies outside the extended subgroup")
+        return self._assemble(orbit_profile(cfg, z))
 
 
 def extend_block_character(cfg: InductionConfig) -> ExtendedGradedCharacter:
@@ -140,183 +115,6 @@ def twisted_induction_trace(ext: ExtendedGradedCharacter, w: WeylElt,
     poly = ext.coset_sums[i % e].get(key, IntPolynomial())
     weight = Fraction(key.centralizer_order(), len(levi_elements(cfg)))
     return eval_at_root(poly, e, (j_root * i) % e) * weight
-
-
-# ---------------------------------------------------------------------------
-# explicit matrix model of the induced module
-
-def _block_module(jtype: Partition):
-    """Tiny explicit graded module for one block: the trivial module for
-    a one-row type, the rank-one coinvariant algebra for (1,1)."""
-    if len(jtype) == 1:
-        return ((0,), {perm: ((1,),) for perm in [None]})
-    if tuple(jtype) == (1, 1):
-        one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        flip = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
-        return ((0, 1), {(1, 2): one, (2, 1): flip})
-    raise ValueError(f"no explicit module for block type {tuple(jtype)}")
-
-
-def _tensor_basis(dims):
-    if not dims:
-        return [()]
-    rest = _tensor_basis(dims[1:])
-    return [(k,) + t for k in range(dims[0]) for t in rest]
-
-
-class _InducedModel:
-    """Induced module built literally from its definition: basis indexed
-    by (coset representative, tensor basis vector), operators kept as a
-    coset permutation plus one small matrix per coset."""
-
-    def __init__(self, cfg: InductionConfig, parent_table: SubgroupTable):
-        self.cfg = cfg
-        self.modules = [_block_module(t) for t in cfg.block_types]
-        self.degrees = [m[0] for m in self.modules]
-        self.dims = [len(d) for d in self.degrees]
-        self.basis = _tensor_basis(self.dims)
-        self.dim_v = len(self.basis)
-        levi = list(levi_elements(cfg))
-        self.levi_set = set(levi)
-        table = SubgroupTable(levi)
-        self.reps = table.coset_reps(parent_table)
-        if len(self.reps) * self.dim_v > 200:
-            raise ValueError("model too large")
-        self.rep_index = {}
-        for ri, r in enumerate(self.reps):
-            for h in levi:
-                self.rep_index[(r @ h).perm] = ri
-
-    def degree(self, vec) -> int:
-        return sum(self.degrees[b][k] for b, k in enumerate(vec))
-
-    def _levi_matrix(self, h: WeylElt):
-        """Matrix of an element of the plain block subgroup on the
-        tensor space."""
-        mat = [[Fraction(0)] * self.dim_v for _ in range(self.dim_v)]
-        per_block = []
-        for bi, (degs, mats) in enumerate(self.modules):
-            if mats.get(None) is not None:
-                per_block.append(mats[None])
-            else:
-                per_block.append(
-                    mats[block_restriction(h, self.cfg.blocks[bi]).perm])
-        for src, vec in enumerate(self.basis):
-            for dst, wec in enumerate(self.basis):
-                entry = Fraction(1)
-                for b in range(len(vec)):
-                    entry *= per_block[b][wec[b]][vec[b]]
-                    if not entry:
-                        break
-                if entry:
-                    mat[dst][src] = entry
-        return mat
-
-    def _shift_matrix(self):
-        """Matrix of the twist generator on the tensor space: content of
-        each block moves to the image block."""
-        sigma = block_permutation(self.cfg.blocks, self.cfg.a)
-        mat = [[Fraction(0)] * self.dim_v for _ in range(self.dim_v)]
-        pos = {vec: i for i, vec in enumerate(self.basis)}
-        for src, vec in enumerate(self.basis):
-            out = [0] * len(vec)
-            for b, k in enumerate(vec):
-                out[sigma[b]] = k
-            mat[pos[tuple(out)]][src] = Fraction(1)
-        return mat
-
-    def group_operator(self, w: WeylElt):
-        """The action of w: a coset permutation and the return matrix.
-
-        w maps the x-th summand to the one of wx, acting on the fiber
-        by the leftover block-subgroup element.
-        """
-        perm = []
-        mats = []
-        for r in self.reps:
-            wr = w @ r
-            ri = self.rep_index[wr.perm]
-            perm.append(ri)
-            h = self.reps[ri].inverse() @ wr
-            mats.append(self._levi_matrix(h))
-        return perm, mats
-
-    def twist_operator(self, j_root: int):
-        """One application of the twist with the degree weight folded in:
-        the x-th summand goes to that of x a^-1, the fiber picks up the
-        shift action and zeta^degree."""
-        e = self.cfg.e
-        a_inv = self.cfg.a.inverse()
-        shift = self._shift_matrix()
-        perm = []
-        mats = []
-        for r in self.reps:
-            ra = r @ a_inv
-            ri = self.rep_index[ra.perm]
-            perm.append(ri)
-            h = self.reps[ri].inverse() @ ra
-            hmat = self._levi_matrix(h)
-            mat = _matmul_cyc(hmat, shift)
-            for col, vec in enumerate(self.basis):
-                weight = Cyclotomic.zeta(e, (j_root * self.degree(vec)) % e)
-                for row in range(self.dim_v):
-                    mat[row][col] = mat[row][col] * weight
-            mats.append(mat)
-        return perm, mats
-
-    @staticmethod
-    def compose(op2, op1):
-        perm = [op2[0][t] for t in op1[0]]
-        mats = [_matmul_cyc(op2[1][op1[0][x]], op1[1][x])
-                for x in range(len(op1[0]))]
-        return perm, mats
-
-    @staticmethod
-    def trace(op):
-        perm, mats = op
-        total = None
-        for x, target in enumerate(perm):
-            if target != x:
-                continue
-            m = mats[x]
-            t = sum(m[k][k] for k in range(len(m)))
-            total = t if total is None else total + t
-        return 0 if total is None else total
-
-
-def _matmul_cyc(a, b):
-    n = len(a)
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = None
-            for k in range(n):
-                if a[r][k] and b[k][c]:
-                    term = a[r][k] * b[k][c]
-                    acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else Fraction(0))
-        out.append(row)
-    return out
-
-
-def model_twisted_trace(cfg: InductionConfig, w: WeylElt, i: int,
-                        j_root: int = 1):
-    """Trace of the pair (i-th twist, w) computed on the explicit model,
-    for block types with a known small module."""
-    rs = build_root_system("A", cfg.n - 1)
-    model = _InducedModel(cfg, enumerate_group(rs))
-    op = model.group_operator(w)
-    if i % cfg.e:
-        twist = model.twist_operator(j_root)
-        powered = twist
-        for _ in range((i % cfg.e) - 1):
-            powered = model.compose(twist, powered)
-        op = model.compose(op, powered)
-    value = model.trace(op)
-    if isinstance(value, Fraction) or isinstance(value, int):
-        return Cyclotomic.zeta(cfg.e, 0) * value
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -439,25 +237,50 @@ def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
                    f"merged type {tuple(mu)}")
 
 
+def _induced_residues(ext: ExtendedGradedCharacter) -> dict:
+    """Induced class function of zeta^(-k i) times the graded trace at
+    zeta^i on the i-th shifted coset, keyed by (cycle type, k): the
+    coefficient of q^n in coset_sums[i] lands in bucket i (n - k) mod e,
+    and the buckets are reduced mod Phi_e once and scaled by z/(e |L|)."""
+    cfg, e = ext.config, ext.config.e
+    order = e * len(levi_elements(cfg))
+    values = {}
+    for rho in partitions_of(cfg.n):
+        weight = Fraction(rho.centralizer_order(), order)
+        for k in range(e):
+            buckets = [0] * e
+            for i, sums in enumerate(ext.coset_sums):
+                for n, c in enumerate(sums.get(rho, IntPolynomial()).coeffs):
+                    buckets[(i * (n - k)) % e] += c
+            values[rho, k] = _normalize_scalar(
+                Cyclotomic.from_poly(e, buckets) * weight)
+    return values
+
+
+def _check_residue_induction(check: str, cfg: InductionConfig, t0: float,
+                             detail: str = "") -> VerificationReport:
+    """Each residue slice of the merged graded character against the
+    induced residue character of the validated configuration."""
+    mu = cfg.merged_type()
+    g = springer_graded_char(mu)
+    rhs = _induced_residues(ExtendedGradedCharacter(cfg))
+    bad = []
+    for k in range(cfg.e):
+        for rho in partitions_of(cfg.n):
+            lhs = g[rho].mod_sum(cfg.e, k)
+            if lhs != rhs[rho, k]:
+                bad.append((tuple(rho), k, lhs, str(rhs[rho, k])))
+    return _finish(check, _config_echo(cfg), bad, t0,
+                   f"{detail}merged type {tuple(mu)}")
+
+
 def check_mod_e_induction(cfg: InductionConfig) -> VerificationReport:
     """Sums of Betti-graded character coefficients in each residue class
     against the induced linear characters of the extended subgroup."""
     t0 = time.perf_counter()
     _require_regular_blocks(cfg)
     validate_config(cfg)
-    mu = cfg.merged_type()
-    g = springer_graded_char(mu)
-    table = extended_subgroup(cfg)
-    bad = []
-    for k in range(cfg.e):
-        ind = induced_character(table, coset_character(cfg, k))
-        for rho in partitions_of(cfg.n):
-            lhs = g[rho].mod_sum(cfg.e, k)
-            rhs = ind[rho]
-            if lhs != rhs:
-                bad.append((tuple(rho), k, lhs, str(rhs)))
-    return _finish("mod-e-induction", _config_echo(cfg), bad, t0,
-                   f"merged type {tuple(mu)}")
+    return _check_residue_induction("mod-e-induction", cfg, t0)
 
 
 def check_component_induction(cfg: InductionConfig) -> VerificationReport:
@@ -468,32 +291,10 @@ def check_component_induction(cfg: InductionConfig) -> VerificationReport:
     tag = validate_config(cfg)
     if tag != "l-regular":
         raise ValueError(f"check needs the regular-eigenvector shape, got {tag}")
-    distinguished = cfg.blocks[-1]
-    if cfg.a.support() & set(distinguished):
+    if cfg.a.support() & set(cfg.blocks[-1]):
         raise ValueError("twist must fix the distinguished block")
-    nu = cfg.block_types[-1]
-    g_block = springer_graded_char(nu)
-    mu = cfg.merged_type()
-    g = springer_graded_char(mu)
-    e = cfg.e
-    table = extended_subgroup(cfg)
-
-    bad = []
-    for k in range(e):
-        def evaluate(y, k=k):
-            i = coset_exponent(cfg, y)
-            h = (cfg.a ** (-i)) @ y
-            poly = g_block[block_restriction(h, distinguished).cycle_type()]
-            return eval_at_root(poly, e, i) * Cyclotomic.zeta(e, -k * i)
-
-        ind = induced_character(table, evaluate)
-        for rho in partitions_of(cfg.n):
-            lhs = g[rho].mod_sum(e, k)
-            rhs = ind[rho]
-            if lhs != rhs:
-                bad.append((tuple(rho), k, lhs, str(rhs)))
-    return _finish("component-induction", _config_echo(cfg), bad, t0,
-                   f"block type {tuple(nu)}, merged type {tuple(mu)}")
+    return _check_residue_induction("component-induction", cfg, t0,
+                                    f"block type {tuple(cfg.block_types[-1])}, ")
 
 
 def check_ungraded_induction(n: int, block_types) -> VerificationReport:

@@ -22,6 +22,7 @@ condition that failed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -247,7 +248,6 @@ class SubgroupTable:
 
     def __init__(self, elements):
         self.elements = tuple(elements)
-        self._set = frozenset(self.elements)
 
     @classmethod
     def from_generators(cls, gens, bound=DEFAULT_BOUND):
@@ -280,20 +280,6 @@ class SubgroupTable:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, elt):
-        return elt in self._set
-
-    def coset_reps(self, parent: "SubgroupTable"):
-        """Left-coset representatives of self inside the parent table."""
-        covered = set()
-        reps = []
-        for x in parent.elements:
-            if x in covered:
-                continue
-            reps.append(x)
-            covered.update(x @ h for h in self.elements)
-        return tuple(reps)
 
 
 def enumerate_group(rs: RootSystem, bound=DEFAULT_BOUND) -> SubgroupTable:
@@ -445,31 +431,23 @@ def eigenspace(a: WeylElt, e: int, j: int = 1):
     return kernel_basis(rows)
 
 
-def _escapes_hyperplanes(rs: RootSystem, basis, roots) -> bool:
-    if not basis:
-        return False
+def _trapping_root(rs: RootSystem, basis, roots):
+    """The first of the roots whose hyperplane holds every basis vector,
+    or None when the span escapes them all."""
     for beta in roots:
         if not any(rs.inner(v, beta) for v in basis):
-            return False
-    return True
-
-
-def is_regular(a: WeylElt, e: int, rs: RootSystem) -> bool:
-    """True when the zeta_e-eigenspace escapes every reflecting hyperplane.
-
-    Over an infinite field a finite union of proper subspaces cannot
-    cover the eigenspace, so per-hyperplane escape is equivalent to the
-    existence of a single eigenvector off all of them.
-    """
-    assert a.order() == e, f"element has order {a.order()}, not {e}"
-    return _escapes_hyperplanes(rs, eigenspace(a, e, 1), rs.roots)
+            return beta
+    return None
 
 
 def is_L_regular(a: WeylElt, e: int, cfg: LeviConfig, j: int = 1) -> bool:
-    """Escape test against the crossing roots only: roots inside the
-    chosen Levi subsystem are allowed to vanish on the eigenspace."""
+    """True when the zeta_e^j-eigenspace escapes the hyperplane of every
+    crossing root (of every root, for an empty Levi).  Over an infinite
+    field a finite union of proper subspaces cannot cover the
+    eigenspace, so this finds a single eigenvector off all of them."""
     basis = eigenspace(a, e, j)
-    return _escapes_hyperplanes(cfg.parent, basis, cfg.crossing_roots())
+    return bool(basis) and _trapping_root(
+        cfg.parent, basis, cfg.crossing_roots()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -666,15 +644,25 @@ def block_restriction(z: WeylElt, block) -> WeylElt:
     return WeylElt(perm=tuple(z.perm[letter - 1] - shift for letter in block))
 
 
+def orbit_profile(cfg: InductionConfig, z: WeylElt):
+    """How z moves the blocks around: one entry per block orbit, holding
+    the orbit length, the cycle type of the return map on the starting
+    block, and the block's Jordan type."""
+    sigma = block_permutation(cfg.blocks, z)
+    if sigma is None:
+        raise ValueError("element does not permute the blocks")
+    profile = []
+    for orbit in orbits(sigma):
+        start = orbit[0]
+        inner = block_restriction(z ** len(orbit), cfg.blocks[start])
+        profile.append((len(orbit), inner.cycle_type(), cfg.block_types[start]))
+    return tuple(sorted(profile))
+
+
 @lru_cache(maxsize=None)
 def levi_elements(cfg: InductionConfig):
     """The block subgroup as explicit permutations."""
     return young_subgroup(cfg.blocks)
-
-
-@lru_cache(maxsize=None)
-def _levi_set(cfg: InductionConfig):
-    return frozenset(levi_elements(cfg))
 
 
 @lru_cache(maxsize=None)
@@ -684,21 +672,24 @@ def coset_elements(cfg: InductionConfig, j: int):
 
 
 @lru_cache(maxsize=None)
-def extended_subgroup(cfg: InductionConfig) -> SubgroupTable:
-    elements = []
-    for j in range(cfg.e):
-        elements.extend(coset_elements(cfg, j))
-    return SubgroupTable(elements)
+def coset_census(cfg: InductionConfig, j: int):
+    """The j-th shifted coset tallied once: each cycle type maps to
+    {orbit profile: number of coset elements with both}.  Counts, graded
+    traces and induced residue characters are all read off this cached
+    table, which every caller shares and none may change."""
+    census = {}
+    for z in coset_elements(cfg, j):
+        census.setdefault(z.cycle_type(), Counter())[orbit_profile(cfg, z)] += 1
+    return census
 
 
-def coset_exponent(cfg: InductionConfig, y: WeylElt) -> int:
-    inv = cfg.a.inverse()
-    probe = y
-    for j in range(cfg.e):
-        if probe in _levi_set(cfg):
-            return j
-        probe = inv @ probe
-    raise ValueError("element lies outside the extended subgroup")
+def coset_count(w: WeylElt, cfg: InductionConfig, j: int) -> Fraction:
+    """Number of cosets of the block subgroup whose twist-shifted copy
+    meets the conjugacy class of w, counted with the centralizer weight."""
+    key = w.cycle_type()
+    matches = sum(coset_census(cfg, j).get(key, {}).values())
+    return Fraction(key.centralizer_order() * matches,
+                    len(levi_elements(cfg)))
 
 
 def block_shift_element(blocks, e: int) -> WeylElt:
@@ -816,13 +807,12 @@ def validate_config(cfg: InductionConfig) -> str:
             raise InvalidConfigError(
                 "twisting element moves letters outside the span of the "
                 "simple roots orthogonal to the blocks")
-        basis = eigenspace(cfg.a, cfg.e, 1)
-        rs = cfg.root_system()
-        for beta in levi.crossing_roots():
-            if not any(rs.inner(v, beta) for v in basis):
-                raise InvalidConfigError(
-                    "twisting element is not admissible: its eigenspace "
-                    f"lies inside the hyperplane of the crossing root {beta}")
+        beta = _trapping_root(levi.parent, eigenspace(cfg.a, cfg.e, 1),
+                              levi.crossing_roots())
+        if beta is not None:
+            raise InvalidConfigError(
+                "twisting element is not admissible: its eigenspace "
+                f"lies inside the hyperplane of the crossing root {beta}")
         return "l-regular"
     # candidate for the rotating-blocks shape
     rotating = []
@@ -850,28 +840,3 @@ def validate_config(cfg: InductionConfig) -> str:
             raise InvalidConfigError(
                 f"crossing root {beta} is orthogonal to every rotating block")
     return "block-cyclic"
-
-
-# ---------------------------------------------------------------------------
-# coset counting and coset characters
-
-
-def coset_count(w: WeylElt, cfg: InductionConfig, j: int) -> Fraction:
-    """Number of cosets of the block subgroup whose twist-shifted copy
-    meets the conjugacy class of w, counted with the centralizer weight."""
-    key = w.cycle_type()
-    matches = sum(1 for y in coset_elements(cfg, j)
-                  if y.cycle_type() == key)
-    return Fraction(key.centralizer_order() * matches,
-                    len(levi_elements(cfg)))
-
-
-def coset_character(cfg: InductionConfig, k: int):
-    """Linear character of the extended subgroup that reads off the
-    coset exponent: value zeta_e^(-k i) on the i-th shifted coset."""
-
-    def evaluate(y):
-        i = coset_exponent(cfg, y)
-        return Cyclotomic.zeta(cfg.e, (-k * i) % cfg.e)
-
-    return evaluate

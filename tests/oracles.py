@@ -1,0 +1,250 @@
+"""Enumerative oracles for the tests: routes the library no longer takes.
+
+The extended subgroup, its coset exponent and the linear coset
+characters give the right side of the mod-e identity by Frobenius
+induction element by element; the explicit matrix model of the induced
+module gives pair traces by multiplying actual matrices, knowing
+nothing about Green polynomials.  Both are slow on purpose and serve
+only to check the census route of the library.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from greenchar.poly import Cyclotomic
+from greenchar.rootsys import build_root_system
+from greenchar.symfun import Partition
+from greenchar.weyl import (
+    InductionConfig,
+    SubgroupTable,
+    WeylElt,
+    block_permutation,
+    block_restriction,
+    coset_elements,
+    enumerate_group,
+    levi_elements,
+)
+
+
+@lru_cache(maxsize=None)
+def _levi_set(cfg: InductionConfig):
+    return frozenset(levi_elements(cfg))
+
+
+@lru_cache(maxsize=None)
+def extended_subgroup(cfg: InductionConfig) -> SubgroupTable:
+    elements = []
+    for j in range(cfg.e):
+        elements.extend(coset_elements(cfg, j))
+    return SubgroupTable(elements)
+
+
+def coset_exponent(cfg: InductionConfig, y: WeylElt) -> int:
+    inv = cfg.a.inverse()
+    probe = y
+    for j in range(cfg.e):
+        if probe in _levi_set(cfg):
+            return j
+        probe = inv @ probe
+    raise ValueError("element lies outside the extended subgroup")
+
+
+def coset_character(cfg: InductionConfig, k: int):
+    """Linear character of the extended subgroup that reads off the
+    coset exponent: value zeta_e^(-k i) on the i-th shifted coset."""
+
+    def evaluate(y):
+        i = coset_exponent(cfg, y)
+        return Cyclotomic.zeta(cfg.e, (-k * i) % cfg.e)
+
+    return evaluate
+
+
+# ---------------------------------------------------------------------------
+# explicit matrix model of the induced module
+
+
+def coset_reps(sub: SubgroupTable, parent: SubgroupTable):
+    """Left-coset representatives of sub inside the parent table."""
+    covered = set()
+    reps = []
+    for x in parent.elements:
+        if x in covered:
+            continue
+        reps.append(x)
+        covered.update(x @ h for h in sub.elements)
+    return tuple(reps)
+
+
+def _block_module(jtype: Partition):
+    """Tiny explicit graded module for one block: the trivial module for
+    a one-row type, the rank-one coinvariant algebra for (1,1)."""
+    if len(jtype) == 1:
+        return ((0,), {perm: ((1,),) for perm in [None]})
+    if tuple(jtype) == (1, 1):
+        one = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        flip = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
+        return ((0, 1), {(1, 2): one, (2, 1): flip})
+    raise ValueError(f"no explicit module for block type {tuple(jtype)}")
+
+
+def _tensor_basis(dims):
+    if not dims:
+        return [()]
+    rest = _tensor_basis(dims[1:])
+    return [(k,) + t for k in range(dims[0]) for t in rest]
+
+
+class _InducedModel:
+    """Induced module built literally from its definition: basis indexed
+    by (coset representative, tensor basis vector), operators kept as a
+    coset permutation plus one small matrix per coset."""
+
+    def __init__(self, cfg: InductionConfig, parent_table: SubgroupTable):
+        self.cfg = cfg
+        self.modules = [_block_module(t) for t in cfg.block_types]
+        self.degrees = [m[0] for m in self.modules]
+        self.dims = [len(d) for d in self.degrees]
+        self.basis = _tensor_basis(self.dims)
+        self.dim_v = len(self.basis)
+        levi = list(levi_elements(cfg))
+        self.levi_set = set(levi)
+        table = SubgroupTable(levi)
+        self.reps = coset_reps(table, parent_table)
+        if len(self.reps) * self.dim_v > 200:
+            raise ValueError("model too large")
+        self.rep_index = {}
+        for ri, r in enumerate(self.reps):
+            for h in levi:
+                self.rep_index[(r @ h).perm] = ri
+
+    def degree(self, vec) -> int:
+        return sum(self.degrees[b][k] for b, k in enumerate(vec))
+
+    def _levi_matrix(self, h: WeylElt):
+        """Matrix of an element of the plain block subgroup on the
+        tensor space."""
+        mat = [[Fraction(0)] * self.dim_v for _ in range(self.dim_v)]
+        per_block = []
+        for bi, (degs, mats) in enumerate(self.modules):
+            if mats.get(None) is not None:
+                per_block.append(mats[None])
+            else:
+                per_block.append(
+                    mats[block_restriction(h, self.cfg.blocks[bi]).perm])
+        for src, vec in enumerate(self.basis):
+            for dst, wec in enumerate(self.basis):
+                entry = Fraction(1)
+                for b in range(len(vec)):
+                    entry *= per_block[b][wec[b]][vec[b]]
+                    if not entry:
+                        break
+                if entry:
+                    mat[dst][src] = entry
+        return mat
+
+    def _shift_matrix(self):
+        """Matrix of the twist generator on the tensor space: content of
+        each block moves to the image block."""
+        sigma = block_permutation(self.cfg.blocks, self.cfg.a)
+        mat = [[Fraction(0)] * self.dim_v for _ in range(self.dim_v)]
+        pos = {vec: i for i, vec in enumerate(self.basis)}
+        for src, vec in enumerate(self.basis):
+            out = [0] * len(vec)
+            for b, k in enumerate(vec):
+                out[sigma[b]] = k
+            mat[pos[tuple(out)]][src] = Fraction(1)
+        return mat
+
+    def group_operator(self, w: WeylElt):
+        """The action of w: a coset permutation and the return matrix.
+
+        w maps the x-th summand to the one of wx, acting on the fiber
+        by the leftover block-subgroup element.
+        """
+        perm = []
+        mats = []
+        for r in self.reps:
+            wr = w @ r
+            ri = self.rep_index[wr.perm]
+            perm.append(ri)
+            h = self.reps[ri].inverse() @ wr
+            mats.append(self._levi_matrix(h))
+        return perm, mats
+
+    def twist_operator(self, j_root: int):
+        """One application of the twist with the degree weight folded in:
+        the x-th summand goes to that of x a^-1, the fiber picks up the
+        shift action and zeta^degree."""
+        e = self.cfg.e
+        a_inv = self.cfg.a.inverse()
+        shift = self._shift_matrix()
+        perm = []
+        mats = []
+        for r in self.reps:
+            ra = r @ a_inv
+            ri = self.rep_index[ra.perm]
+            perm.append(ri)
+            h = self.reps[ri].inverse() @ ra
+            hmat = self._levi_matrix(h)
+            mat = _matmul_cyc(hmat, shift)
+            for col, vec in enumerate(self.basis):
+                weight = Cyclotomic.zeta(e, (j_root * self.degree(vec)) % e)
+                for row in range(self.dim_v):
+                    mat[row][col] = mat[row][col] * weight
+            mats.append(mat)
+        return perm, mats
+
+    @staticmethod
+    def compose(op2, op1):
+        perm = [op2[0][t] for t in op1[0]]
+        mats = [_matmul_cyc(op2[1][op1[0][x]], op1[1][x])
+                for x in range(len(op1[0]))]
+        return perm, mats
+
+    @staticmethod
+    def trace(op):
+        perm, mats = op
+        total = None
+        for x, target in enumerate(perm):
+            if target != x:
+                continue
+            m = mats[x]
+            t = sum(m[k][k] for k in range(len(m)))
+            total = t if total is None else total + t
+        return 0 if total is None else total
+
+
+def _matmul_cyc(a, b):
+    n = len(a)
+    out = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            acc = None
+            for k in range(n):
+                if a[r][k] and b[k][c]:
+                    term = a[r][k] * b[k][c]
+                    acc = term if acc is None else acc + term
+            row.append(acc if acc is not None else Fraction(0))
+        out.append(row)
+    return out
+
+
+def model_twisted_trace(cfg: InductionConfig, w: WeylElt, i: int,
+                        j_root: int = 1):
+    """Trace of the pair (i-th twist, w) computed on the explicit model,
+    for block types with a known small module."""
+    rs = build_root_system("A", cfg.n - 1)
+    model = _InducedModel(cfg, enumerate_group(rs))
+    op = model.group_operator(w)
+    if i % cfg.e:
+        twist = model.twist_operator(j_root)
+        powered = twist
+        for _ in range((i % cfg.e) - 1):
+            powered = model.compose(twist, powered)
+        op = model.compose(op, powered)
+    value = model.trace(op)
+    if isinstance(value, Fraction) or isinstance(value, int):
+        return Cyclotomic.zeta(cfg.e, 0) * value
+    return value

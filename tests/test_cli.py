@@ -135,6 +135,38 @@ def test_eval_rejects_wrong_merge(capsys):
     assert "do not fit" in err
 
 
+@pytest.mark.parametrize("mu,nu", [("2,2,2,2", "2"), ("1,1,1,1", "1,1")])
+def test_eval_counts_need_one_row_blocks(capsys, mu, nu):
+    # a (2,2) fixed block or (1,1) rotating blocks: the coset count is
+    # not the Green value there, so the request is refused as verify
+    # --check roots-of-unity refuses it, not reported as mismatches
+    code, out, err = run_cli(capsys, "eval", "--mu", mu, "--nu", nu,
+                             "--e", "2")
+    assert code == 2
+    assert out == ""
+    assert "one-row Jordan type" in err
+
+
+def test_eval_one_row_blocks_still_count(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--mu", "2,2", "--e", "2",
+                           "--nu", "2")
+    assert code == 0
+    assert "MISMATCH" not in out
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("eval", "--mu", "2,2", "--e", "2", "--n", "2"), "--n"),
+    (("green", "--mu", "2,2", "--bo", "3"), "--bo"),
+])
+def test_flag_prefixes_are_not_expanded(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

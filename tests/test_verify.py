@@ -21,16 +21,23 @@ from greenchar.weyl import (
     InductionConfig,
     InvalidConfigError,
     WeylElt,
+    block_restriction,
     block_shift_element,
+    coset_count,
     coset_elements,
     from_cycles,
     identity_elt,
+    induced_character,
     l_regular_config,
+    levi_elements,
+    orbit_profile,
     standard_block_config,
     validate_config,
 )
 from greenchar.verify import (
     ALL_CHECKS,
+    _config_echo,
+    _induced_residues,
     check_component_dims,
     check_component_induction,
     check_mod_e_induction,
@@ -40,9 +47,16 @@ from greenchar.verify import (
     check_ungraded_induction,
     class_representative,
     extend_block_character,
-    model_twisted_trace,
     twisted_induction_trace,
 )
+
+from oracles import (
+    coset_character,
+    coset_exponent,
+    extended_subgroup,
+    model_twisted_trace,
+)
+from test_acceptance import one_row_configs, regular_twist_configs
 
 
 def two_blocks(nu):
@@ -110,7 +124,7 @@ def test_extension_layer_polynomials():
     # the a-orbit glues the two rank-one coinvariant blocks: per-block
     # character 1 + q of the return map (identity), q replaced by q^2
     assert ext.trace_poly(a).coeffs == (1, 0, 1)
-    assert ext.label_of(a) == ((2, (1, 1), (1, 1)),)
+    assert orbit_profile(cfg, a) == ((2, (1, 1), (1, 1)),)
     # untwisted layer restricts to the product character
     assert ext.trace_poly(identity_elt(4)).coeffs == (1, 2, 1)
     trivial = extend_block_character(two_blocks((2,)))
@@ -284,6 +298,61 @@ def test_component_induction_preconditions():
     # distinguished block, so the restriction step is undefined
     with pytest.raises(ValueError, match="fix the distinguished block"):
         check_component_induction(l_regular_config(4, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the census route against the enumerative oracles
+
+
+@pytest.mark.parametrize("cfg", list(one_row_configs()), ids=_config_echo)
+def test_census_route_matches_enumeration_on_one_row_blocks(cfg):
+    # coset counts against a walk of the coset itself, and the mod-e
+    # right side against Frobenius induction of the coset characters
+    # over the explicit extended subgroup, element by element
+    order = len(levi_elements(cfg))
+    for j in range(cfg.e):
+        coset = coset_elements(cfg, j)
+        for rho in partitions_of(cfg.n):
+            hits = sum(1 for y in coset if y.cycle_type() == rho)
+            assert coset_count(class_representative(rho), cfg, j) == \
+                Fraction(rho.centralizer_order() * hits, order), (rho, j)
+    rhs = _induced_residues(extend_block_character(cfg))
+    for k in range(cfg.e):
+        ind = induced_character(extended_subgroup(cfg), coset_character(cfg, k))
+        for rho in partitions_of(cfg.n):
+            assert rhs[rho, k] == ind[rho], (rho, k)
+            assert type(rhs[rho, k]) is type(ind[rho])
+
+
+@pytest.mark.parametrize("cfg", [cfg for cfg in regular_twist_configs()
+                                 if not cfg.a.support() & set(cfg.blocks[-1])],
+                         ids=_config_echo)
+def test_census_route_matches_per_element_evaluator(cfg):
+    # each extended element y = a^i h weighted by zeta^(-k i) times the
+    # graded character of h on the distinguished block, at zeta^i
+    e = cfg.e
+    distinguished = cfg.blocks[-1]
+    g_block = springer_graded_char(cfg.block_types[-1])
+    rhs = _induced_residues(extend_block_character(cfg))
+    for k in range(e):
+        def evaluate(y):
+            i = coset_exponent(cfg, y)
+            h = (cfg.a ** (-i)) @ y
+            poly = g_block[block_restriction(h, distinguished).cycle_type()]
+            return eval_at_root(poly, e, i) * Cyclotomic.zeta(e, -k * i)
+
+        ind = induced_character(extended_subgroup(cfg), evaluate)
+        for rho in partitions_of(cfg.n):
+            assert rhs[rho, k] == ind[rho], (rho, k)
+
+
+def test_trace_poly_refuses_elements_outside_the_extension():
+    # (1 2) permutes the three one-letter blocks, so it has an orbit
+    # profile, but it lies outside the cyclic group the twist generates
+    ext = extend_block_character(standard_block_config(1, 3))
+    assert ext.trace_poly(ext.config.a).coeffs == (1,)
+    with pytest.raises(ValueError, match="outside the extended subgroup"):
+        ext.trace_poly(from_cycles(3, (1, 2)))
 
 
 def test_ungraded_induction_rows():
