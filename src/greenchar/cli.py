@@ -41,6 +41,7 @@ from .weyl import (
     is_L_regular,
     l_regular_config,
     regular_element,
+    runs,
     validate_config,
 )
 
@@ -141,21 +142,12 @@ def build_block_config(args) -> InductionConfig:
     mu_flag = getattr(args, "mu", None)
     if mu_flag is not None:
         fixed = fixed_block_type(mu_flag, nus, e)
-    blocks = []
-    types = []
-    start = 1
-    if fixed is not None:
-        blocks.append(tuple(range(1, fixed.size + 1)))
-        types.append(fixed)
-        start = fixed.size + 1
-    for nu in nus:
-        for _ in range(e):
-            blocks.append(tuple(range(start, start + nu.size)))
-            types.append(nu)
-            start += nu.size
-    a = block_shift_element(tuple(blocks), e)
-    cfg = InductionConfig(n=start - 1, e=e, blocks=tuple(blocks),
-                          block_types=tuple(types), a=a)
+    types = ([fixed] if fixed is not None else []) + [
+        nu for nu in nus for _ in range(e)]
+    blocks = runs(t.size for t in types)
+    cfg = InductionConfig(n=sum(t.size for t in types), e=e, blocks=blocks,
+                          block_types=tuple(types),
+                          a=block_shift_element(blocks, e))
     validate_config(cfg)
     return cfg
 
@@ -309,6 +301,7 @@ def run_checks(args):
                 "closed-form-count takes one one-row --nu, the block size")
         if args.e is None:
             raise InvalidConfigError("--e is required here")
+        require_letters_within_bound(nus[0][0] * args.e, args)
         return [ALL_CHECKS[name](nus[0][0], args.e)]
     cfg = build_block_config(args)
     require_letters_within_bound(cfg.n, args)

@@ -504,11 +504,6 @@ def _echelon(rows):
     return m, pivots, ncols
 
 
-def rank(rows) -> int:
-    _, pivots, _ = _echelon(rows)
-    return len(pivots)
-
-
 def _unify(vec):
     e = next((x.e for x in vec if isinstance(x, Cyclotomic)), None)
     if e is None:

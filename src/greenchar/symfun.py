@@ -92,11 +92,6 @@ def partitions_of(n: int):
     return tuple(out)
 
 
-def class_size(rho) -> int:
-    rho = Partition(rho)
-    return factorial(rho.size) // rho.centralizer_order()
-
-
 def enumerate_ssyt(shape, weight):
     """All semistandard tableaux of the given shape and content.
 
@@ -281,23 +276,6 @@ def green_at_root(mu, rho, e: int, j: int) -> Cyclotomic:
     """Green polynomial for (mu, rho) evaluated at the j-th power of a
     primitive e-th root of unity."""
     return eval_at_root(springer_graded_char(mu)[Partition(rho)], e, j)
-
-
-def coinvariant_graded_char(n: int) -> GradedCharacter:
-    """Graded character of the coinvariant algebra of S_n in its
-    n-dimensional permutation representation: the Molien-style quotient
-    prod_{i=1..n} (1 - q^i) / det(1 - q w), computed by exact division.
-    """
-    num = IntPolynomial((1,))
-    for i in range(1, n + 1):
-        num = num * (IntPolynomial((1,)) - IntPolynomial.monomial(i))
-    values = {}
-    for rho in partitions_of(n):
-        den = IntPolynomial((1,))
-        for part in rho:
-            den = den * (IntPolynomial((1,)) - IntPolynomial.monomial(part))
-        values[rho] = num.exact_div(den)
-    return GradedCharacter(n, values)
 
 
 def closed_form_coset_count(m: int, e: int, rho, reading: str = "parts") -> int:

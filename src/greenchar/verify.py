@@ -26,14 +26,18 @@ from .weyl import (
     coset_census,
     coset_count,
     coset_elements,
+    eigenspace,
     embed_component_element,
     from_cycles,
     induced_character,
     is_L_regular,
     levi_elements,
     orbit_profile,
+    pad,
     regular_element,
+    runs,
     standard_block_config,
+    trapping_roots,
     validate_config,
     young_subgroup,
 )
@@ -43,12 +47,7 @@ def class_representative(rho) -> WeylElt:
     """A permutation with the given cycle type, cycles on consecutive
     letters in decreasing part order."""
     rho = Partition(rho)
-    cycles = []
-    start = 1
-    for part in rho:
-        cycles.append(tuple(range(start, start + part)))
-        start += part
-    return from_cycles(rho.size, *cycles)
+    return from_cycles(rho.size, *runs(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +301,8 @@ def check_ungraded_induction(n: int, block_types) -> VerificationReport:
     at q = 1 is induced from the product of the block characters."""
     t0 = time.perf_counter()
     types = [Partition(t) for t in block_types]
-    blocks = []
-    start = 1
-    for jtype in types:
-        blocks.append(tuple(range(start, start + jtype.size)))
-        start += jtype.size
-    if start != n + 1:
+    blocks = runs(t.size for t in types)
+    if sum(t.size for t in types) != n:
         raise ValueError("block types must fill all the letters")
     mu = Partition(tuple(sorted((p for t in types for p in t), reverse=True)))
     g = springer_graded_char(mu)
@@ -362,37 +357,37 @@ def check_closed_form(m: int, e: int) -> VerificationReport:
     return _finish("closed-form-count", f"m={m} e={e}", bad, t0, notes)
 
 
+# family, ranks, letters beyond the rank, smallest tail block, odd e only:
+# type A of rank r acts on r + 1 letters, B and D of rank r on r letters
+_TAIL_FAMILIES = (("A", range(2, 8), 1, 1, False),
+                  ("B", range(3, 7), 0, 1, True),
+                  ("D", range(4, 7), 0, 2, True))
+
+
 def _classical_tail_cases():
     """(family, rank, levi labels, twist, e) for the same-type tail
-    subgroups with a catalog twist on the free letters."""
+    subgroups with a catalog twist on the free letters: the Levi is the
+    tail of m letters, and the twist is the type A catalog element on
+    the other letters."""
     cases = []
-    for rank in range(2, 8):
-        n = rank + 1
-        for m in range(1, n - 1):
-            free = n - m
-            for e in range(2, free + 1):
-                if free % e:
-                    continue
-                cycles = [tuple(range(k * e + 1, k * e + e + 1))
-                          for k in range(free // e)]
-                a = from_cycles(n, *cycles)
-                cases.append(("A", rank, tuple(range(n - m + 1, n)), a, e))
-    for family, low in (("B", 3), ("D", 4)):
-        for rank in range(low, 7):
-            min_m = 1 if family == "B" else 2
-            for m in range(min_m, rank - 1):
-                free = rank - m
-                for e in range(3, free + 1, 2):
-                    if free % e:
-                        continue
-                    cycles = [tuple(range(k * e + 1, k * e + e + 1))
-                              for k in range(free // e)]
-                    inner = from_cycles(free, *cycles)
-                    a = WeylElt(perm=tuple(list(inner.perm)
-                                           + list(range(free + 1, rank + 1))))
-                    cases.append((family, rank,
-                                  tuple(range(rank - m + 1, rank + 1)), a, e))
+    for family, ranks, extra, min_m, odd in _TAIL_FAMILIES:
+        for rank in ranks:
+            n = rank + extra
+            for m in range(min_m, n - 1):
+                free = n - m
+                for e in range(3 if odd else 2, free + 1, 2 if odd else 1):
+                    if free % e == 0:
+                        a = pad(regular_element("A", free - 1, e), n)
+                        cases.append((family, rank,
+                                      tuple(range(n - m + 1, rank + 1)), a, e))
     return cases
+
+
+# family, rank, Levi labels, component type and e of the spot claims of
+# L-regularity for the catalog twist of one Levi component
+_EXCEPTIONAL_SPOTS = (("E", 6, (6,), ("A", 4), 5),
+                      ("E", 7, (6, 7), ("A", 4), 5),
+                      ("E", 7, (7,), ("D", 5), 5))
 
 
 def check_regular_catalog(family: str | None = None,
@@ -441,44 +436,33 @@ def check_regular_catalog(family: str | None = None,
                         if is_L_regular(a, e, lv):
                             bad.append((f"{fam}{rk} pi_L={pi_L}", e,
                                         True, False))
-    spots = []
-    if wanted("E", 6):
-        rs6 = build_root_system("E", 6)
-        lv6 = levi_config(rs6, (6,))
-        comp = [c for c in lv6.components if (c[0], c[1]) == ("A", 4)][0]
-        spots.append(("E6 pi_L=(6,)", lv6,
-                      embed_component_element(rs6, comp,
-                                              from_cycles(5, (1, 2, 3, 4, 5))), 5))
-    if wanted("E", 7):
-        rs7 = build_root_system("E", 7)
-        lv67 = levi_config(rs7, (6, 7))
-        comp = [c for c in lv67.components if (c[0], c[1]) == ("A", 4)][0]
-        spots.append(("E7 pi_L=(6,7)", lv67,
-                      embed_component_element(rs7, comp,
-                                              from_cycles(5, (1, 2, 3, 4, 5))), 5))
-        lv7 = levi_config(rs7, (7,))
-        comp = [c for c in lv7.components if (c[0], c[1]) == ("D", 5)][0]
-        spots.append(("E7 pi_L=(7,)", lv7,
-                      embed_component_element(rs7, comp,
-                                              regular_element("D", 5, 5, "a")), 5))
-    notes = ""
-    for name, lv, a, e in spots:
+    notes = []
+    for fam, rk, pi_L, ctype, e in _EXCEPTIONAL_SPOTS:
+        if not wanted(fam, rk):
+            continue
+        rs = build_root_system(fam, rk)
+        lv = levi_config(rs, pi_L)
+        comp = next(c for c in lv.components if c[:2] == ctype)
+        a = embed_component_element(rs, comp, regular_element(*ctype, e))
         tried += 1
         if not is_L_regular(a, e, lv):
+            name = f"{fam}{rk} pi_L={pi_L}"
             bad.append((name, e, False, True))
-            if name == "E7 pi_L=(7,)":
-                notes = ("the order-5 twist of the D5-type complement has "
-                         "its eigenvector on the hyperplanes of four "
-                         "crossing roots (two opposite pairs), so the "
-                         "claimed admissibility fails")
+            coords_of = dict(zip(rs.roots, rs.root_coords))
+            trapped = [coords_of[beta] for beta in trapping_roots(
+                rs, eigenspace(a, e), lv.crossing_roots())]
+            notes.append(f"{name}: the zeta_{e}-eigenspace lies on the "
+                         f"hyperplanes of the crossing roots {trapped} "
+                         "(simple-root coordinates)")
     if not tried and not exhaustive_sweep:
         selection = " ".join(f"{name}={value}" for name, value in
                              (("family", family), ("rank", rank))
                              if value is not None)
         raise ValueError(f"no regular-catalog case matches {selection}")
-    if family is not None and exhaustive_sweep and not spots and not bad:
-        notes = "no L-regular elements"
-    return _finish("regular-catalog", f"{tried} cases", bad, t0, notes)
+    if family is not None and exhaustive_sweep and not bad:
+        notes = ["no L-regular elements"]
+    return _finish("regular-catalog", f"{tried} cases", bad, t0,
+                   "; ".join(notes))
 
 
 ALL_CHECKS = {

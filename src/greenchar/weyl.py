@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
-from math import factorial, lcm
+from math import lcm
 
 from .poly import Cyclotomic, kernel_basis
 from .rootsys import LeviConfig, RootSystem, build_root_system, levi_config
@@ -144,27 +144,11 @@ class WeylElt:
     def signed_cycles(self):
         """Orbits of the underlying permutation, each with its sign."""
         assert self.perm is not None, "cycle data needs the permutation form"
-        seen = [False] * len(self.perm)
-        cycles = []
-        for start in range(1, len(self.perm) + 1):
-            if seen[start - 1]:
-                continue
-            letters = []
-            sign = 1
-            cur = start
-            while not seen[cur - 1]:
-                seen[cur - 1] = True
-                letters.append(cur)
-                v = self.perm[cur - 1]
-                if v < 0:
-                    sign = -sign
-                cur = abs(v)
-            cycles.append((tuple(letters), sign))
-        return cycles
+        return _walk(self.perm)
 
     def cycle_type(self) -> Partition:
-        lengths = sorted((len(c) for c, _ in self.signed_cycles()), reverse=True)
-        return Partition(tuple(lengths))
+        return Partition(tuple(sorted((len(c) for c, _ in _walk(self.perm)),
+                                      reverse=True)))
 
     def signed_cycle_type(self):
         pos, neg = [], []
@@ -207,40 +191,57 @@ def identity_elt(n: int) -> WeylElt:
     return WeylElt(perm=tuple(range(1, n + 1)))
 
 
-def from_cycles(n: int, *cycles) -> WeylElt:
+def _walk(perm):
+    """The cycles of a signed one-line permutation of 1..n, each listed
+    from its smallest letter, with the product of the signs along it."""
+    seen = [False] * (len(perm) + 1)
+    cycles = []
+    for start in range(1, len(perm) + 1):
+        if seen[start]:
+            continue
+        letters = []
+        sign = 1
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            letters.append(cur)
+            cur = perm[cur - 1]
+            if cur < 0:
+                sign = -sign
+                cur = -cur
+        cycles.append((tuple(letters), sign))
+    return cycles
+
+
+def from_cycles(n: int, *cycles, negative=()) -> WeylElt:
+    """The signed permutation of 1..n with the given cycles; a negative
+    cycle sends its last letter to minus its first."""
     perm = list(range(1, n + 1))
-    for cycle in cycles:
-        for i, letter in enumerate(cycle):
-            perm[letter - 1] = cycle[(i + 1) % len(cycle)]
+    for sign, group in ((1, cycles), (-1, negative)):
+        for cycle in group:
+            for i, letter in enumerate(cycle, start=1):
+                image = cycle[i % len(cycle)]
+                perm[letter - 1] = -image if sign < 0 and i == len(cycle) else image
     return WeylElt(perm=tuple(perm))
 
 
-def _cycles_to_perm(n, positive, negative):
-    perm = list(range(1, n + 1))
-    for cycle in positive:
-        for i, letter in enumerate(cycle):
-            perm[letter - 1] = cycle[(i + 1) % len(cycle)]
-    for cycle in negative:
-        for i, letter in enumerate(cycle):
-            image = cycle[(i + 1) % len(cycle)]
-            perm[letter - 1] = image if i + 1 < len(cycle) else -image
-    return tuple(perm)
+def runs(sizes):
+    """Consecutive runs of letters from 1 on, one of each given size."""
+    out = []
+    start = 1
+    for size in sizes:
+        out.append(tuple(range(start, start + size)))
+        start += size
+    return tuple(out)
+
+
+def pad(a: WeylElt, n: int) -> WeylElt:
+    """a on its own letters, fixing the further letters up to n."""
+    return WeylElt(perm=a.perm + tuple(range(a.n + 1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
 # group enumeration
-
-
-def weyl_order(family: str, rank: int) -> int:
-    family = family.upper()
-    if family == "A":
-        return factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2 ** rank * factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-            ("F", 4): 1152, ("G", 2): 12}[(family, rank)]
 
 
 class SubgroupTable:
@@ -282,33 +283,6 @@ class SubgroupTable:
         return iter(self.elements)
 
 
-def enumerate_group(rs: RootSystem, bound=DEFAULT_BOUND) -> SubgroupTable:
-    order = weyl_order(rs.family, rs.rank)
-    if order > bound:
-        raise ValueError(
-            f"{rs.name} has order {order}, beyond the enumeration bound {bound}")
-    if rs.family == "A":
-        elements = [WeylElt(perm=p) for p in permutations(range(1, rs.rank + 2))]
-    elif rs.family in ("B", "C"):
-        n = rs.rank
-        elements = [WeylElt(perm=tuple(s * v for s, v in zip(signs, p)))
-                    for p in permutations(range(1, n + 1))
-                    for signs in product((1, -1), repeat=n)]
-    elif rs.family == "D":
-        n = rs.rank
-        elements = [WeylElt(perm=tuple(s * v for s, v in zip(signs, p)))
-                    for p in permutations(range(1, n + 1))
-                    for signs in product((1, -1), repeat=n)
-                    if signs.count(-1) % 2 == 0]
-    else:
-        gens = [WeylElt(mat=rs.simple_reflection(i)) for i in range(1, rs.rank + 1)]
-        table = SubgroupTable.from_generators(gens, bound=bound)
-        assert len(table) == order
-        return table
-    assert len(elements) == order
-    return SubgroupTable(elements)
-
-
 # ---------------------------------------------------------------------------
 # class functions
 
@@ -345,6 +319,17 @@ def _need(condition: bool, message: str):
         raise ValueError(message)
 
 
+# The catalog by family and variant: the parity e must have (None for
+# either), and (k, s) with e dividing k*n - s, n the number of letters.
+# The cycles run over the first (k*n - s)/k letters: e-cycles, or
+# negative e/2-cycles when e must be even.
+_CATALOG = {"A": {"a": (None, 1, 0), "b": (None, 1, 1)},
+            "B": {"a": (1, 1, 0), "b": (0, 2, 0)},
+            "D": {"a": (1, 1, 0), "b": (1, 1, 1), "c": (0, 1, 0),
+                  "d": (0, 2, 2)}}
+_VARIANT_NAMES = {"A": "a and b", "B": "a and b", "D": "a through d"}
+
+
 def regular_element(family: str, rank: int, e: int, variant: str = "a") -> WeylElt:
     """Catalog element of order e with a regular zeta_e-eigenvector.
 
@@ -355,70 +340,24 @@ def regular_element(family: str, rank: int, e: int, variant: str = "a") -> WeylE
     family = family.upper()
     variant = variant.lower()
     _need(e >= 1, f"order e must be positive, got {e}")
-    if family == "A":
-        n = rank + 1
-        if variant == "a":
-            _need(n % e == 0, f"type A variant a needs e | {n}, got e={e}")
-            cycles = [tuple(range(k * e + 1, k * e + e + 1)) for k in range(n // e)]
-            return WeylElt(perm=_cycles_to_perm(n, cycles, ()))
-        if variant == "b":
-            _need((n - 1) % e == 0,
-                  f"type A variant b needs e | {n - 1}, got e={e}")
-            cycles = [tuple(range(k * e + 1, k * e + e + 1))
-                      for k in range((n - 1) // e)]
-            return WeylElt(perm=_cycles_to_perm(n, cycles, ()))
-        raise ValueError(f"type A has variants a and b, got {variant!r}")
-    if family == "B" or family == "C":
-        n = rank
-        if variant == "a":
-            _need(e % 2 == 1, f"type B variant a needs odd e, got e={e}")
-            _need(n % e == 0, f"type B variant a needs e | {n}, got e={e}")
-            cycles = [tuple(range(k * e + 1, k * e + e + 1)) for k in range(n // e)]
-            return WeylElt(perm=_cycles_to_perm(n, cycles, ()))
-        if variant == "b":
-            _need(e % 2 == 0, f"type B variant b needs even e, got e={e}")
-            _need((2 * n) % e == 0,
-                  f"type B variant b needs e | {2 * n}, got e={e}")
-            half = e // 2
-            cycles = [tuple(range(k * half + 1, k * half + half + 1))
-                      for k in range(2 * n // e)]
-            return WeylElt(perm=_cycles_to_perm(n, (), cycles))
-        raise ValueError(f"type B has variants a and b, got {variant!r}")
-    if family == "D":
-        n = rank
-        if variant == "a":
-            _need(e % 2 == 1, f"type D variant a needs odd e, got e={e}")
-            _need(n % e == 0, f"type D variant a needs e | {n}, got e={e}")
-            cycles = [tuple(range(k * e + 1, k * e + e + 1)) for k in range(n // e)]
-            return WeylElt(perm=_cycles_to_perm(n, cycles, ()))
-        if variant == "b":
-            _need(e % 2 == 1, f"type D variant b needs odd e, got e={e}")
-            _need((n - 1) % e == 0,
-                  f"type D variant b needs e | {n - 1}, got e={e}")
-            cycles = [tuple(range(k * e + 1, k * e + e + 1))
-                      for k in range((n - 1) // e)]
-            return WeylElt(perm=_cycles_to_perm(n, cycles, ()))
-        if variant == "c":
-            _need(e % 2 == 0, f"type D variant c needs even e, got e={e}")
-            _need(n % e == 0, f"type D variant c needs e | {n}, got e={e}")
-            half = e // 2
-            cycles = [tuple(range(k * half + 1, k * half + half + 1))
-                      for k in range(2 * n // e)]
-            return WeylElt(perm=_cycles_to_perm(n, (), cycles))
-        if variant == "d":
-            _need(e % 2 == 0, f"type D variant d needs even e, got e={e}")
-            _need((2 * n - 2) % e == 0,
-                  f"type D variant d needs e | {2 * n - 2}, got e={e}")
-            half = e // 2
-            count = (2 * n - 2) // e
-            cycles = [tuple(range(k * half + 1, k * half + half + 1))
-                      for k in range(count)]
-            # the leftover letter keeps the total sign count even
-            if count % 2 == 0:
-                return WeylElt(perm=_cycles_to_perm(n, ((n,),), cycles))
-            return WeylElt(perm=_cycles_to_perm(n, (), cycles + [(n,)]))
-        raise ValueError(f"type D has variants a through d, got {variant!r}")
-    raise ValueError(f"no catalog for family {family!r}")
+    family = "B" if family == "C" else family
+    _need(family in _CATALOG, f"no catalog for family {family!r}")
+    _need(variant in _CATALOG[family], f"type {family} has variants "
+          f"{_VARIANT_NAMES[family]}, got {variant!r}")
+    parity, k, s = _CATALOG[family][variant]
+    n = rank + 1 if family == "A" else rank
+    needs = f"type {family} variant {variant} needs"
+    _need(parity is None or e % 2 == parity,
+          f"{needs} {'odd' if parity else 'even'} e, got e={e}")
+    _need((k * n - s) % e == 0, f"{needs} e | {k * n - s}, got e={e}")
+    covered = (k * n - s) // k
+    if parity != 0:
+        return from_cycles(n, *runs([e] * (covered // e)))
+    cycles = runs([e // 2] * (2 * covered // e))
+    if family == "D" and len(cycles) % 2:
+        # the leftover letter keeps the total sign count even
+        cycles += ((n,),)
+    return from_cycles(n, negative=cycles)
 
 
 def eigenspace(a: WeylElt, e: int, j: int = 1):
@@ -431,13 +370,23 @@ def eigenspace(a: WeylElt, e: int, j: int = 1):
     return kernel_basis(rows)
 
 
-def _trapping_root(rs: RootSystem, basis, roots):
-    """The first of the roots whose hyperplane holds every basis vector,
-    or None when the span escapes them all."""
-    for beta in roots:
-        if not any(rs.inner(v, beta) for v in basis):
-            return beta
-    return None
+def trapping_roots(rs: RootSystem, basis, roots):
+    """The roots whose hyperplane holds every basis vector, in order.
+
+    A vector over Q(zeta) is the sum of zeta^k times rational vectors,
+    and 1, zeta, ... are independent over Q, so it pairs to zero with a
+    rational root exactly when each rational part does: the test runs
+    in rational arithmetic, one form per part."""
+    units = [[int(r == c) for c in range(rs.dim)] for r in range(rs.dim)]
+    forms = []
+    for v in basis:
+        coords = [x.coords if isinstance(x, Cyclotomic) else (x,) for x in v]
+        for k in range(max(map(len, coords))):
+            part = [c[k] if k < len(c) else 0 for c in coords]
+            forms.append([rs.inner(part, unit) for unit in units])
+    return (beta for beta in roots
+            if not any(sum(f[i] * b for i, b in enumerate(beta) if b)
+                       for f in forms))
 
 
 def is_L_regular(a: WeylElt, e: int, cfg: LeviConfig, j: int = 1) -> bool:
@@ -446,8 +395,8 @@ def is_L_regular(a: WeylElt, e: int, cfg: LeviConfig, j: int = 1) -> bool:
     field a finite union of proper subspaces cannot cover the
     eigenspace, so this finds a single eigenvector off all of them."""
     basis = eigenspace(a, e, j)
-    return bool(basis) and _trapping_root(
-        cfg.parent, basis, cfg.crossing_roots()) is None
+    return bool(basis) and next(trapping_roots(
+        cfg.parent, basis, cfg.crossing_roots()), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +515,16 @@ class InductionConfig:
     a: WeylElt
 
     def __post_init__(self):
-        expected = 1
-        for block, jtype in zip(self.blocks, self.block_types, strict=True):
-            if tuple(block) != tuple(range(expected, expected + len(block))):
+        for block, jtype, run in zip(self.blocks, self.block_types,
+                                     runs(map(len, self.blocks)), strict=True):
+            if tuple(block) != run:
                 raise ValueError(f"blocks must be consecutive runs, got {block}")
-            expected += len(block)
             if not isinstance(jtype, Partition):
                 raise ValueError("block types must be Partition instances")
             if jtype.size != len(block):
                 raise ValueError(
                     f"Jordan type {jtype} does not fill a block of {len(block)}")
-        if expected != self.n + 1:
+        if sum(map(len, self.blocks)) != self.n:
             raise ValueError("blocks do not cover the letters")
         if self.a.n != self.n or any(v < 0 for v in self.a.perm):
             raise ValueError("the twisting element must be a plain permutation")
@@ -622,20 +570,8 @@ def block_permutation(blocks, z: WeylElt):
 def orbits(sigma):
     """Cycles of a permutation of 0..len(sigma)-1, each listed from its
     smallest index."""
-    seen = set()
-    out = []
-    for start in range(len(sigma)):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = sigma[start]
-        while cur != start:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = sigma[cur]
-        out.append(tuple(orbit))
-    return out
+    return [tuple(i - 1 for i in letters)
+            for letters, _ in _walk([i + 1 for i in sigma])]
 
 
 def block_restriction(z: WeylElt, block) -> WeylElt:
@@ -725,50 +661,30 @@ def standard_block_config(m: int, e: int, nu: Partition | None = None,
                           fixed_size: int = 0,
                           fixed_type: Partition | None = None) -> InductionConfig:
     """e equal blocks of size m, optionally after one fixed block."""
-    if nu is None:
-        nu = Partition((m,))
-    blocks = []
-    types = []
-    start = 1
+    sizes, types = [m] * e, [nu if nu is not None else Partition((m,))] * e
     if fixed_size:
-        blocks.append(tuple(range(1, fixed_size + 1)))
-        types.append(fixed_type if fixed_type is not None
+        sizes.insert(0, fixed_size)
+        types.insert(0, fixed_type if fixed_type is not None
                      else Partition((fixed_size,)))
-        start = fixed_size + 1
-    for _ in range(e):
-        blocks.append(tuple(range(start, start + m)))
-        types.append(nu)
-        start += m
-    n = start - 1
-    a = block_shift_element(blocks, e)
-    return InductionConfig(n=n, e=e, blocks=tuple(blocks),
-                           block_types=tuple(types), a=a)
+    blocks = runs(sizes)
+    return InductionConfig(n=sum(sizes), e=e, blocks=blocks,
+                           block_types=tuple(types),
+                           a=block_shift_element(blocks, e))
 
 
 def l_regular_config(n: int, m: int, e: int, nu: Partition | None = None,
                      variant: str = "a") -> InductionConfig:
     """One block of size m on the last letters; the catalog element of
-    the complementary symmetric group supplies the twist."""
+    the complementary symmetric group supplies the twist (of the whole
+    group when the block is a single letter)."""
     if not 1 <= m <= n - 1:
         raise ValueError(f"need 1 <= m <= {n - 1}, got m={m}")
-    if nu is None:
-        nu = Partition((m,))
-    blocks = [(i,) for i in range(1, n - m + 1)]
-    types = [Partition((1,))] * (n - m)
-    if m == 1:
-        blocks.append((n,))
-        types.append(nu)
-        letters = tuple(range(1, n + 1))
-    else:
-        blocks.append(tuple(range(n - m + 1, n + 1)))
-        types.append(nu)
-        letters = tuple(range(1, n - m + 1))
-    model = regular_element("A", len(letters) - 1, e, variant)
-    perm = list(range(1, n + 1))
-    for i, letter in enumerate(letters):
-        perm[letter - 1] = letters[model.perm[i] - 1]
-    return InductionConfig(n=n, e=e, blocks=tuple(blocks),
-                           block_types=tuple(types), a=WeylElt(perm=tuple(perm)))
+    free = n if m == 1 else n - m
+    return InductionConfig(
+        n=n, e=e, blocks=runs([1] * (n - m) + [m]),
+        block_types=(Partition((1,)),) * (n - m)
+        + (nu if nu is not None else Partition((m,)),),
+        a=pad(regular_element("A", free - 1, e, variant), n))
 
 
 def validate_config(cfg: InductionConfig) -> str:
@@ -807,8 +723,8 @@ def validate_config(cfg: InductionConfig) -> str:
             raise InvalidConfigError(
                 "twisting element moves letters outside the span of the "
                 "simple roots orthogonal to the blocks")
-        beta = _trapping_root(levi.parent, eigenspace(cfg.a, cfg.e, 1),
-                              levi.crossing_roots())
+        beta = next(trapping_roots(levi.parent, eigenspace(cfg.a, cfg.e, 1),
+                                   levi.crossing_roots()), None)
         if beta is not None:
             raise InvalidConfigError(
                 "twisting element is not admissible: its eigenspace "

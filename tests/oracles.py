@@ -5,25 +5,103 @@ characters give the right side of the mod-e identity by Frobenius
 induction element by element; the explicit matrix model of the induced
 module gives pair traces by multiplying actual matrices, knowing
 nothing about Green polynomials.  Both are slow on purpose and serve
-only to check the census route of the library.
+only to check the census route of the library.  Whole-group
+enumeration, class sizes, the coinvariant graded character and matrix
+rank live here too: only the tests use them.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
+from math import factorial
 
-from greenchar.poly import Cyclotomic
-from greenchar.rootsys import build_root_system
-from greenchar.symfun import Partition
+from greenchar.poly import Cyclotomic, IntPolynomial, _echelon
+from greenchar.rootsys import RootSystem, build_root_system
+from greenchar.symfun import GradedCharacter, Partition, partitions_of
 from greenchar.weyl import (
+    DEFAULT_BOUND,
     InductionConfig,
     SubgroupTable,
     WeylElt,
     block_permutation,
     block_restriction,
     coset_elements,
-    enumerate_group,
     levi_elements,
 )
+
+
+# ---------------------------------------------------------------------------
+# whole groups, class sizes, the coinvariant algebra and matrix rank
+
+
+def weyl_order(family: str, rank: int) -> int:
+    family = family.upper()
+    if family == "A":
+        return factorial(rank + 1)
+    if family in ("B", "C"):
+        return 2 ** rank * factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+            ("F", 4): 1152, ("G", 2): 12}[(family, rank)]
+
+
+def enumerate_group(rs: RootSystem, bound=DEFAULT_BOUND) -> SubgroupTable:
+    order = weyl_order(rs.family, rs.rank)
+    if order > bound:
+        raise ValueError(
+            f"{rs.name} has order {order}, beyond the enumeration bound {bound}")
+    if rs.family == "A":
+        elements = [WeylElt(perm=p) for p in permutations(range(1, rs.rank + 2))]
+    elif rs.family in ("B", "C"):
+        n = rs.rank
+        elements = [WeylElt(perm=tuple(s * v for s, v in zip(signs, p)))
+                    for p in permutations(range(1, n + 1))
+                    for signs in product((1, -1), repeat=n)]
+    elif rs.family == "D":
+        n = rs.rank
+        elements = [WeylElt(perm=tuple(s * v for s, v in zip(signs, p)))
+                    for p in permutations(range(1, n + 1))
+                    for signs in product((1, -1), repeat=n)
+                    if signs.count(-1) % 2 == 0]
+    else:
+        gens = [WeylElt(mat=rs.simple_reflection(i)) for i in range(1, rs.rank + 1)]
+        table = SubgroupTable.from_generators(gens, bound=bound)
+        assert len(table) == order
+        return table
+    assert len(elements) == order
+    return SubgroupTable(elements)
+
+
+def class_size(rho) -> int:
+    rho = Partition(rho)
+    return factorial(rho.size) // rho.centralizer_order()
+
+
+def coinvariant_graded_char(n: int) -> GradedCharacter:
+    """Graded character of the coinvariant algebra of S_n in its
+    n-dimensional permutation representation: the Molien-style quotient
+    prod_{i=1..n} (1 - q^i) / det(1 - q w), computed by exact division.
+    """
+    num = IntPolynomial((1,))
+    for i in range(1, n + 1):
+        num = num * (IntPolynomial((1,)) - IntPolynomial.monomial(i))
+    values = {}
+    for rho in partitions_of(n):
+        den = IntPolynomial((1,))
+        for part in rho:
+            den = den * (IntPolynomial((1,)) - IntPolynomial.monomial(part))
+        values[rho] = num.exact_div(den)
+    return GradedCharacter(n, values)
+
+
+def rank(rows) -> int:
+    _, pivots, _ = _echelon(rows)
+    return len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# the extended subgroup and the induced module
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ from itertools import product
 
 from greenchar.poly import IntPolynomial
 from greenchar.rootsys import build_root_system, levi_config
-from greenchar.symfun import (Partition, char_sn, class_size, green_at_root,
+from greenchar.symfun import (Partition, char_sn, green_at_root,
                               kostka_foulkes, partitions_of,
                               springer_graded_char)
 from greenchar.verify import (check_closed_form, check_component_dims,
@@ -46,6 +46,8 @@ from greenchar.verify import (check_closed_form, check_component_dims,
                               standard_block_config)
 from greenchar.weyl import (embed_component_element, from_cycles,
                             l_regular_config, regular_element)
+
+from oracles import class_size
 
 
 def announce(num: int, ok: bool, detail: str) -> str:

@@ -253,6 +253,21 @@ def test_verify_obeys_the_letter_bound(capsys, monkeypatch):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_verify_closed_form_obeys_the_letter_bound(capsys, monkeypatch):
+    # closed-form-count enumerates a coset of m * e letters, so it takes
+    # the same cap as the other letter requests
+    monkeypatch.delenv("GREENCHAR_BOUND", raising=False)
+    code, out, err = run_cli(capsys, "verify", "--check", "closed-form-count",
+                             "--nu", "4", "--e", "4")
+    assert code == 2 and out == ""
+    assert "n = 16 exceeds the enumeration bound 10" in err
+    monkeypatch.setenv("GREENCHAR_BOUND", "12")
+    code, out, err = run_cli(capsys, "verify", "--check", "closed-form-count",
+                             "--nu", "2", "--e", "6", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["status"] == "pass"
+
+
 def test_verify_catalog_restricted(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "regular-catalog",
                            "--family", "F", "--rank", "4", "--format", "json")
@@ -344,6 +359,15 @@ def test_regular_bad_family(capsys):
     assert "no catalog" in err
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_regular_rank_without_letters_is_invalid(capsys, rank):
+    # the sign-fixing letter of type D variant d needs a letter to exist
+    code, _, err = run_cli(capsys, "regular", "--family", "D", "--rank", rank,
+                           "--e", "2", "--variant", "d")
+    assert code == 2
+    assert f"no root system of type D{rank}" in err
+
+
 def test_config_validate_shapes(capsys):
     code, out, _ = run_cli(capsys, "config-validate", "--nu", "2", "--e", "2")
     assert code == 0
@@ -426,6 +450,106 @@ def test_catalog_selection_keeps_exit_codes_honest(family, rank):
                 or payload["notes"] == "no L-regular elements")
     if code == 1:
         assert _witnesses(json.loads(out.getvalue()))
+
+
+SMALL_PARTITIONS = ["1", "2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2",
+                    "2,1,1", "5", "3,2", "2,2,1", "6", "3,3", "2,2,2",
+                    "1,1,1,1,1,1"]
+BAD_PARTITIONS = ["0", "2,x", "", "-1"]
+
+
+def _parts(text: str):
+    return [int(x) for x in text.split(",") if x.strip().lstrip("-").isdigit()]
+
+
+@st.composite
+def argument_vectors(draw):
+    """Whole argument vectors for every subcommand, valid or not, on at
+    most 6 letters."""
+    def partition(letters=6):
+        good = [p for p in SMALL_PARTITIONS if sum(_parts(p)) <= letters]
+        return draw(st.sampled_from(good + BAD_PARTITIONS) if draw(
+            st.integers(0, 9)) == 0 else st.sampled_from(good or ["1"]))
+
+    command = draw(st.sampled_from(["green", "eval", "verify", "regular",
+                                    "config-validate"]))
+    # draws lean towards valid requests; the rest probe the refusals
+    e = draw(st.sampled_from([1, 2, 2, 3, 3, 4, 5, 0, -1]))
+    if command == "regular":
+        argv = ["regular", "--family", draw(st.sampled_from("AABBDDCEQab")),
+                "--rank", str(draw(st.sampled_from([1, 2, 3, 4, 5, 0, -1]))),
+                "--e", str(e), "--variant", draw(st.sampled_from("aabbcdDz"))]
+        if draw(st.booleans()):
+            argv += ["--pi-L", draw(st.sampled_from(["1", "2,3", "4,5", "0",
+                                                     "9", "x", ""]))]
+        return argv
+    if command == "green":
+        argv = ["green", "--mu", partition()]
+        if draw(st.booleans()):
+            argv += ["--n", str(draw(st.integers(min_value=-1, max_value=6)))]
+        return argv
+    argv = [command]
+    check = None
+    if command == "verify":
+        check = draw(st.sampled_from(
+            ["all", "twisted-induction", "component-dims", "roots-of-unity",
+             "mod-e-induction", "component-induction", "ungraded-induction",
+             "closed-form-count", "regular-catalog"]))
+        argv += ["--check", check]
+    if check == "regular-catalog":
+        argv += ["--rank", str(draw(st.integers(min_value=-1, max_value=5)))]
+        if draw(st.booleans()):
+            argv += ["--family", draw(st.sampled_from("ABDEFGQg"))]
+        return argv
+    # every block type is repeated e times, except under --n and in
+    # ungraded-induction, where each --nu is one block
+    single = check == "ungraded-induction" or (
+        command != "eval" and draw(st.booleans()))
+    copies = 1 if single else max(e, 1)
+    nus = []
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2, 2, 3, 0]))):
+        room = (6 - sum(sum(_parts(nu)) for nu in nus) * copies) // copies
+        if room < 1:
+            break
+        nus.append(partition(room))
+    letters = sum(sum(_parts(nu)) for nu in nus) * copies
+    if single and check != "ungraded-induction":
+        argv += ["--n", str(draw(st.sampled_from(range(letters + 1, 7)) if
+                                 letters < 6 else st.just(6)))]
+    if command == "eval" or draw(st.booleans()):
+        if draw(st.booleans()):
+            # the merged type of the blocks plus a fixed block
+            parts = [p for nu in nus for p in _parts(nu) * copies] \
+                + _parts(partition(6 - letters))
+            argv += ["--mu", ",".join(map(str, sorted(parts, reverse=True)))]
+        else:
+            argv += ["--mu", partition()]
+    for nu in nus:
+        argv += ["--nu", nu]
+    if command == "eval" or draw(st.sampled_from([True, True, True, False])):
+        argv += ["--e", str(e)]
+    if command == "eval" and draw(st.booleans()):
+        argv += ["--j", str(draw(st.integers(min_value=-2, max_value=4)))]
+    if command != "eval" and draw(st.booleans()):
+        argv += ["--variant", draw(st.sampled_from("abz"))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argument_vectors())
+def test_argument_vectors_keep_exit_codes_honest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([*argv, "--format", "json"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        payload = json.loads(out.getvalue())
+        reports = payload if isinstance(payload, list) else [payload]
+        assert any(_witnesses(report) for report in reports), argv
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ from greenchar.poly import (
     euler_phi,
     eval_at_root,
     kernel_basis,
-    rank,
     render_terms,
 )
+
+from oracles import rank
 
 small_coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=6)
 

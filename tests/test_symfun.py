@@ -13,15 +13,15 @@ from greenchar.symfun import (
     Partition,
     charge,
     char_sn,
-    class_size,
     closed_form_coset_count,
-    coinvariant_graded_char,
     enumerate_ssyt,
     green_at_root,
     kostka_foulkes,
     partitions_of,
     springer_graded_char,
 )
+
+from oracles import class_size, coinvariant_graded_char
 
 
 def hook_dim(lam):

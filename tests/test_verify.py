@@ -36,6 +36,7 @@ from greenchar.weyl import (
 )
 from greenchar.verify import (
     ALL_CHECKS,
+    _classical_tail_cases,
     _config_echo,
     _induced_residues,
     check_component_dims,
@@ -385,8 +386,63 @@ def test_regular_catalog_report():
     # the one defective catalog entry: the order-5 twist attached to the
     # rank-7 Levi whose complement has type D5 is not actually regular
     assert report.counterexamples == [("E7 pi_L=(7,)", 5, False, True)]
-    assert "four crossing roots" in report.notes
+    # the note carries the evidence: the four crossing roots, in
+    # simple-root coordinates, whose hyperplanes hold the eigenspace
+    assert report.notes == (
+        "E7 pi_L=(7,): the zeta_5-eigenspace lies on the hyperplanes of the "
+        "crossing roots [(0, 0, 0, 0, 0, -1, -1), (0, 0, 0, 0, 0, -1, 0), "
+        "(0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1, 1)] (simple-root "
+        "coordinates)")
     assert report.config == "46 cases"
+
+
+# (family, rank, Levi labels, twist, e): a type A parent of rank r has
+# r + 1 letters and its tail Levi of m letters has labels r-m+2..r;
+# B and D parents have r letters and tail labels r-m+1..r
+TAIL_CASES = [
+    ("A", 2, (), (2, 1, 3), 2),
+    ("A", 3, (), (2, 3, 1, 4), 3),
+    ("A", 3, (3,), (2, 1, 3, 4), 2),
+    ("A", 4, (), (2, 1, 4, 3, 5), 2),
+    ("A", 4, (), (2, 3, 4, 1, 5), 4),
+    ("A", 4, (4,), (2, 3, 1, 4, 5), 3),
+    ("A", 4, (3, 4), (2, 1, 3, 4, 5), 2),
+    ("A", 5, (), (2, 3, 4, 5, 1, 6), 5),
+    ("A", 5, (5,), (2, 1, 4, 3, 5, 6), 2),
+    ("A", 5, (5,), (2, 3, 4, 1, 5, 6), 4),
+    ("A", 5, (4, 5), (2, 3, 1, 4, 5, 6), 3),
+    ("A", 5, (3, 4, 5), (2, 1, 3, 4, 5, 6), 2),
+    ("A", 6, (), (2, 1, 4, 3, 6, 5, 7), 2),
+    ("A", 6, (), (2, 3, 1, 5, 6, 4, 7), 3),
+    ("A", 6, (), (2, 3, 4, 5, 6, 1, 7), 6),
+    ("A", 6, (6,), (2, 3, 4, 5, 1, 6, 7), 5),
+    ("A", 6, (5, 6), (2, 1, 4, 3, 5, 6, 7), 2),
+    ("A", 6, (5, 6), (2, 3, 4, 1, 5, 6, 7), 4),
+    ("A", 6, (4, 5, 6), (2, 3, 1, 4, 5, 6, 7), 3),
+    ("A", 6, (3, 4, 5, 6), (2, 1, 3, 4, 5, 6, 7), 2),
+    ("A", 7, (), (2, 3, 4, 5, 6, 7, 1, 8), 7),
+    ("A", 7, (7,), (2, 1, 4, 3, 6, 5, 7, 8), 2),
+    ("A", 7, (7,), (2, 3, 1, 5, 6, 4, 7, 8), 3),
+    ("A", 7, (7,), (2, 3, 4, 5, 6, 1, 7, 8), 6),
+    ("A", 7, (6, 7), (2, 3, 4, 5, 1, 6, 7, 8), 5),
+    ("A", 7, (5, 6, 7), (2, 1, 4, 3, 5, 6, 7, 8), 2),
+    ("A", 7, (5, 6, 7), (2, 3, 4, 1, 5, 6, 7, 8), 4),
+    ("A", 7, (4, 5, 6, 7), (2, 3, 1, 4, 5, 6, 7, 8), 3),
+    ("A", 7, (3, 4, 5, 6, 7), (2, 1, 3, 4, 5, 6, 7, 8), 2),
+    ("B", 4, (4,), (2, 3, 1, 4), 3),
+    ("B", 5, (4, 5), (2, 3, 1, 4, 5), 3),
+    ("B", 6, (6,), (2, 3, 4, 5, 1, 6), 5),
+    ("B", 6, (4, 5, 6), (2, 3, 1, 4, 5, 6), 3),
+    ("D", 5, (4, 5), (2, 3, 1, 4, 5), 3),
+    ("D", 6, (4, 5, 6), (2, 3, 1, 4, 5, 6), 3),
+]
+
+
+def test_classical_tail_cases_are_pinned():
+    # a case count alone misses labels shifted by one
+    assert [(family, rank, pi_L, a.perm, e)
+            for family, rank, pi_L, a, e in _classical_tail_cases()] \
+        == TAIL_CASES
 
 
 def test_reports_pass_iff_no_counterexamples():

@@ -26,7 +26,6 @@ from greenchar.weyl import (
     coset_count,
     coset_elements,
     embed_component_element,
-    enumerate_group,
     eigenspace,
     from_cycles,
     identity_elt,
@@ -37,12 +36,13 @@ from greenchar.weyl import (
     reflection_word,
     regular_element,
     standard_block_config,
+    trapping_roots,
     validate_config,
-    weyl_order,
     young_subgroup,
 )
 
-from oracles import coset_character, coset_exponent, coset_reps, extended_subgroup
+from oracles import (coset_character, coset_exponent, coset_reps,
+                     enumerate_group, extended_subgroup, weyl_order)
 
 
 def signed_perms(n):
@@ -736,3 +736,33 @@ class TestInducedCharacters:
                 assert coset_exponent(cfg, y) == j
         with pytest.raises(ValueError):
             coset_exponent(cfg, from_cycles(6, (2, 3)))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("D", 4),
+                                         ("E", 6)])
+def test_trapping_roots_match_the_pairing_over_the_field(family, rank):
+    # the rational-part test must trap exactly the roots whose pairing
+    # with every eigenvector vanishes in the cyclotomic field
+    rs = build_root_system(family, rank)
+    cases = []
+    if family == "E":
+        lv = levi_config(rs, (6,))
+        comp = [c for c in lv.components if c[:2] == ("A", 4)][0]
+        a = embed_component_element(rs, comp, regular_element("A", 4, 5))
+        cases.append((a, 5, 1, (6,)))
+    else:
+        for e in range(1, 7):
+            for variant in "abcd":
+                try:
+                    a = regular_element(family, rank, e, variant)
+                except ValueError:
+                    continue
+                cases.extend((a, e, j, pi_L) for j in range(e)
+                             for pi_L in [(), (1,), (rank,), (1, 2),
+                                          (rank - 1, rank)])
+    for a, e, j, pi_L in cases:
+        basis = eigenspace(a, e, j)
+        roots = levi_config(rs, pi_L).crossing_roots()
+        want = [beta for beta in roots
+                if not any(rs.inner(v, beta) for v in basis)]
+        assert list(trapping_roots(rs, basis, roots)) == want
