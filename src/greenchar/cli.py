@@ -336,8 +336,9 @@ def cmd_regular(args) -> int:
     a = regular_element(args.family, args.rank, args.e, args.variant)
     rs = build_root_system(args.family, args.rank)
     lv = levi_config(rs, args.pi_L or ())
-    regular = is_L_regular(a, args.e, lv)
-    dim = len(eigenspace(a, args.e, 1))
+    basis = eigenspace(a, args.e, 1)
+    regular = is_L_regular(a, args.e, lv, basis=basis)
+    dim = len(basis)
     element = cycle_notation(a)
     payload = {"command": "regular", "family": args.family, "rank": args.rank,
                "e": args.e, "variant": args.variant,

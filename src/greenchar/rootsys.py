@@ -129,6 +129,10 @@ class RootSystem:
                     total = total + ui * row[j] * vj
         return total
 
+    def coords(self, root):
+        """Simple-root coordinates of an ambient root vector."""
+        return self.root_coords[self.roots.index(root)]
+
     def ambient(self, coords):
         vec = [0] * self.dim
         for c, alpha in zip(coords, self.simple_roots):
@@ -285,13 +289,10 @@ class LeviConfig:
             return "empty"
         return "+".join(f"{letter}{rank}" for letter, rank, _ in self.components)
 
-    def phi_L(self):
-        return tuple(self.parent.ambient(c) for c in self.phi_L_coords)
-
     def crossing_roots(self):
         """Roots of the parent outside Phi_L, as ambient vectors."""
         inside = frozenset(self.phi_L_coords)
-        return tuple(self.parent.ambient(c) for c in self.parent.root_coords
+        return tuple(v for c, v in zip(self.parent.root_coords, self.parent.roots)
                      if c not in inside)
 
 

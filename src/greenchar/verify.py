@@ -422,20 +422,22 @@ def check_regular_catalog(family: str | None = None,
         1: [(WeylElt(perm=(2, 1)), 2)],
         2: [(from_cycles(3, (1, 2, 3)), 3), (from_cycles(3, (1, 2)), 2)],
     }
-    exhaustive_sweep = False
+    swept = []
     for fam, rk in [fr for fr in (("G", 2), ("F", 4)) if wanted(*fr)]:
         rs = build_root_system(fam, rk)
-        exhaustive_sweep = True
-        for size in range(1, rk):
-            for pi_L in combinations(range(1, rk + 1), size):
-                lv = levi_config(rs, pi_L)
-                for comp in lv.components:
-                    for model_elt, e in model_regulars.get(comp[1], []):
-                        a = embed_component_element(rs, comp, model_elt)
-                        tried += 1
-                        if is_L_regular(a, e, lv):
-                            bad.append((f"{fam}{rk} pi_L={pi_L}", e,
-                                        True, False))
+        levis = [levi_config(rs, pi_L) for size in range(1, rk)
+                 for pi_L in combinations(range(1, rk + 1), size)]
+        components = sum(len(lv.components) for lv in levis)
+        swept.append(f"{fam}{rk}: {len(levis)} Levis, "
+                     f"{components} components swept")
+        for lv in levis:
+            for comp in lv.components:
+                for model_elt, e in model_regulars.get(comp[1], []):
+                    a = embed_component_element(rs, comp, model_elt)
+                    tried += 1
+                    if is_L_regular(a, e, lv):
+                        bad.append((f"{fam}{rk} pi_L={lv.pi_L}", e,
+                                    True, False))
     notes = []
     for fam, rk, pi_L, ctype, e in _EXCEPTIONAL_SPOTS:
         if not wanted(fam, rk):
@@ -445,24 +447,24 @@ def check_regular_catalog(family: str | None = None,
         comp = next(c for c in lv.components if c[:2] == ctype)
         a = embed_component_element(rs, comp, regular_element(*ctype, e))
         tried += 1
-        if not is_L_regular(a, e, lv):
+        basis = eigenspace(a, e)
+        if not is_L_regular(a, e, lv, basis=basis):
             name = f"{fam}{rk} pi_L={pi_L}"
             bad.append((name, e, False, True))
-            coords_of = dict(zip(rs.roots, rs.root_coords))
-            trapped = [coords_of[beta] for beta in trapping_roots(
-                rs, eigenspace(a, e), lv.crossing_roots())]
+            trapped = [rs.coords(beta) for beta in trapping_roots(
+                rs, basis, lv.crossing_roots())]
             notes.append(f"{name}: the zeta_{e}-eigenspace lies on the "
                          f"hyperplanes of the crossing roots {trapped} "
                          "(simple-root coordinates)")
-    if not tried and not exhaustive_sweep:
+    if not tried and not swept:
         selection = " ".join(f"{name}={value}" for name, value in
                              (("family", family), ("rank", rank))
                              if value is not None)
         raise ValueError(f"no regular-catalog case matches {selection}")
-    if family is not None and exhaustive_sweep and not bad:
+    if family is not None and swept and not bad:
         notes = ["no L-regular elements"]
     return _finish("regular-catalog", f"{tried} cases", bad, t0,
-                   "; ".join(notes))
+                   "; ".join(notes + swept))
 
 
 ALL_CHECKS = {

@@ -361,7 +361,27 @@ def regular_element(family: str, rank: int, e: int, variant: str = "a") -> WeylE
 
 
 def eigenspace(a: WeylElt, e: int, j: int = 1):
-    """Exact basis of the zeta_e^j eigenspace of a on the ambient space."""
+    """Exact basis of the zeta_e^j eigenspace of a on the ambient space.
+
+    A signed permutation gives one vector per cycle c_0 -> ... -> c_{L-1}
+    whose sign product s equals zeta^L: v[c_0] = 1 and v[c_{t+1}] =
+    sign_t * zeta^-1 * v[c_t], zero off the cycle.  A matrix element is
+    solved by elimination."""
+    if a.perm is not None:
+        basis = []
+        for letters, sign in _walk(a.perm):
+            # zeta^L is zeta_e^turn; it equals s when 2*turn is 0 or e
+            turn = j * len(letters) % e
+            if 2 * turn != (0 if sign > 0 else e):
+                continue
+            v = [Cyclotomic.zero(e)] * len(a.perm)
+            flipped = False
+            for t, letter in enumerate(letters):
+                root = Cyclotomic.zeta(e, -j * t)
+                v[letter - 1] = -root if flipped else root
+                flipped ^= a.perm[letter - 1] < 0
+            basis.append(tuple(v))
+        return basis
     zeta = Cyclotomic.zeta(e, j % e)
     m = a.matrix
     n = len(m)
@@ -389,12 +409,15 @@ def trapping_roots(rs: RootSystem, basis, roots):
                        for f in forms))
 
 
-def is_L_regular(a: WeylElt, e: int, cfg: LeviConfig, j: int = 1) -> bool:
+def is_L_regular(a: WeylElt, e: int, cfg: LeviConfig, j: int = 1,
+                 basis=None) -> bool:
     """True when the zeta_e^j-eigenspace escapes the hyperplane of every
     crossing root (of every root, for an empty Levi).  Over an infinite
     field a finite union of proper subspaces cannot cover the
-    eigenspace, so this finds a single eigenvector off all of them."""
-    basis = eigenspace(a, e, j)
+    eigenspace, so this finds a single eigenvector off all of them.
+    A caller that already holds eigenspace(a, e, j) passes it as basis."""
+    if basis is None:
+        basis = eigenspace(a, e, j)
     return bool(basis) and next(trapping_roots(
         cfg.parent, basis, cfg.crossing_roots()), None) is None
 
@@ -728,7 +751,8 @@ def validate_config(cfg: InductionConfig) -> str:
         if beta is not None:
             raise InvalidConfigError(
                 "twisting element is not admissible: its eigenspace "
-                f"lies inside the hyperplane of the crossing root {beta}")
+                "lies inside the hyperplane of the crossing root "
+                f"{levi.parent.coords(beta)} (simple-root coordinates)")
         return "l-regular"
     # candidate for the rotating-blocks shape
     rotating = []
@@ -754,5 +778,6 @@ def validate_config(cfg: InductionConfig) -> str:
         if all(len({beta[letter - 1] for letter in block}) == 1
                for block in family_blocks):
             raise InvalidConfigError(
-                f"crossing root {beta} is orthogonal to every rotating block")
+                f"crossing root {levi.parent.coords(beta)} (simple-root "
+                "coordinates) is orthogonal to every rotating block")
     return "block-cyclic"

@@ -6,8 +6,9 @@ induction element by element; the explicit matrix model of the induced
 module gives pair traces by multiplying actual matrices, knowing
 nothing about Green polynomials.  Both are slow on purpose and serve
 only to check the census route of the library.  Whole-group
-enumeration, class sizes, the coinvariant graded character and matrix
-rank live here too: only the tests use them.
+enumeration, class sizes, the coinvariant graded character, matrix
+rank and eigenspaces by elimination live here too: only the tests use
+them.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from greenchar.poly import Cyclotomic, IntPolynomial, _echelon
+from greenchar.poly import Cyclotomic, IntPolynomial, _echelon, kernel_basis
 from greenchar.rootsys import RootSystem, build_root_system
 from greenchar.symfun import GradedCharacter, Partition, partitions_of
 from greenchar.weyl import (
@@ -31,7 +32,7 @@ from greenchar.weyl import (
 
 
 # ---------------------------------------------------------------------------
-# whole groups, class sizes, the coinvariant algebra and matrix rank
+# whole groups, class sizes, the coinvariant algebra, rank and eigenspaces
 
 
 def weyl_order(family: str, rank: int) -> int:
@@ -98,6 +99,15 @@ def coinvariant_graded_char(n: int) -> GradedCharacter:
 def rank(rows) -> int:
     _, pivots, _ = _echelon(rows)
     return len(pivots)
+
+
+def matrix_eigenspace(a: WeylElt, e: int, j: int = 1):
+    """The zeta_e^j-eigenspace of a by elimination on its matrix less
+    zeta: the route the library keeps only for matrix elements."""
+    zeta = Cyclotomic.zeta(e, j)
+    m = a.matrix
+    return kernel_basis([[x - zeta if r == c else x for c, x in enumerate(row)]
+                         for r, row in enumerate(m)])
 
 
 # ---------------------------------------------------------------------------

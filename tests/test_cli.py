@@ -274,7 +274,19 @@ def test_verify_catalog_restricted(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "pass"
-    assert payload["notes"] == "no L-regular elements"
+    assert payload["notes"] == ("no L-regular elements; "
+                                "F4: 14 Levis, 6 components swept")
+
+
+def test_verify_catalog_g2_reports_its_sweep(capsys):
+    # G2 has no orthogonal component, so no element is tried, but the
+    # note shows that the sweep ran over both one-node Levis
+    code, out, _ = run_cli(capsys, "verify", "--check", "regular-catalog",
+                           "--family", "G", "--rank", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"] == "0 cases"
+    assert payload["notes"] == "no L-regular elements; G2: 2 Levis, 0 components swept"
 
 
 @pytest.mark.parametrize("selection", [
@@ -300,7 +312,7 @@ def test_verify_catalog_family_ignores_case(capsys):
     lower.pop("elapsed_ms")
     upper.pop("elapsed_ms")
     assert lower == upper
-    assert upper["notes"] == "no L-regular elements"
+    assert upper["notes"] == "no L-regular elements; G2: 2 Levis, 0 components swept"
 
 
 def test_verify_catalog_full_fails_honestly(capsys):
@@ -341,6 +353,40 @@ def test_regular_json_fields(capsys):
     assert payload["order"] == 3
     assert payload["regular"] is True
     assert payload["eigenspace_dim"] == 2
+
+
+# fundamental degrees of the classical Weyl groups, by rank
+DEGREES = {
+    "A": lambda r: range(2, r + 2),
+    "B": lambda r: range(2, 2 * r + 1, 2),
+    "D": lambda r: [*range(2, 2 * r - 1, 2), r],
+}
+
+
+def test_regular_eigenspace_dim_counts_degrees_divisible_by_e(capsys):
+    # Springer: a regular element of order e has a zeta_e-eigenspace of
+    # dimension the number of fundamental degrees that e divides
+    checked = 0
+    for family, ranks, variants in (("A", range(1, 7), "ab"),
+                                    ("B", range(2, 7), "ab"),
+                                    ("D", range(3, 7), "abcd")):
+        for rank in ranks:
+            for e in range(2, 2 * rank + 3):
+                for variant in variants:
+                    code, out, _ = run_cli(
+                        capsys, "regular", "--family", family, "--rank",
+                        str(rank), "--e", str(e), "--variant", variant,
+                        "--format", "json")
+                    if code == 2:
+                        continue
+                    assert code == 0
+                    payload = json.loads(out)
+                    assert payload["regular"] is True
+                    assert payload["order"] == e
+                    assert payload["eigenspace_dim"] == sum(
+                        1 for d in DEGREES[family](rank) if d % e == 0)
+                    checked += 1
+    assert checked == 51  # every admissible (family, rank, e, variant)
 
 
 def test_regular_relative_to_parabolic(capsys):
@@ -447,7 +493,7 @@ def test_catalog_selection_keeps_exit_codes_honest(family, rank):
         # the G2 sweep runs and finds no orthogonal component to test
         payload = json.loads(out.getvalue())
         assert (int(payload["config"].split()[0]) >= 1
-                or payload["notes"] == "no L-regular elements")
+                or payload["notes"] == "no L-regular elements; G2: 2 Levis, 0 components swept")
     if code == 1:
         assert _witnesses(json.loads(out.getvalue()))
 

@@ -387,12 +387,14 @@ def test_regular_catalog_report():
     # rank-7 Levi whose complement has type D5 is not actually regular
     assert report.counterexamples == [("E7 pi_L=(7,)", 5, False, True)]
     # the note carries the evidence: the four crossing roots, in
-    # simple-root coordinates, whose hyperplanes hold the eigenspace
+    # simple-root coordinates, whose hyperplanes hold the eigenspace;
+    # then the work of the two exhaustive Levi sweeps
     assert report.notes == (
         "E7 pi_L=(7,): the zeta_5-eigenspace lies on the hyperplanes of the "
         "crossing roots [(0, 0, 0, 0, 0, -1, -1), (0, 0, 0, 0, 0, -1, 0), "
         "(0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1, 1)] (simple-root "
-        "coordinates)")
+        "coordinates); G2: 2 Levis, 0 components swept; "
+        "F4: 14 Levis, 6 components swept")
     assert report.config == "46 cases"
 
 

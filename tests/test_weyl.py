@@ -42,7 +42,8 @@ from greenchar.weyl import (
 )
 
 from oracles import (coset_character, coset_exponent, coset_reps,
-                     enumerate_group, extended_subgroup, weyl_order)
+                     enumerate_group, extended_subgroup, matrix_eigenspace,
+                     rank, weyl_order)
 
 
 def signed_perms(n):
@@ -239,6 +240,21 @@ class TestEigenspace:
     def test_negative_identity_full_space(self):
         w = WeylElt(perm=(-1, -2, -3, -4))
         assert len(eigenspace(w, 2, 1)) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(signed_perms), st.integers(1, 8))
+    def test_cycle_route_spans_the_matrix_route(self, perm, e):
+        # the basis read off the cycles spans the kernel of a - zeta
+        a = WeylElt(perm=perm)
+        for j in range(e):
+            zeta = Cyclotomic.zeta(e, j)
+            basis = eigenspace(a, e, j)
+            oracle = matrix_eigenspace(a, e, j)
+            assert len(basis) == len(oracle)
+            if basis:
+                assert rank(list(basis) + list(oracle)) == len(oracle)
+            for v in basis:
+                assert a.apply(v) == tuple(zeta * x for x in v)
 
     @pytest.mark.parametrize("family,rank,e,variant",
                              [("A", 3, 4, "a"), ("B", 2, 4, "b"), ("D", 4, 6, "d")])
@@ -527,6 +543,20 @@ class TestConfigs:
         with pytest.raises(InvalidConfigError, match="crossing root"):
             validate_config(cfg)
 
+    def test_trapping_crossing_root_is_named_by_simple_root_coordinates(self):
+        # the eigenvector (1, -1, 0, 0, 0) of (1 2) is orthogonal to
+        # e_3 - e_5 = alpha_3 + alpha_4, met first as its negative
+        cfg = InductionConfig(
+            n=5, e=2, blocks=((1,), (2,), (3,), (4, 5)),
+            block_types=(Partition((1,)),) * 3 + (Partition((2,)),),
+            a=from_cycles(5, (1, 2)))
+        with pytest.raises(InvalidConfigError) as info:
+            validate_config(cfg)
+        assert str(info.value) == (
+            "twisting element is not admissible: its eigenspace lies inside "
+            "the hyperplane of the crossing root (0, 0, -1, -1) "
+            "(simple-root coordinates)")
+
     def test_order_mismatch_is_rejected(self):
         cfg = InductionConfig(
             n=4, e=2, blocks=((1,), (2,), (3,), (4,)),
@@ -558,6 +588,19 @@ class TestConfigs:
             a=from_cycles(4, (1, 4)))
         with pytest.raises(InvalidConfigError, match="orthogonal"):
             validate_config(cfg)
+
+    def test_orthogonal_crossing_root_is_named_by_simple_root_coordinates(self):
+        # the first crossing root, e_4 - e_1 = -(alpha_1 + alpha_2 +
+        # alpha_3), is constant on each rotating singleton
+        cfg = InductionConfig(
+            n=4, e=2, blocks=((1,), (2, 3), (4,)),
+            block_types=(Partition((1,)), Partition((2,)), Partition((1,))),
+            a=from_cycles(4, (1, 4)))
+        with pytest.raises(InvalidConfigError) as info:
+            validate_config(cfg)
+        assert str(info.value) == (
+            "crossing root (-1, -1, -1) (simple-root coordinates) is "
+            "orthogonal to every rotating block")
 
     def test_identity_twist_is_the_ungraded_shape(self):
         cfg = InductionConfig(
