@@ -6,9 +6,9 @@ induction element by element; the explicit matrix model of the induced
 module gives pair traces by multiplying actual matrices, knowing
 nothing about Green polynomials.  Both are slow on purpose and serve
 only to check the census route of the library.  Whole-group
-enumeration, class sizes, the coinvariant graded character, matrix
-rank and eigenspaces by elimination live here too: only the tests use
-them.
+enumeration, the classical fundamental degrees, class sizes, the
+coinvariant graded character, matrix rank and eigenspaces by
+elimination live here too: only the tests use them.
 """
 
 from fractions import Fraction
@@ -33,6 +33,14 @@ from greenchar.weyl import (
 
 # ---------------------------------------------------------------------------
 # whole groups, class sizes, the coinvariant algebra, rank and eigenspaces
+
+
+# fundamental degrees of the classical Weyl groups, by rank
+DEGREES = {
+    "A": lambda n: tuple(range(2, n + 2)),
+    "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "D": lambda n: tuple(range(2, 2 * n - 1, 2)) + (n,),
+}
 
 
 def weyl_order(family: str, rank: int) -> int:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import greenchar
 from greenchar.cli import main
+from oracles import DEGREES
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +269,11 @@ def test_verify_closed_form_obeys_the_letter_bound(capsys, monkeypatch):
     assert json.loads(out)["status"] == "pass"
 
 
+# G2 has no orthogonal component, so its sweep tries no element; the
+# note shows that the sweep ran over both one-node Levis
+G2_NOTE = "no L-regular elements; G2: 2 Levis, 0 components swept"
+
+
 def test_verify_catalog_restricted(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "regular-catalog",
                            "--family", "F", "--rank", "4", "--format", "json")
@@ -279,14 +285,12 @@ def test_verify_catalog_restricted(capsys):
 
 
 def test_verify_catalog_g2_reports_its_sweep(capsys):
-    # G2 has no orthogonal component, so no element is tried, but the
-    # note shows that the sweep ran over both one-node Levis
     code, out, _ = run_cli(capsys, "verify", "--check", "regular-catalog",
                            "--family", "G", "--rank", "2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["config"] == "0 cases"
-    assert payload["notes"] == "no L-regular elements; G2: 2 Levis, 0 components swept"
+    assert payload["notes"] == G2_NOTE
 
 
 @pytest.mark.parametrize("selection", [
@@ -312,7 +316,7 @@ def test_verify_catalog_family_ignores_case(capsys):
     lower.pop("elapsed_ms")
     upper.pop("elapsed_ms")
     assert lower == upper
-    assert upper["notes"] == "no L-regular elements; G2: 2 Levis, 0 components swept"
+    assert upper["notes"] == G2_NOTE
 
 
 def test_verify_catalog_full_fails_honestly(capsys):
@@ -353,14 +357,6 @@ def test_regular_json_fields(capsys):
     assert payload["order"] == 3
     assert payload["regular"] is True
     assert payload["eigenspace_dim"] == 2
-
-
-# fundamental degrees of the classical Weyl groups, by rank
-DEGREES = {
-    "A": lambda r: range(2, r + 2),
-    "B": lambda r: range(2, 2 * r + 1, 2),
-    "D": lambda r: [*range(2, 2 * r - 1, 2), r],
-}
 
 
 def test_regular_eigenspace_dim_counts_degrees_divisible_by_e(capsys):
@@ -493,7 +489,7 @@ def test_catalog_selection_keeps_exit_codes_honest(family, rank):
         # the G2 sweep runs and finds no orthogonal component to test
         payload = json.loads(out.getvalue())
         assert (int(payload["config"].split()[0]) >= 1
-                or payload["notes"] == "no L-regular elements; G2: 2 Levis, 0 components swept")
+                or payload["notes"] == G2_NOTE)
     if code == 1:
         assert _witnesses(json.loads(out.getvalue()))
 

@@ -41,9 +41,10 @@ from greenchar.weyl import (
     young_subgroup,
 )
 
-from oracles import (coset_character, coset_exponent, coset_reps,
+from oracles import (DEGREES, coset_character, coset_exponent, coset_reps,
                      enumerate_group, extended_subgroup, matrix_eigenspace,
-                     rank, weyl_order)
+                     weyl_order)
+from oracles import rank as matrix_rank
 
 
 def signed_perms(n):
@@ -150,13 +151,6 @@ class TestEnumeration:
         assert len(tiled) == len(s4)
 
 
-DEGREES = {
-    "A": lambda n: tuple(range(2, n + 2)),
-    "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
-    "D": lambda n: tuple(range(2, 2 * n - 1, 2)) + (n,),
-}
-
-
 def catalog_cases():
     cases = []
     for rank in range(1, 6):
@@ -252,7 +246,7 @@ class TestEigenspace:
             oracle = matrix_eigenspace(a, e, j)
             assert len(basis) == len(oracle)
             if basis:
-                assert rank(list(basis) + list(oracle)) == len(oracle)
+                assert matrix_rank(list(basis) + list(oracle)) == len(oracle)
             for v in basis:
                 assert a.apply(v) == tuple(zeta * x for x in v)
 
@@ -544,8 +538,8 @@ class TestConfigs:
             validate_config(cfg)
 
     def test_trapping_crossing_root_is_named_by_simple_root_coordinates(self):
-        # the eigenvector (1, -1, 0, 0, 0) of (1 2) is orthogonal to
-        # e_3 - e_5 = alpha_3 + alpha_4, met first as its negative
+        # the first crossing root orthogonal to the eigenvector
+        # (1, -1, 0, 0, 0) of (1 2) is e_5 - e_3 = -(alpha_3 + alpha_4)
         cfg = InductionConfig(
             n=5, e=2, blocks=((1,), (2,), (3,), (4, 5)),
             block_types=(Partition((1,)),) * 3 + (Partition((2,)),),
