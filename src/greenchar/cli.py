@@ -66,6 +66,14 @@ def partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
 
 
+def block_type_arg(text: str) -> Partition:
+    """A --nu block type: a partition of at least one letter."""
+    nu = partition_arg(text)
+    if not nu:
+        raise argparse.ArgumentTypeError(f"empty block type {text!r}")
+    return nu
+
+
 def positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -336,9 +344,8 @@ def cmd_regular(args) -> int:
     a = regular_element(args.family, args.rank, args.e, args.variant)
     rs = build_root_system(args.family, args.rank)
     lv = levi_config(rs, args.pi_L or ())
-    basis = eigenspace(a, args.e, 1)
-    regular = is_L_regular(a, args.e, lv, basis=basis)
-    dim = len(basis)
+    regular = is_L_regular(a, args.e, lv)
+    dim = len(eigenspace(a, args.e))
     element = cycle_notation(a)
     payload = {"command": "regular", "family": args.family, "rank": args.rank,
                "e": args.e, "variant": args.variant,
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mu", type=partition_arg, required=True)
     p_eval.add_argument("--e", type=positive_int, required=True)
     p_eval.add_argument("--j", type=int)
-    p_eval.add_argument("--nu", type=partition_arg, action="append",
+    p_eval.add_argument("--nu", type=block_type_arg, action="append",
                         help="rotating block type; repeat for several "
                              "families; the part of --mu left over sits on "
                              "a fixed block")
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mu", type=partition_arg,
                           help="merged type; the part not covered by the "
                                "rotating blocks sits on a fixed block")
-    p_verify.add_argument("--nu", type=partition_arg, action="append")
+    p_verify.add_argument("--nu", type=block_type_arg, action="append")
     p_verify.add_argument("--e", type=positive_int)
     p_verify.add_argument("--variant", default="a")
     p_verify.add_argument("--family", help="restrict regular-catalog")
@@ -452,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="classify a block configuration")
     p_validate.add_argument("--n", type=int)
     p_validate.add_argument("--mu", type=partition_arg)
-    p_validate.add_argument("--nu", type=partition_arg, action="append")
+    p_validate.add_argument("--nu", type=block_type_arg, action="append")
     p_validate.add_argument("--e", type=positive_int)
     p_validate.add_argument("--variant", default="a")
     common(p_validate)

@@ -308,7 +308,8 @@ class Cyclotomic:
 
     @classmethod
     def from_fraction(cls, e: int, x) -> "Cyclotomic":
-        return cls.from_poly(e, [Fraction(x)])
+        # Phi_e has degree at least 1, so a constant is already reduced
+        return cls(e, (x,) + (0,) * (euler_phi(e) - 1))
 
     @classmethod
     def zero(cls, e: int) -> "Cyclotomic":
@@ -382,6 +383,8 @@ class Cyclotomic:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic(self.e, tuple(c * other for c in self.coords))
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -465,8 +468,10 @@ def eval_at_root(p: IntPolynomial, e: int, j: int) -> Cyclotomic:
 
 # Exact linear algebra.  Matrices are plain sequences of rows; entries may
 # be ints, Fractions, or Cyclotomic elements of one conductor.  Elimination
-# is fraction-free (Bareiss) with first-nonzero pivoting, so it is
-# deterministic and stays exact over any of the supported scalar domains.
+# is Gauss-Jordan to the reduced row echelon form: pivot on the first
+# nonzero entry, scale the pivot row by one inversion, then clear the pivot
+# column above and below.  That form is unique, so results are
+# deterministic, and it stays exact over any of the supported scalar domains.
 
 def _prepare(rows):
     m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
@@ -480,58 +485,40 @@ def _prepare(rows):
 
 
 def _echelon(rows):
+    """The reduced row echelon form, its pivot columns and its width."""
     m, ncols = _prepare(rows)
     pivots = []
-    prev = None
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            if prev is None:
-                m[i] = [piv * row[k] - row[c] * m[r][k] for k in range(ncols)]
-            else:
-                m[i] = [(piv * row[k] - row[c] * m[r][k]) / prev for k in range(ncols)]
+        inv = 1 / m[r][c]
+        top = m[r] = [x * inv if x else x for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [x - f * y if y else x for x, y in zip(row, top)]
         pivots.append(c)
-        prev = piv
-        r += 1
-        if r == len(m):
-            break
     return m, pivots, ncols
-
-
-def _unify(vec):
-    e = next((x.e for x in vec if isinstance(x, Cyclotomic)), None)
-    if e is None:
-        return tuple(Fraction(x) for x in vec)
-    return tuple(x if isinstance(x, Cyclotomic) else Cyclotomic.from_fraction(e, x)
-                 for x in vec)
 
 
 def kernel_basis(rows):
     """Exact basis of the right null space; empty iff full column rank.
 
-    One basis vector per free column, found by back substitution on the
-    echelon form, so results are deterministic.
+    One vector per free column, read off the reduced echelon form: 1 in
+    its own free column and 0 in the other free columns.  The vectors of
+    a matrix with a cyclotomic entry are cyclotomic, even rational ones.
     """
     m, pivots, ncols = _echelon(rows)
-    if ncols == 0:
-        return []
-    free = [c for c in range(ncols) if c not in pivots]
+    e = next((x.e for row in m for x in row if isinstance(x, Cyclotomic)), None)
+    zero = Fraction(0) if e is None else Cyclotomic.zero(e)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            s = Fraction(0)
-            for k in range(p + 1, ncols):
-                if v[k]:
-                    s = s + m[i][k] * v[k]
-            v[p] = -s / m[i][p]
-        basis.append(_unify(v))
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[f] = zero + 1
+        for row, p in zip(m, pivots):
+            v[p] = zero - row[f]
+        basis.append(tuple(v))
     return basis

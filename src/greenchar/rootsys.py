@@ -98,6 +98,15 @@ def _close_under_reflections(cartan):
     return tuple(sorted(seen))
 
 
+def _ambient(simple_roots, coords):
+    vec = [Fraction(0)] * len(simple_roots[0])
+    for c, alpha in zip(coords, simple_roots):
+        if c:
+            for k, a in enumerate(alpha):
+                vec[k] += c * a
+    return tuple(vec)
+
+
 @dataclass(frozen=True)
 class RootSystem:
     family: str
@@ -134,12 +143,8 @@ class RootSystem:
         return self.root_coords[self.roots.index(root)]
 
     def ambient(self, coords):
-        vec = [0] * self.dim
-        for c, alpha in zip(coords, self.simple_roots):
-            if c:
-                for k, a in enumerate(alpha):
-                    vec[k] += c * a
-        return tuple(vec)
+        """Ambient vector of a root given in simple-root coordinates."""
+        return _ambient(self.simple_roots, coords)
 
     def reflection_matrix(self, alpha):
         """Matrix (tuple of rows) of the reflection through alpha, on the ambient space."""
@@ -202,15 +207,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     assert len(coords) == _expected_root_count(family, rank), \
         f"{family}{rank}: got {len(coords)} roots"
 
-    def to_ambient(c):
-        vec = [Fraction(0)] * dim
-        for ci, alpha in zip(c, simple_vecs):
-            if ci:
-                for k, a in enumerate(alpha):
-                    vec[k] += ci * a
-        return tuple(vec)
-
-    ambient_roots = tuple(to_ambient(c) for c in coords)
+    ambient_roots = tuple(_ambient(simple_vecs, c) for c in coords)
     return RootSystem(
         family=family, rank=rank, dim=dim, cartan=cartan,
         simple_roots=simple_vecs, gram=gram, root_coords=coords,

@@ -447,12 +447,11 @@ def check_regular_catalog(family: str | None = None,
         comp = next(c for c in lv.components if c[:2] == ctype)
         a = embed_component_element(rs, comp, regular_element(*ctype, e))
         tried += 1
-        basis = eigenspace(a, e)
-        if not is_L_regular(a, e, lv, basis=basis):
+        if not is_L_regular(a, e, lv):
             name = f"{fam}{rk} pi_L={pi_L}"
             bad.append((name, e, False, True))
             trapped = [rs.coords(beta) for beta in trapping_roots(
-                rs, basis, lv.crossing_roots())]
+                rs, eigenspace(a, e), lv.crossing_roots())]
             notes.append(f"{name}: the zeta_{e}-eigenspace lies on the "
                          f"hyperplanes of the crossing roots {trapped} "
                          "(simple-root coordinates)")

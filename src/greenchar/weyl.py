@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import chain, permutations, product
 from math import lcm
 
-from .poly import Cyclotomic, kernel_basis
+from .poly import Cyclotomic, _echelon, kernel_basis
 from .rootsys import LeviConfig, RootSystem, build_root_system, levi_config
 from .symfun import Partition, partitions_of
 
@@ -49,23 +49,6 @@ def _matmul(a, b):
 def _matvec(m, v):
     n = len(m)
     return tuple(sum(m[r][c] * v[c] for c in range(n) if m[r][c]) for r in range(n))
-
-
-def _invert(m):
-    # Gauss-Jordan over the rationals; fine at rank <= 8.
-    n = len(m)
-    aug = [[Fraction(m[r][c]) for c in range(n)] + [Fraction(1 if c == r else 0)
-           for c in range(n)] for r in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 class WeylElt:
@@ -112,7 +95,11 @@ class WeylElt:
             for i, v in enumerate(self.perm, start=1):
                 inv[abs(v) - 1] = i if v > 0 else -i
             return WeylElt(perm=tuple(inv))
-        return WeylElt(mat=_invert(self.matrix))
+        # the reduced echelon form of [M | I] is [I | M^-1]
+        n = self.n
+        m, _, _ = _echelon([row + ident for row, ident in
+                            zip(self.matrix, _identity_matrix(n))])
+        return WeylElt(mat=[row[n:] for row in m])
 
     def __pow__(self, k: int) -> "WeylElt":
         if k < 0:
@@ -409,15 +396,12 @@ def trapping_roots(rs: RootSystem, basis, roots):
                        for f in forms))
 
 
-def is_L_regular(a: WeylElt, e: int, cfg: LeviConfig, j: int = 1,
-                 basis=None) -> bool:
+def is_L_regular(a: WeylElt, e: int, cfg: LeviConfig, j: int = 1) -> bool:
     """True when the zeta_e^j-eigenspace escapes the hyperplane of every
     crossing root (of every root, for an empty Levi).  Over an infinite
     field a finite union of proper subspaces cannot cover the
-    eigenspace, so this finds a single eigenvector off all of them.
-    A caller that already holds eigenspace(a, e, j) passes it as basis."""
-    if basis is None:
-        basis = eigenspace(a, e, j)
+    eigenspace, so this finds a single eigenvector off all of them."""
+    basis = eigenspace(a, e, j)
     return bool(basis) and next(trapping_roots(
         cfg.parent, basis, cfg.crossing_roots()), None) is None
 
@@ -495,21 +479,7 @@ def embed_component_element(parent: RootSystem, component, model_elt: WeylElt) -
     mat = _identity_matrix(parent.dim)
     for i in word:
         mat = _matmul(mat, parent.simple_reflection(order[i - 1]))
-    if parent.family in ("A", "B", "C", "D"):
-        perm = _perm_from_matrix(mat)
-        return WeylElt(perm=perm, mat=mat)
     return WeylElt(mat=mat)
-
-
-def _perm_from_matrix(mat):
-    n = len(mat)
-    perm = []
-    for c in range(n):
-        entries = [(r, mat[r][c]) for r in range(n) if mat[r][c]]
-        assert len(entries) == 1 and abs(entries[0][1]) == 1
-        r, val = entries[0]
-        perm.append(r + 1 if val > 0 else -(r + 1))
-    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

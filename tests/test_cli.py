@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import greenchar
@@ -446,6 +446,20 @@ def test_nonpositive_order_is_invalid(capsys, argv):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "ungraded-induction", "--nu", ","),
+    ("verify", "--check", "ungraded-induction", "--nu", ""),
+    ("verify", "--check", "ungraded-induction", "--nu", "2", "--nu", ","),
+    ("eval", "--mu", "2", "--e", "2", "--nu", ","),
+    ("config-validate", "--mu", "2,2", "--nu", ",", "--e", "1"),
+])
+def test_empty_block_type_is_invalid(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "empty block type" in capsys.readouterr().err
+
+
 def _witnesses(payload):
     """Counterexamples of a verify report, or mismatched rows of eval."""
     if "counterexamples" in payload:
@@ -579,6 +593,10 @@ def argument_vectors(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=argument_vectors())
+@example(argv=["verify", "--check", "ungraded-induction", "--nu", ","])
+@example(argv=["verify", "--check", "ungraded-induction", "--nu", ""])
+@example(argv=["verify", "--check", "ungraded-induction", "--nu", "2",
+               "--nu", ","])
 def test_argument_vectors_keep_exit_codes_honest(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -212,6 +212,40 @@ def test_kernel_properties(rows):
     assert rank(rows) == sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).rank()
 
 
+wide_matrices = st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+             min_size=width, max_size=width),
+    min_size=1, max_size=4))
+
+
+@given(wide_matrices)
+@settings(max_examples=60)
+def test_kernel_basis_is_in_reduced_normal_form(rows):
+    # one vector per free column of sympy's reduced echelon form, 1 in
+    # its own free column and 0 in the other free columns
+    _, pivots = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).rref()
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    basis = kernel_basis(rows)
+    assert len(basis) == len(free)
+    for v, f in zip(basis, free):
+        assert [v[g] for g in free] == [int(g == f) for g in free]
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+@given(st.integers(1, 12), small_coeffs,
+       st.one_of(st.integers(-9, 9),
+                 st.fractions(min_value=-9, max_value=9, max_denominator=7)))
+@settings(max_examples=80)
+def test_scalar_product_matches_the_field_product(e, coeffs, s):
+    x = eval_at_root(IntPolynomial(coeffs), e, 1)
+    lifted = Cyclotomic.from_fraction(e, s) * x
+    assert Cyclotomic.from_fraction(e, s) == Cyclotomic.from_poly(e, [s])
+    assert s * x == lifted
+    assert x * s == lifted
+    assert (s * x).coords == lifted.coords
+
+
 def test_kernel_over_cyclotomic():
     # rotation of order 4 acting on the plane; eigenvector for zeta_4
     z = Cyclotomic.zeta(4)

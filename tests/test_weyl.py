@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenchar.poly import Cyclotomic
+from greenchar import verify
+from greenchar.poly import Cyclotomic, kernel_basis
 from greenchar.rootsys import build_root_system, levi_config
 from greenchar.symfun import Partition, partitions_of
 from greenchar.weyl import (
@@ -473,6 +474,23 @@ class TestEmbedding:
         for alpha in rs.simple_roots:
             assert a.apply(alpha) in rs.root_set
 
+    @pytest.mark.parametrize("family,rank,pi_L,ctype,model", [
+        ("E", 6, (6,), ("A", 4), from_cycles(5, (1, 2, 3, 4, 5))),
+        ("E", 7, (7,), ("D", 5), regular_element("D", 5, 5, "a")),
+        ("F", 4, (4,), ("A", 2), from_cycles(3, (1, 2, 3)))])
+    def test_inverse_of_an_embedded_twist(self, family, rank, pi_L, ctype,
+                                          model):
+        rs = build_root_system(family, rank)
+        lv = levi_config(rs, pi_L)
+        comp = next(c for c in lv.components if c[:2] == ctype)
+        a = embed_component_element(rs, comp, model)
+        assert a.perm is None
+        inv = a.inverse()
+        assert (a @ inv).is_identity()
+        assert (inv @ a).is_identity()
+        assert a ** -1 == inv
+        assert inv == a ** (a.order() - 1)
+
     def test_rejects_matrix_outside_the_group(self):
         rs = build_root_system("A", 2)
         bad = WeylElt(mat=((Fraction(2), Fraction(0), Fraction(0)),
@@ -803,3 +821,32 @@ def test_trapping_roots_match_the_pairing_over_the_field(family, rank):
         want = [beta for beta in roots
                 if not any(rs.inner(v, beta) for v in basis)]
         assert list(trapping_roots(rs, basis, roots)) == want
+
+
+def test_kernels_of_the_catalog_twists_are_in_normal_form(monkeypatch):
+    # every twist check_regular_catalog embeds (the F4 sweep and the three
+    # E6/E7 spots), with e its order: kernel_basis on M - zeta gives one
+    # zeta-eigenvector per free column, 1 there and 0 on the other free
+    # columns, where a column is free when it depends on those before it
+    embedded = []
+
+    def embed(*args):
+        embedded.append(embed_component_element(*args))
+        return embedded[-1]
+
+    monkeypatch.setattr(verify, "embed_component_element", embed)
+    verify.check_regular_catalog()
+    assert len(embedded) == 11
+    for a in embedded:
+        e = a.order()
+        zeta = Cyclotomic.zeta(e)
+        rows = [[x - zeta if r == c else x for c, x in enumerate(row)]
+                for r, row in enumerate(a.matrix)]
+        free = [c for c in range(len(rows))
+                if matrix_rank([row[:c + 1] for row in rows])
+                == matrix_rank([row[:c] for row in rows])]
+        basis = kernel_basis(rows)
+        assert basis and len(basis) == len(free)
+        for v, f in zip(basis, free):
+            assert [v[g] for g in free] == [int(g == f) for g in free]
+            assert a.apply(v) == tuple(zeta * x for x in v)
