@@ -341,8 +341,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_regular(args) -> int:
-    a = regular_element(args.family, args.rank, args.e, args.variant)
+    # a rank with no root system is refused before the catalog's rules
     rs = build_root_system(args.family, args.rank)
+    a = regular_element(args.family, args.rank, args.e, args.variant)
     lv = levi_config(rs, args.pi_L or ())
     regular = is_L_regular(a, args.e, lv)
     dim = len(eigenspace(a, args.e))

@@ -4,8 +4,9 @@ Each check assembles both sides of one identity with exact arithmetic
 and returns a structured report.  The left sides come from Green
 polynomials of the merged Jordan type; the right sides from coset
 counts, graded traces and induced residue characters, all read off
-weyl.coset_census, or from Frobenius induction over the block
-subgroup.
+weyl.coset_census (tallied from class sizes, no coset walked), or, for
+the ungraded identity alone, from Frobenius induction over the
+enumerated block subgroup.
 """
 
 import math
@@ -31,7 +32,7 @@ from .weyl import (
     from_cycles,
     induced_character,
     is_L_regular,
-    levi_elements,
+    levi_order,
     orbit_profile,
     pad,
     regular_element,
@@ -112,7 +113,7 @@ def twisted_induction_trace(ext: ExtendedGradedCharacter, w: WeylElt,
     e = cfg.e
     key = w.cycle_type()
     poly = ext.coset_sums[i % e].get(key, IntPolynomial())
-    weight = Fraction(key.centralizer_order(), len(levi_elements(cfg)))
+    weight = Fraction(key.centralizer_order(), levi_order(cfg))
     return eval_at_root(poly, e, (j_root * i) % e) * weight
 
 
@@ -200,8 +201,7 @@ def check_component_dims(cfg: InductionConfig) -> VerificationReport:
     for jtype in cfg.block_types:
         block_dim *= springer_graded_char(jtype)[
             Partition((1,) * jtype.size)](1)
-    index = Fraction(math.factorial(cfg.n),
-                     len(levi_elements(cfg)) * cfg.e)
+    index = Fraction(math.factorial(cfg.n), levi_order(cfg) * cfg.e)
     expected = index * block_dim
     bad = []
     for k, d in enumerate(dims):
@@ -242,7 +242,7 @@ def _induced_residues(ext: ExtendedGradedCharacter) -> dict:
     coefficient of q^n in coset_sums[i] lands in bucket i (n - k) mod e,
     and the buckets are reduced mod Phi_e once and scaled by z/(e |L|)."""
     cfg, e = ext.config, ext.config.e
-    order = e * len(levi_elements(cfg))
+    order = e * levi_order(cfg)
     values = {}
     for rho in partitions_of(cfg.n):
         weight = Fraction(rho.centralizer_order(), order)

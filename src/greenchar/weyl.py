@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
-from math import lcm
+from math import factorial, lcm, prod
 
 from .poly import Cyclotomic, _echelon, kernel_basis
 from .rootsys import LeviConfig, RootSystem, build_root_system, levi_config
@@ -600,15 +600,44 @@ def coset_elements(cfg: InductionConfig, j: int):
     return tuple(aj @ h for h in levi_elements(cfg))
 
 
+def levi_order(cfg: InductionConfig) -> int:
+    """Order of the block subgroup: the product of |block|! over blocks."""
+    return prod(factorial(len(block)) for block in cfg.blocks)
+
+
 @lru_cache(maxsize=None)
 def coset_census(cfg: InductionConfig, j: int):
-    """The j-th shifted coset tallied once: each cycle type maps to
-    {orbit profile: number of coset elements with both}.  Counts, graded
+    """The j-th shifted coset a^j W_L tallied from class sizes, walking
+    no element: each cycle type maps to {orbit profile: number of coset
+    elements with both}.
+
+    An element z = a^j h moves the blocks as sigma^j does, sigma being
+    how a moves them.  On an orbit of length L of blocks of size m, the
+    return map of z^L on the orbit's first block is the product of L
+    block-to-block bijections that h picks freely, so each permutation
+    of the block is the return map of m!^(L-1) choices, and each type
+    lambda of m arises m!^(L-1) m!/z_lambda times and adds L*lambda to
+    the cycle type of z (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.7).  Orbits choose independently.  Counts, graded
     traces and induced residue characters are all read off this cached
     table, which every caller shares and none may change."""
+    sigma = block_permutation(cfg.blocks, cfg.a ** (j % cfg.e))
+    if sigma is None:
+        raise ValueError("element does not permute the blocks")
+    choices = []
+    for orbit in orbits(sigma):
+        length, m = len(orbit), len(cfg.blocks[orbit[0]])
+        jtype = cfg.block_types[orbit[0]]
+        # m!^(L-1) choices per return map, m!/z_lambda maps of type lambda
+        choices.append([((length, lam, jtype),
+                         factorial(m) ** length // lam.centralizer_order())
+                        for lam in partitions_of(m)])
     census = {}
-    for z in coset_elements(cfg, j):
-        census.setdefault(z.cycle_type(), Counter())[orbit_profile(cfg, z)] += 1
+    for picks in product(*choices):
+        parts = [length * part for (length, lam, _), _ in picks for part in lam]
+        profile = tuple(sorted(entry for entry, _ in picks))
+        census.setdefault(Partition(sorted(parts, reverse=True)), Counter())[
+            profile] += prod(n for _, n in picks)
     return census
 
 
@@ -617,8 +646,7 @@ def coset_count(w: WeylElt, cfg: InductionConfig, j: int) -> Fraction:
     meets the conjugacy class of w, counted with the centralizer weight."""
     key = w.cycle_type()
     matches = sum(coset_census(cfg, j).get(key, {}).values())
-    return Fraction(key.centralizer_order() * matches,
-                    len(levi_elements(cfg)))
+    return Fraction(key.centralizer_order() * matches, levi_order(cfg))
 
 
 def block_shift_element(blocks, e: int) -> WeylElt:

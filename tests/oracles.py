@@ -1,16 +1,18 @@
 """Enumerative oracles for the tests: routes the library no longer takes.
 
-The extended subgroup, its coset exponent and the linear coset
-characters give the right side of the mod-e identity by Frobenius
-induction element by element; the explicit matrix model of the induced
-module gives pair traces by multiplying actual matrices, knowing
-nothing about Green polynomials.  Both are slow on purpose and serve
-only to check the census route of the library.  Whole-group
-enumeration, the classical fundamental degrees, class sizes, the
-coinvariant graded character, matrix rank and eigenspaces by
-elimination live here too: only the tests use them.
+The coset census walked element by element gives the table the
+library tallies from class sizes.  The extended subgroup, its coset
+exponent and the linear coset characters give the right side of the
+mod-e identity by Frobenius induction element by element; the explicit
+matrix model of the induced module gives pair traces by multiplying
+actual matrices, knowing nothing about Green polynomials.  All three
+are slow on purpose and serve only to check the census route of the
+library.  Whole-group enumeration, the classical fundamental degrees,
+class sizes, the coinvariant graded character, matrix rank and
+eigenspaces by elimination live here too: only the tests use them.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -28,6 +30,8 @@ from greenchar.weyl import (
     block_restriction,
     coset_elements,
     levi_elements,
+    orbit_profile,
+    young_subgroup,
 )
 
 
@@ -120,6 +124,16 @@ def matrix_eigenspace(a: WeylElt, e: int, j: int = 1):
 
 # ---------------------------------------------------------------------------
 # the extended subgroup and the induced module
+
+
+def enumerated_census(cfg: InductionConfig, j: int):
+    """The j-th shifted coset tallied element by element: each cycle
+    type maps to {orbit profile: number of coset elements with both}."""
+    aj = cfg.a ** (j % cfg.e)
+    census = {}
+    for z in (aj @ h for h in young_subgroup(cfg.blocks)):
+        census.setdefault(z.cycle_type(), Counter())[orbit_profile(cfg, z)] += 1
+    return census
 
 
 @lru_cache(maxsize=None)

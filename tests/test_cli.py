@@ -255,7 +255,7 @@ def test_verify_obeys_the_letter_bound(capsys, monkeypatch):
 
 
 def test_verify_closed_form_obeys_the_letter_bound(capsys, monkeypatch):
-    # closed-form-count enumerates a coset of m * e letters, so it takes
+    # closed-form-count builds a config of m * e letters, so it takes
     # the same cap as the other letter requests
     monkeypatch.delenv("GREENCHAR_BOUND", raising=False)
     code, out, err = run_cli(capsys, "verify", "--check", "closed-form-count",
@@ -267,6 +267,26 @@ def test_verify_closed_form_obeys_the_letter_bound(capsys, monkeypatch):
                              "--nu", "2", "--e", "6", "--format", "json")
     assert code == 0, err
     assert json.loads(out)["status"] == "pass"
+
+
+def test_verify_closed_form_on_sixteen_letters(capsys, monkeypatch):
+    # the block subgroup of four rotating blocks of four letters has
+    # 331,776 elements; the census reads the shifted coset off S_4 class
+    # sizes in milliseconds, where walking it took half a minute, and
+    # the verdict and notes are the ones the walk gave
+    monkeypatch.setenv("GREENCHAR_BOUND", "16")
+    code, out, err = run_cli(capsys, "verify", "--check", "closed-form-count",
+                             "--nu", "4", "--e", "4", "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["status"] == "pass"
+    assert payload["counterexamples"] == []
+    assert payload["notes"] == (
+        "parts reading matches the census; multiplicity reading differs on "
+        "classes [(16,), (12, 4), (8, 8), (8, 4, 4), (3, 3, 3, 3, 1, 1, 1, 1), "
+        "(2, 2, 2, 2, 2, 2, 2, 2), (2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1), "
+        "(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)]")
+    assert payload["elapsed_ms"] < 10_000
 
 
 # G2 has no orthogonal component, so its sweep tries no element; the
@@ -408,6 +428,22 @@ def test_regular_rank_without_letters_is_invalid(capsys, rank):
                            "--e", "2", "--variant", "d")
     assert code == 2
     assert f"no root system of type D{rank}" in err
+
+
+@pytest.mark.parametrize("family,rank,variant", [
+    (family, rank, variant)
+    for family, ranks, variants in (("A", (0,), "ab"), ("B", (0, 1), "ab"),
+                                    ("C", (0, 1), "ab"), ("D", (0, 1, 2), "abcd"))
+    for rank in ranks for variant in variants])
+def test_regular_checks_the_rank_before_the_catalog(capsys, family, rank,
+                                                    variant):
+    # the catalog's divisibility rules only make sense on a root system
+    for e in range(1, 13):
+        code, out, err = run_cli(capsys, "regular", "--family", family,
+                                 "--rank", str(rank), "--e", str(e),
+                                 "--variant", variant)
+        assert code == 2 and out == "", e
+        assert f"no root system of type {family}{rank}" in err, e
 
 
 def test_config_validate_shapes(capsys):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from greenchar import verify, weyl
 from greenchar.poly import Cyclotomic, IntPolynomial, eval_at_root
 from greenchar.symfun import (
     Partition,
@@ -39,6 +40,7 @@ from greenchar.verify import (
     _classical_tail_cases,
     _config_echo,
     _induced_residues,
+    check_closed_form,
     check_component_dims,
     check_component_induction,
     check_mod_e_induction,
@@ -345,6 +347,32 @@ def test_census_route_matches_per_element_evaluator(cfg):
         ind = induced_character(extended_subgroup(cfg), evaluate)
         for rho in partitions_of(cfg.n):
             assert rhs[rho, k] == ind[rho], (rho, k)
+
+
+def test_config_checks_walk_no_coset(monkeypatch):
+    # every coset-side quantity is tallied from class sizes, so with the
+    # element walkers disabled every check but ungraded-induction runs
+    def refuse(*args):
+        raise AssertionError("a group was enumerated")
+
+    for module in (weyl, verify):
+        for name in ("coset_elements", "levi_elements", "young_subgroup"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    weyl.coset_census.cache_clear()
+    one_row = [CONFIGS[tag] for tag in (
+        "two trivial blocks", "regular twist, block (2,)",
+        "fixed pair and rotating pair", "fixed letter and rotating pair")]
+    general = list(CONFIGS.values())
+    regular = [CONFIGS["regular twist, block (2,)"],
+               CONFIGS["regular twist, block (1,1)"]]
+    reports = ([check_roots_of_unity(cfg) for cfg in one_row]
+               + [check_mod_e_induction(cfg) for cfg in one_row]
+               + [check_twisted_induction(cfg) for cfg in general]
+               + [check_component_dims(cfg) for cfg in general]
+               + [check_component_induction(cfg) for cfg in regular]
+               + [check_closed_form(m, e) for m, e in ((2, 2), (3, 2), (2, 3))])
+    assert all(report.passed for report in reports)
 
 
 def test_trace_poly_refuses_elements_outside_the_extension():

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greenchar import verify
@@ -24,6 +24,7 @@ from greenchar.weyl import (
     SubgroupTable,
     WeylElt,
     block_shift_element,
+    coset_census,
     coset_count,
     coset_elements,
     embed_component_element,
@@ -34,8 +35,10 @@ from greenchar.weyl import (
     is_L_regular,
     l_regular_config,
     levi_elements,
+    levi_order,
     reflection_word,
     regular_element,
+    runs,
     standard_block_config,
     trapping_roots,
     validate_config,
@@ -43,9 +46,11 @@ from greenchar.weyl import (
 )
 
 from oracles import (DEGREES, coset_character, coset_exponent, coset_reps,
-                     enumerate_group, extended_subgroup, matrix_eigenspace,
-                     weyl_order)
+                     enumerate_group, enumerated_census, extended_subgroup,
+                     matrix_eigenspace, weyl_order)
 from oracles import rank as matrix_rank
+from test_acceptance import (one_row_configs, regular_twist_configs,
+                             rotating_block_configs)
 
 
 def signed_perms(n):
@@ -716,6 +721,75 @@ class TestCosetCount:
         w2 = from_cycles(4, (1, 2), (3, 4))
         for j in range(2):
             assert coset_count(w1, self.cfg, j) == coset_count(w2, self.cfg, j)
+
+
+@st.composite
+def block_permuting_configs(draw, max_letters=7):
+    """Consecutive blocks on at most max_letters letters, each with any
+    Jordan type, and a twist that maps every block onto a block of the
+    same size by any bijection; e is the twist's order, and nothing is
+    validated."""
+    # runs of equal blocks, so that equal blocks meet and rotate often;
+    # a block that would pass max_letters is dropped
+    sizes = []
+    for size, count in draw(st.lists(
+            st.tuples(st.integers(1, 3) | st.integers(1, max_letters),
+                      st.integers(1, 4)),
+            min_size=1, max_size=4)):
+        for _ in range(count):
+            if sum(sizes) + size <= max_letters:
+                sizes.append(size)
+    blocks = runs(sizes)
+    n = sum(sizes)
+    # drawn permutations lean towards the identity, so each is followed
+    # by one rotation of the equal blocks: the lean goes to a rotating
+    # family, and every permutation can still be drawn
+    targets = list(range(len(blocks)))
+    for m in set(map(len, blocks)):
+        same = [bi for bi, block in enumerate(blocks) if len(block) == m]
+        drawn = draw(st.permutations(same))
+        for bi, image in zip(same, drawn[1:] + drawn[:1]):
+            targets[bi] = image
+    perm = [0] * n
+    for block, target in zip(blocks, targets):
+        images = draw(st.permutations(blocks[target]))
+        for letter, image in zip(block, images):
+            perm[letter - 1] = image
+    a = WeylElt(perm=perm)
+    types = tuple(draw(st.sampled_from(partitions_of(len(block))))
+                  for block in blocks)
+    return InductionConfig(n=n, e=a.order(), blocks=blocks,
+                           block_types=types, a=a)
+
+
+class TestCosetCensus:
+    @pytest.mark.parametrize("configs", [one_row_configs, rotating_block_configs,
+                                         regular_twist_configs])
+    def test_class_sizes_match_the_walk_on_every_acceptance_config(self,
+                                                                   configs):
+        for cfg in configs():
+            assert levi_order(cfg) == len(levi_elements(cfg))
+            for j in range(cfg.e):
+                assert coset_census(cfg, j) == enumerated_census(cfg, j), \
+                    (cfg, j)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=block_permuting_configs())
+    def test_class_sizes_match_the_walk_on_any_block_permuting_twist(self, cfg):
+        # the walk costs |W_L| elements per coset; a 7-letter block under
+        # a twist of order 6 or more would take seconds on its own
+        assume(levi_order(cfg) * cfg.e <= 30_000)
+        for j in range(cfg.e):
+            assert coset_census(cfg, j) == enumerated_census(cfg, j), j
+
+    def test_refuses_a_twist_that_splits_a_block(self):
+        a = from_cycles(3, (1, 3))
+        cfg = InductionConfig(n=3, e=2, blocks=runs([2, 1]),
+                              block_types=(Partition((2,)), Partition((1,))),
+                              a=a)
+        assert coset_census(cfg, 0) == enumerated_census(cfg, 0)
+        with pytest.raises(ValueError, match="does not permute the blocks"):
+            coset_census(cfg, 1)
 
 
 def _cycles_for(rho):
