@@ -350,20 +350,21 @@ def cmd_regular(args) -> int:
     element = cycle_notation(a)
     payload = {"command": "regular", "family": args.family, "rank": args.rank,
                "e": args.e, "variant": args.variant,
-               "pi_L": list(args.pi_L or ()), "element": element,
+               "pi_L": list(lv.pi_L), "element": element,
                "perm": list(a.perm), "order": a.order(),
                "regular": regular, "eigenspace_dim": dim}
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["element", "order", "regular", "eigenspace_dim"])
-        writer.writerow([element, a.order(), regular, dim])
+        writer.writerow(["element", "order", "regular", "eigenspace_dim",
+                         "pi_L"])
+        writer.writerow([element, a.order(), regular, dim, part_text(lv.pi_L)])
     else:
         word = "regular" if regular else "not regular"
-        if args.pi_L:
+        if lv.pi_L:
             word = ("L-regular" if regular else "not L-regular") \
-                + f" for pi_L={part_text(args.pi_L)}"
+                + f" for pi_L={part_text(lv.pi_L)}"
         print(f"{element}, {word}, a(e)={dim}")
     return 0
 
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_green = sub.add_parser("green", help="Green polynomial table for one "
                                            "Jordan type")
     p_green.add_argument("--mu", type=partition_arg, required=True)
-    p_green.add_argument("--n", type=int)
+    p_green.add_argument("--n", type=positive_int)
     p_green.add_argument("--bound", type=int,
                          help=f"enumeration cap, default {DEFAULT_BOUND} "
                               f"(env {BOUND_ENV})")
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "applicable one")
     p_verify.add_argument("--check", required=True,
                           choices=tuple(ALL_CHECKS) + ("all",))
-    p_verify.add_argument("--n", type=int,
+    p_verify.add_argument("--n", type=positive_int,
                           help="selects the regular-twist shape: one "
                                "distinguished block of type --nu, catalog "
                                "twist on the other letters")
@@ -440,14 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--e", type=positive_int)
     p_verify.add_argument("--variant", default="a")
     p_verify.add_argument("--family", help="restrict regular-catalog")
-    p_verify.add_argument("--rank", type=int, help="restrict regular-catalog")
+    p_verify.add_argument("--rank", type=positive_int,
+                          help="restrict regular-catalog")
     common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_regular = sub.add_parser("regular", help="catalog twist for a family "
                                                "and rank")
     p_regular.add_argument("--family", required=True)
-    p_regular.add_argument("--rank", type=int, required=True)
+    p_regular.add_argument("--rank", type=positive_int, required=True)
     p_regular.add_argument("--e", type=positive_int, required=True)
     p_regular.add_argument("--variant", default="a")
     p_regular.add_argument("--pi-L", dest="pi_L", type=labels_arg,
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("config-validate",
                                 help="classify a block configuration")
-    p_validate.add_argument("--n", type=int)
+    p_validate.add_argument("--n", type=positive_int)
     p_validate.add_argument("--mu", type=partition_arg)
     p_validate.add_argument("--nu", type=block_type_arg, action="append")
     p_validate.add_argument("--e", type=positive_int)

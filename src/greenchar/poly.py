@@ -3,8 +3,16 @@
 Integer polynomials in one variable q, cyclotomic polynomials, elements
 of cyclotomic number fields in the power basis, and exact linear algebra
 (rank and right kernel) over the rationals or over a cyclotomic field.
-All values are immutable after construction and safe to share between
-threads; nothing in this module ever touches a float.
+
+A field element keeps its coordinates as Python ints while they are
+integral.  Reduction mod Phi_e reads one cached table per conductor,
+the integer coordinates of x^k for k < e: Phi_e is monic, so the table
+is integral, and x^e = 1, so any coefficient list folds mod e and then
+reduces by integer multiply-adds.  Fractions arise only where a value
+really is rational: inverses (an extended Euclid over Q[x]) and
+products with rational weights.  All values are immutable after
+construction and safe to share between threads; nothing in this module
+ever touches a float.
 """
 
 from __future__ import annotations
@@ -213,8 +221,45 @@ def euler_phi(e: int) -> int:
     return cyclotomic_poly(e).degree
 
 
-# Helpers on raw Fraction coefficient lists (used for reduction mod Phi_e
-# and for the extended Euclid behind cyclotomic inversion).
+@lru_cache(maxsize=None)
+def _power_residues(e: int):
+    """Integer coordinates of x^k mod Phi_e in the power basis, k < e.
+
+    Phi_e is monic of degree phi: x^(k+1) is x^k shifted up one place,
+    with its top coordinate t folded back as t * x^phi = -t * (Phi_e - x^phi).
+    """
+    phi_cs = cyclotomic_poly(e).coeffs[:-1]
+    row = (1,) + (0,) * (len(phi_cs) - 1)
+    rows = [row]
+    for _ in range(e - 1):
+        top = row[-1]
+        row = tuple(r - top * c for r, c in zip((0,) + row[:-1], phi_cs))
+        rows.append(row)
+    return tuple(rows)
+
+
+def _reduce(e: int, coeffs) -> list:
+    """Coordinates of sum(coeffs[k] x^k) mod Phi_e: fold the exponents
+    mod e (x^e = 1), then add each folded bucket times its power residue."""
+    table = _power_residues(e)
+    phi = len(table[0])
+    if len(coeffs) > e:
+        buckets = [0] * e
+        for k, c in enumerate(coeffs):
+            buckets[k % e] += c
+        coeffs = buckets
+    out = list(coeffs[:phi])
+    out += [0] * (phi - len(out))
+    for b, row in zip(coeffs[phi:], table[phi:]):
+        if b:
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += b * r
+    return out
+
+
+# Helpers on raw Fraction coefficient lists (used for exact polynomial
+# division and for the extended Euclid behind cyclotomic inversion).
 
 def _fp_trim(cs):
     while cs and not cs[-1]:
@@ -283,28 +328,33 @@ class Cyclotomic:
 
     Stored as the reduced residue mod Phi_e(x) in the power basis
     1, x, ..., x^(phi(e)-1); the class variable returned by zeta(e) is the
-    coset of x, the distinguished primitive root.  Equality against ints
-    and Fractions works whenever the element is rational.
+    coset of x, the distinguished primitive root.  Coordinates are ints
+    or Fractions, never floats: integer input stays integral through
+    sums, products and reduction (the table of power residues is
+    integral), and Fractions come only from inverse() and from rational
+    scalars.  An int and a Fraction of equal value compare and hash
+    alike, so equality does not depend on which one a coordinate is.
+    Equality against ints and Fractions works whenever the element is
+    rational.
     """
 
     __slots__ = ("e", "coords")
 
     def __init__(self, e: int, coords):
         phi = euler_phi(e)
-        cs = tuple(Fraction(c) for c in coords)
+        cs = tuple(coords)
         if len(cs) != phi:
             raise ValueError(f"conductor {e} needs {phi} coordinates, got {len(cs)}")
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"int or Fraction coordinate expected, got {c!r}")
         self.e = e
         self.coords = cs
 
     @classmethod
     def from_poly(cls, e: int, coeffs) -> "Cyclotomic":
-        """Reduce an arbitrary rational coefficient list mod Phi_e."""
-        phi_cs = [Fraction(c) for c in cyclotomic_poly(e).coeffs]
-        _, rem = _fp_divmod([Fraction(c) for c in coeffs], phi_cs)
-        phi = len(phi_cs) - 1
-        rem = rem + [Fraction(0)] * (phi - len(rem))
-        return cls(e, rem)
+        """Reduce an arbitrary int or Fraction coefficient list mod Phi_e."""
+        return cls(e, _reduce(e, list(coeffs)))
 
     @classmethod
     def from_fraction(cls, e: int, x) -> "Cyclotomic":
@@ -327,19 +377,19 @@ class Cyclotomic:
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.coords[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self.coords[0])
 
     def galois(self, j: int) -> "Cyclotomic":
         """Field automorphism sending the basis root z to z^j; needs gcd(j,e)=1."""
         j %= self.e
         if gcd(j, self.e) != 1:
             raise ValueError(f"exponent {j} is not invertible mod {self.e}")
-        acc = [Fraction(0)] * self.e
+        acc = [0] * self.e
         for k, c in enumerate(self.coords):
             if c:
                 acc[(k * j) % self.e] += c
@@ -390,7 +440,12 @@ class Cyclotomic:
             return NotImplemented
         if o is None:
             return other * self.as_fraction()
-        return Cyclotomic.from_poly(self.e, _fp_mul(list(self.coords), list(o.coords)))
+        cs = [0] * (2 * len(self.coords) - 1)
+        for i, x in enumerate(self.coords):
+            if x:
+                for j, y in enumerate(o.coords):
+                    cs[i + j] += x * y
+        return Cyclotomic(self.e, _reduce(self.e, cs))
 
     __rmul__ = __mul__
 
@@ -398,7 +453,8 @@ class Cyclotomic:
         if not self:
             raise ZeroDivisionError("inverse of zero")
         phi_cs = [Fraction(c) for c in cyclotomic_poly(self.e).coeffs]
-        g, s, _ = _fp_ext_gcd(list(self.coords), phi_cs)
+        # Fraction coordinates, so that no division below is int / int
+        g, s, _ = _fp_ext_gcd([Fraction(c) for c in self.coords], phi_cs)
         # Phi_e is irreducible over Q, so the gcd is a nonzero constant
         assert len(g) == 1
         c = g[0]
@@ -463,7 +519,7 @@ def eval_at_root(p: IntPolynomial, e: int, j: int) -> Cyclotomic:
     buckets = [0] * e
     for k, c in enumerate(p.coeffs):
         buckets[(j * k) % e] += c
-    return Cyclotomic.from_poly(e, buckets)
+    return Cyclotomic(e, _reduce(e, buckets))
 
 
 # Exact linear algebra.  Matrices are plain sequences of rows; entries may

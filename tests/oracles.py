@@ -8,8 +8,9 @@ matrix model of the induced module gives pair traces by multiplying
 actual matrices, knowing nothing about Green polynomials.  All three
 are slow on purpose and serve only to check the census route of the
 library.  Whole-group enumeration, the classical fundamental degrees,
-class sizes, the coinvariant graded character, matrix rank and
-eigenspaces by elimination live here too: only the tests use them.
+class sizes, the coinvariant graded character, matrix rank, eigenspaces
+by elimination and reduction mod Phi_e by long division live here too:
+only the tests use them.
 """
 
 from collections import Counter
@@ -18,7 +19,13 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from greenchar.poly import Cyclotomic, IntPolynomial, _echelon, kernel_basis
+from greenchar.poly import (
+    Cyclotomic,
+    IntPolynomial,
+    _echelon,
+    cyclotomic_poly,
+    kernel_basis,
+)
 from greenchar.rootsys import RootSystem, build_root_system
 from greenchar.symfun import GradedCharacter, Partition, partitions_of
 from greenchar.weyl import (
@@ -111,6 +118,22 @@ def coinvariant_graded_char(n: int) -> GradedCharacter:
 def rank(rows) -> int:
     _, pivots, _ = _echelon(rows)
     return len(pivots)
+
+
+def long_division_residue(e: int, coeffs) -> tuple:
+    """The power-basis coordinates of sum(coeffs[k] x^k) mod Phi_e, all
+    Fractions, by long division by Phi_e: the route Cyclotomic.from_poly
+    took before its table of power residues."""
+    phi_cs = cyclotomic_poly(e).coeffs
+    phi = len(phi_cs) - 1
+    rem = [Fraction(c) for c in coeffs]
+    for top in range(len(rem) - 1, phi - 1, -1):
+        c = rem[top] / phi_cs[-1]
+        if c:
+            for i, p in enumerate(phi_cs):
+                rem[top - phi + i] -= c * p
+    rem = rem[:phi]
+    return tuple(rem + [Fraction(0)] * (phi - len(rem)))
 
 
 def matrix_eigenspace(a: WeylElt, e: int, j: int = 1):

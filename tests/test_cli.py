@@ -23,7 +23,10 @@ from oracles import DEGREES
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a request refused by the argument parser
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -414,20 +417,26 @@ def test_regular_relative_to_parabolic(capsys):
     assert isinstance(payload["regular"], bool)
 
 
+def test_regular_echoes_the_labels_it_tested(capsys):
+    # Pi_L is a set: every format echoes it sorted, each label once
+    argv = ("regular", "--family", "A", "--rank", "4", "--e", "5")
+    code, out, _ = run_cli(capsys, *argv, "--pi-L", "3,1,3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pi_L"] == [1, 3]
+    code, out, _ = run_cli(capsys, *argv, "--pi-L", "3,1", "--format", "csv")
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert dict(zip(header, row))["pi_L"] == "1,3"
+    code, out, _ = run_cli(capsys, *argv, "--pi-L", "1,1")
+    assert code == 0
+    assert out.strip().endswith("for pi_L=1, a(e)=1")
+
+
 def test_regular_bad_family(capsys):
     code, _, err = run_cli(capsys, "regular", "--family", "E", "--rank", "6",
                            "--e", "5")
     assert code == 2
     assert "no catalog" in err
-
-
-@pytest.mark.parametrize("rank", ["0", "-1"])
-def test_regular_rank_without_letters_is_invalid(capsys, rank):
-    # the sign-fixing letter of type D variant d needs a letter to exist
-    code, _, err = run_cli(capsys, "regular", "--family", "D", "--rank", rank,
-                           "--e", "2", "--variant", "d")
-    assert code == 2
-    assert f"no root system of type D{rank}" in err
 
 
 @pytest.mark.parametrize("family,rank,variant", [
@@ -443,7 +452,9 @@ def test_regular_checks_the_rank_before_the_catalog(capsys, family, rank,
                                  "--rank", str(rank), "--e", str(e),
                                  "--variant", variant)
         assert code == 2 and out == "", e
-        assert f"no root system of type {family}{rank}" in err, e
+        # a rank below one is refused when the flags are parsed
+        assert (f"no root system of type {family}{rank}" if rank >= 1
+                else "must be positive") in err, e
 
 
 def test_config_validate_shapes(capsys):
@@ -467,13 +478,19 @@ def test_config_validate_rejects(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the order flag
+# the order, letter-count and rank flags
 
 
 @pytest.mark.parametrize("argv", [
     ("eval", "--mu", "2,2", "--e", "0"),
     ("eval", "--mu", "2,2", "--e", "-2"),
     ("verify", "--check", "closed-form-count", "--nu", "2", "--e", "0"),
+    ("green", "--mu", "2,2", "--n", "0"),
+    ("verify", "--check", "all", "--n", "-3", "--nu", "1", "--e", "2"),
+    ("config-validate", "--n", "0", "--nu", "1", "--e", "2"),
+    ("verify", "--check", "regular-catalog", "--family", "E", "--rank", "0"),
+    ("regular", "--family", "D", "--rank", "0", "--e", "2", "--variant", "d"),
+    ("regular", "--family", "D", "--rank", "-1", "--e", "2", "--variant", "d"),
 ])
 def test_nonpositive_order_is_invalid(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -531,8 +548,11 @@ def test_order_flag_keeps_exit_codes_honest(command, e):
 def test_catalog_selection_keeps_exit_codes_honest(family, rank):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["verify", "--check", "regular-catalog", "--family",
-                     family, "--rank", str(rank), "--format", "json"])
+        try:
+            code = main(["verify", "--check", "regular-catalog", "--family",
+                         family, "--rank", str(rank), "--format", "json"])
+        except SystemExit as exc:  # a rank below one, refused when parsed
+            code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 0:

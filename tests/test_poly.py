@@ -17,7 +17,9 @@ from greenchar.poly import (
     render_terms,
 )
 
-from oracles import rank
+from greenchar.symfun import springer_graded_char
+from oracles import long_division_residue, rank
+from test_acceptance import one_row_configs
 
 small_coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=6)
 
@@ -244,6 +246,53 @@ def test_scalar_product_matches_the_field_product(e, coeffs, s):
     assert s * x == lifted
     assert x * s == lifted
     assert (s * x).coords == lifted.coords
+
+
+@given(st.integers(1, 30).flatmap(lambda e: st.tuples(st.just(e), st.one_of(
+    st.lists(st.integers(-50, 50), max_size=3 * e),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+             max_size=3 * e)))))
+@settings(max_examples=200, deadline=None)
+def test_from_poly_matches_long_division(e_coeffs):
+    # the table of power residues against long division by Phi_e
+    e, coeffs = e_coeffs
+    z = Cyclotomic.from_poly(e, coeffs)
+    assert z.coords == long_division_residue(e, coeffs)
+    if all(type(c) is int for c in coeffs):
+        assert all(type(c) is int for c in z.coords)
+
+
+def test_eval_at_root_stays_integral_on_criterion_1():
+    # every Green polynomial of criterion 1 at every root of its conductor
+    seen = 0
+    for cfg in one_row_configs():
+        for _, poly in springer_graded_char(cfg.merged_type()).items():
+            for j in range(cfg.e):
+                z = eval_at_root(poly, cfg.e, j)
+                assert all(type(c) is int for c in z.coords), (cfg, poly, j)
+                seen += 1
+    assert seen > 1000
+
+
+@pytest.mark.parametrize("e", range(1, 13))
+def test_int_and_fraction_coordinates_are_one_element(e):
+    zeros = (0,) * (euler_phi(e) - 1)
+    a, b = Cyclotomic(e, (Fraction(3),) + zeros), Cyclotomic(e, (3,) + zeros)
+    assert a == b and hash(a) == hash(b)
+    z = Cyclotomic.zeta(e)
+    w = Cyclotomic(e, tuple(Fraction(c) for c in z.coords))
+    assert w == z and hash(w) == hash(z)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1", None, 1j])
+def test_cyclotomic_coordinates_are_never_floats(bad):
+    # ints and Fractions only, as for IntPolynomial coefficients
+    with pytest.raises(TypeError):
+        Cyclotomic(3, (bad, 0))
+    with pytest.raises(TypeError):
+        Cyclotomic.from_poly(3, [0, 0, 0, bad])
+    with pytest.raises(TypeError):
+        Cyclotomic.from_fraction(3, bad)
 
 
 def test_kernel_over_cyclotomic():
