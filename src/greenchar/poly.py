@@ -333,9 +333,9 @@ class Cyclotomic:
     sums, products and reduction (the table of power residues is
     integral), and Fractions come only from inverse() and from rational
     scalars.  An int and a Fraction of equal value compare and hash
-    alike, so equality does not depend on which one a coordinate is.
-    Equality against ints and Fractions works whenever the element is
-    rational.
+    alike, so equality and hashing do not depend on which one a
+    coordinate is, and equality against ints and Fractions works
+    whenever the element is rational.
     """
 
     __slots__ = ("e", "coords")
