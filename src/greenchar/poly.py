@@ -150,19 +150,26 @@ class IntPolynomial:
         return acc
 
     def divmod_exact(self, other: "IntPolynomial"):
-        """Polynomial division; raises unless quotient and remainder are integral."""
-        quo, rem = _fp_divmod([Fraction(c) for c in self.coeffs],
-                              [Fraction(c) for c in other.coeffs])
+        """Polynomial division; raises unless quotient and remainder are integral.
 
-        def back(fs):
-            out = []
-            for f in fs:
-                if f.denominator != 1:
-                    raise ValueError("non-integral polynomial division")
-                out.append(int(f))
-            return out
-
-        return IntPolynomial(back(quo)), IntPolynomial(back(rem))
+        Long division in integers: a quotient coefficient is integral
+        exactly when the leading coefficient divides the running one.
+        """
+        b = other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        d = len(b) - 1
+        a = list(self.coeffs)
+        quo = [0] * max(0, len(a) - d)
+        for i in range(len(a) - 1, d - 1, -1):
+            c, r = divmod(a[i], b[-1])
+            if r:
+                raise ValueError("non-integral polynomial division")
+            if c:
+                quo[i - d] = c
+                for k, bc in enumerate(b):
+                    a[i - d + k] -= c * bc
+        return IntPolynomial(quo), IntPolynomial(a[:d])
 
     def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
         quo, rem = self.divmod_exact(other)
@@ -335,7 +342,9 @@ class Cyclotomic:
     scalars.  An int and a Fraction of equal value compare and hash
     alike, so equality and hashing do not depend on which one a
     coordinate is, and equality against ints and Fractions works
-    whenever the element is rational.
+    whenever the element is rational.  Elements of different conductors
+    compare by value when both are rational; otherwise == raises
+    TypeError, as + does, instead of calling equal values unequal.
     """
 
     __slots__ = ("e", "coords")
@@ -494,7 +503,7 @@ class Cyclotomic:
                 return self.coords == other.coords
             if self.is_rational and other.is_rational:
                 return self.coords[0] == other.coords[0]
-            return False
+            raise TypeError("cyclotomic elements of different conductors")
         return NotImplemented
 
     def __hash__(self):

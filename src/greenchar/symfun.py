@@ -1,21 +1,47 @@
 """Symmetric-group combinatorics for GL_n graded characters.
 
-Partitions, semistandard tableaux, the charge statistic, Kostka-Foulkes
-polynomials, Murnaghan-Nakayama character values, and the graded
-character of the cohomology of a fixed-point (Springer) fiber attached
-to a nilpotent of Jordan type mu.  The graded character value at cycle
-type rho is the Green polynomial of GL_n for that pair, assembled as
+Partitions, Kostka-Foulkes polynomials, Murnaghan-Nakayama character
+values, and the graded character of the cohomology of a fixed-point
+(Springer) fiber attached to a nilpotent of Jordan type mu.  The graded
+character value at cycle type rho is the Green polynomial of GL_n for
+that pair, assembled as
 
     sum over lambda of  chi^lambda(rho) * q^{n(mu)} K_{lambda,mu}(1/q).
 
-Charge follows the Lascoux-Schutzenberger convention: reading word taken
-bottom row to top row and left to right, standard subwords extracted by
-cyclic scanning with each successor sought leftward, the index of a
-letter rises exactly when it sits to the right of its predecessor.  The
-easy cross-checks K(lambda,lambda) = 1 and K((n),(1^n)) = q^(n(n-1)/2)
-do not pin the scan direction; the tests therefore also compare against
-a Gram-Schmidt computation in the Hall-Littlewood inner product, which
-detects the difference (it first matters at n = 5).
+Kostka-Foulkes polynomials come from the type-A case of the
+Lusztig-Shoji algorithm (Lusztig, Character sheaves V, 1986; Shoji,
+Green functions of reductive groups over a finite field, 1987), not
+from tableaux.  With phi_n(t) = prod over k <= n of (1 - t^k), n! phi_n
+times the Gram matrix of Schur functions in the Hall-Littlewood inner
+product is the integer polynomial matrix
+
+    Omega_{lambda,kappa} = sum over rho of chi^lambda_rho chi^kappa_rho W_rho,
+    W_rho = (n!/z_rho) phi_n / prod_i (1 - t^{rho_i}),
+
+and Omega = K D K^T with K unitriangular for dominance and
+D_nu = n! phi_n / b_nu (Macdonald, Symmetric Functions and Hall
+Polynomials, III.2-III.6).  Each W_rho and D_nu is built once per n by
+exact division.  Peeling Omega from the bottom of the dominance order
+gives, for lambda strictly above kappa,
+
+    K(lambda,kappa) D_kappa = Omega_{lambda,kappa}
+        - sum over tau strictly below kappa of K(lambda,tau) D_tau K(kappa,tau).
+
+The solve runs on the values of these polynomials at X = 2^B, one
+Python int each (Kronecker substitution).  Evaluation is a ring map,
+so every product, difference and exact quotient is exact whatever the
+size of the coefficients.  B matters only when K is read back off its
+base-X digits: K has nonnegative coefficients summing to a Kostka
+number, at most n!, so B = bit_length(n!) bits hold each coefficient.
+A wrong table raises ArithmeticError instead of being returned: every
+quotient must leave no remainder and be nonnegative, and for each
+kappa the diagonal Omega_{kappa,kappa} - sum over tau of
+K(kappa,tau)^2 D_tau must give D_kappa back.  The tests compare the
+solve with charge summed over semistandard tableaux, which shares no
+inner product with it, and with a Gram-Schmidt orthogonalisation.
+
+Characters run Murnaghan-Nakayama on beta-sets held as bitmasks:
+removing a border strip of size r moves one bead down r places.
 
 springer_graded_char is cached: each Jordan type is built once per
 process, and every caller gets the same GradedCharacter.  Its values
@@ -25,6 +51,7 @@ are a read-only mapping, so no caller can change a shared table.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 from types import MappingProxyType
 
@@ -92,6 +119,7 @@ def partitions_of(n: int):
     return tuple(out)
 
 
+# off the library path; ROADMAP item 1 retargets the tracer probe on it
 def enumerate_ssyt(shape, weight):
     """All semistandard tableaux of the given shape and content.
 
@@ -128,83 +156,164 @@ def enumerate_ssyt(shape, weight):
     return out
 
 
-def charge(tableau) -> int:
-    """Charge of a semistandard tableau with partition content.
+class _KostkaSolve:
+    """The Lusztig-Shoji solve of Omega = K D K^T for one n, run on the
+    values of every polynomial at X = 2^width (see the module docstring).
 
-    Reading word runs bottom row to top, left to right.  Standard
-    subwords are peeled off by cyclic scanning: take the leftmost 1,
-    then the nearest 2 to its left (wrapping around from the end), and
-    so on; within a subword the index goes up by one exactly when
-    letter r+1 sits to the right of r, and charge is the total of all
-    indices.  Scanning leftward matters: picking the nearest successor
-    to the right instead gives the wrong polynomial first at n = 5,
-    e.g. K((4,1),(2,2,1)) would come out 2q^3 instead of q^2 + q^3.
+    Entries are computed on demand and kept: K(lam, kappa) for lam
+    dominating kappa, and per kappa the products D_tau K(kappa, tau) for
+    every tau strictly below it, so each term of a sum is one product.
     """
-    word = [c for row in reversed(tableau) for c in row]
-    content = {}
-    for c in word:
-        content[c] = content.get(c, 0) + 1
-    mults = [content.get(i, 0) for i in range(1, max(content) + 1)] if content else []
-    if any(mults[i] < mults[i + 1] for i in range(len(mults) - 1)) or 0 in mults:
-        raise ValueError("charge needs partition content")
 
-    alive = [True] * len(word)
-    remaining = len(word)
-    total = 0
-    while remaining:
-        cur = next(i for i in range(len(word)) if alive[i] and word[i] == 1)
-        alive[cur] = False
-        remaining -= 1
-        index = 0
-        target = 2
-        while True:
-            nxt = None
-            for i in list(range(cur - 1, -1, -1)) + list(range(len(word) - 1, cur, -1)):
-                if alive[i] and word[i] == target:
-                    nxt = i
-                    break
-            if nxt is None:
-                break
-            if nxt > cur:
-                index += 1
-            total += index
-            alive[nxt] = False
-            remaining -= 1
-            cur = nxt
-            target += 1
-    return total
+    def __init__(self, n: int):
+        self.parts = partitions_of(n)
+        self.width = factorial(n).bit_length()
+        x = 1 << self.width
+        self.weights = [_class_weight(n, rho)(x) for rho in self.parts]
+        self.norms = {nu: _norm(n, nu)(x) for nu in self.parts}
+        self.prefix = {nu: tuple(accumulate(nu + (0,) * (n - len(nu))))
+                       for nu in self.parts}
+        self.chars = {}
+        self.packed = {}
+        self.rows = {}
+
+    def dominates(self, lam, mu) -> bool:
+        return all(a >= b for a, b in zip(self.prefix[lam], self.prefix[mu]))
+
+    def _omega(self, lam, kappa) -> int:
+        """Omega_{lam,kappa} at X: sum over rho of chi^lam chi^kappa W_rho."""
+        return sum(a * b * w for a, b, w in zip(self._chars(lam),
+                                                self._chars(kappa),
+                                                self.weights))
+
+    def _chars(self, lam):
+        row = self.chars.get(lam)
+        if row is None:
+            beads = _beads(lam)
+            row = self.chars[lam] = tuple(_murnaghan_nakayama(beads, rho)
+                                          for rho in self.parts)
+        return row
+
+    def _row(self, kappa):
+        """(tau, D_tau K(kappa, tau)) for every tau strictly below kappa,
+        once the diagonal has given D_kappa back."""
+        row = self.rows.get(kappa)
+        if row is None:
+            row = []
+            rest = self._omega(kappa, kappa)
+            for tau in self.parts:
+                if tau != kappa and self.dominates(kappa, tau):
+                    k = self._packed(kappa, tau)
+                    scaled = self.norms[tau] * k
+                    row.append((tau, scaled))
+                    rest -= k * scaled
+            if rest != self.norms[kappa]:
+                raise ArithmeticError(
+                    f"Omega does not factor at {tuple(kappa)}: wrong D")
+            self.rows[kappa] = row
+        return row
+
+    def _packed(self, lam, kappa) -> int:
+        """K(lam, kappa) at X, for lam dominating kappa."""
+        if lam == kappa:
+            return 1
+        k = self.packed.get((lam, kappa))
+        if k is None:
+            rest = self._omega(lam, kappa)
+            for tau, scaled in self._row(kappa):
+                rest -= self._packed(lam, tau) * scaled
+            k, rem = divmod(rest, self.norms[kappa])
+            if rem or k < 0:
+                raise ArithmeticError(
+                    f"K({tuple(lam)}, {tuple(kappa)}) is not an integer "
+                    "polynomial with nonnegative coefficients")
+            self.packed[lam, kappa] = k
+        return k
+
+    def polynomial(self, lam, mu) -> IntPolynomial:
+        """K(lam, mu) read off the base-X digits of its value."""
+        if not self.dominates(lam, mu):
+            return IntPolynomial()
+        k = self._packed(lam, mu)
+        mask = (1 << self.width) - 1
+        coeffs = []
+        while k:
+            coeffs.append(k & mask)
+            k >>= self.width
+        return IntPolynomial(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _phi(m: int) -> IntPolynomial:
+    """phi_m(t) = prod over k <= m of (1 - t^k)."""
+    out = IntPolynomial((1,))
+    for k in range(1, m + 1):
+        out = out * (1 - IntPolynomial.monomial(k))
+    return out
+
+
+def _class_weight(n: int, rho) -> IntPolynomial:
+    """W_rho = (n!/z_rho) phi_n / prod_i (1 - t^rho_i)."""
+    den = IntPolynomial((1,))
+    for part in rho:
+        den = den * (1 - IntPolynomial.monomial(part))
+    return _phi(n).exact_div(den) * (factorial(n) // rho.centralizer_order())
+
+
+def _norm(n: int, nu) -> IntPolynomial:
+    """D_nu = n! phi_n / b_nu, where b_nu is the product of phi_m over the
+    part multiplicities m of nu."""
+    b = IntPolynomial((1,))
+    for mult in nu.multiplicities().values():
+        b = b * _phi(mult)
+    return _phi(n).exact_div(b) * factorial(n)
+
+
+@lru_cache(maxsize=None)
+def _kostka_solve(n: int) -> _KostkaSolve:
+    return _KostkaSolve(n)
 
 
 @lru_cache(maxsize=None)
 def kostka_foulkes(lam, mu) -> IntPolynomial:
-    """K_{lambda,mu}(q) = sum of q^charge(T) over SSYT(lambda, mu)."""
+    """K_{lambda,mu}(q), zero unless lambda dominates mu, from the
+    Lusztig-Shoji solve of size |lambda| (shared by every pair of that
+    size)."""
     lam, mu = Partition(lam), Partition(mu)
     if lam.size != mu.size:
         raise ValueError("partitions must have the same size")
-    coeffs = {}
-    for t in enumerate_ssyt(lam, mu):
-        c = charge(t)
-        coeffs[c] = coeffs.get(c, 0) + 1
-    if not coeffs:
-        return IntPolynomial()
-    top = max(coeffs)
-    return IntPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))
+    return _kostka_solve(lam.size).polynomial(lam, mu)
 
 
-def _strip_removals(lam, r):
-    """Ways to remove one border strip of size r: (smaller partition, height)."""
-    L = len(lam)
-    betas = [lam[i] + (L - 1 - i) for i in range(L)]
-    bset = set(betas)
-    out = []
-    for b in betas:
-        nb = b - r
-        if nb >= 0 and nb not in bset:
-            height = sum(1 for x in betas if nb < x < b)
-            new = sorted((bset - {b}) | {nb}, reverse=True)
-            parts = [x - (L - 1 - i) for i, x in enumerate(new)]
-            out.append((Partition([p for p in parts if p > 0]), height))
+def _beads(lam) -> int:
+    """Beta-set of lam as a bitmask: part i of l parts (i from 0) is a
+    bead at lam_i + l - 1 - i."""
+    out = 0
+    for i, part in enumerate(lam):
+        out |= 1 << (part + len(lam) - 1 - i)
     return out
+
+
+@lru_cache(maxsize=None)
+def _murnaghan_nakayama(beads: int, rho: tuple) -> int:
+    """chi at cycle type rho of the partition with this beta-set, which
+    has no bead at 0.  Removing a border strip of size r moves a bead
+    from b down to an empty place b - r; the strip's height is the
+    number of beads strictly between."""
+    if not rho:
+        return 1
+    r, rest = rho[0], rho[1:]
+    between = (1 << (r - 1)) - 1
+    total = 0
+    for b in range(r, beads.bit_length()):
+        if beads >> b & 1 and not beads >> (b - r) & 1:
+            moved = beads ^ (1 << b) ^ (1 << (b - r))
+            while moved & 1:  # a bead at 0 is a zero part
+                moved >>= 1
+            value = _murnaghan_nakayama(moved, rest)
+            height = (beads >> (b - r + 1) & between).bit_count()
+            total += -value if height & 1 else value
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -213,11 +322,7 @@ def char_sn(lam, rho) -> int:
     lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise ValueError("lambda and rho must partition the same n")
-    if not rho:
-        return 1
-    r = rho[0]
-    rest = Partition(rho[1:])
-    return sum((-1) ** h * char_sn(new, rest) for new, h in _strip_removals(lam, r))
+    return _murnaghan_nakayama(_beads(lam), rho)
 
 
 class GradedCharacter:
@@ -262,13 +367,16 @@ def springer_graded_char(mu) -> GradedCharacter:
         kf = kostka_foulkes(lam, mu)
         if kf:
             assert kf.degree <= nmu
-            terms.append((lam, kf.reverse(nmu)))
+            terms.append((lam, kf.reverse(nmu).coeffs))
     values = {}
     for rho in partitions_of(n):
-        acc = IntPolynomial()
-        for lam, p in terms:
-            acc = acc + char_sn(lam, rho) * p
-        values[rho] = acc
+        acc = [0] * (nmu + 1)
+        for lam, coeffs in terms:
+            chi = char_sn(lam, rho)
+            if chi:
+                for d, c in enumerate(coeffs):
+                    acc[d] += chi * c
+        values[rho] = IntPolynomial(acc)
     return GradedCharacter(n, values)
 
 

@@ -222,14 +222,13 @@ def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
     bad = []
     for rho in partitions_of(cfg.n):
         w = class_representative(rho)
-        poly = g[rho]
-        for j in range(cfg.e):
-            value = eval_at_root(poly, cfg.e, j)
+        values = [eval_at_root(g[rho], cfg.e, j) for j in range(cfg.e)]
+        for j, value in enumerate(values):
             count = coset_count(w, cfg, j)
             if not value.is_rational or value.as_fraction() != count:
                 bad.append((tuple(rho), j, str(value), str(count)))
             for t in _primitive_exponents(cfg.e):
-                other = eval_at_root(poly, cfg.e, (t * j) % cfg.e)
+                other = values[(t * j) % cfg.e]
                 if other != value:
                     bad.append((tuple(rho), (j, t), str(value), str(other)))
     return _finish("roots-of-unity", _config_echo(cfg), bad, t0,

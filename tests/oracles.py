@@ -10,7 +10,10 @@ are slow on purpose and serve only to check the census route of the
 library.  Whole-group enumeration, the classical fundamental degrees,
 class sizes, the coinvariant graded character, matrix rank, eigenspaces
 by elimination and reduction mod Phi_e by long division live here too:
-only the tests use them.
+only the tests use them.  So do charge, the Kostka-Foulkes polynomials
+summed over semistandard tableaux by charge, and the Murnaghan-Nakayama
+recursion on validated partitions: the routes the library took before
+its Lusztig-Shoji solve and its beta-set characters.
 """
 
 from collections import Counter
@@ -27,7 +30,12 @@ from greenchar.poly import (
     kernel_basis,
 )
 from greenchar.rootsys import RootSystem, build_root_system
-from greenchar.symfun import GradedCharacter, Partition, partitions_of
+from greenchar.symfun import (
+    GradedCharacter,
+    Partition,
+    enumerate_ssyt,
+    partitions_of,
+)
 from greenchar.weyl import (
     DEFAULT_BOUND,
     InductionConfig,
@@ -113,6 +121,99 @@ def coinvariant_graded_char(n: int) -> GradedCharacter:
             den = den * (IntPolynomial((1,)) - IntPolynomial.monomial(part))
         values[rho] = num.exact_div(den)
     return GradedCharacter(n, values)
+
+
+# ---------------------------------------------------------------------------
+# Kostka-Foulkes polynomials by charge, characters by strip removal
+
+
+def charge(tableau) -> int:
+    """Charge of a semistandard tableau with partition content.
+
+    Charge follows the Lascoux-Schutzenberger convention: the reading
+    word runs bottom row to top, left to right.  Standard subwords are
+    peeled off by cyclic scanning: take the leftmost 1, then the nearest
+    2 to its left (wrapping around from the end), and so on; within a
+    subword the index goes up by one exactly when letter r+1 sits to the
+    right of r, and charge is the total of all indices.  Scanning
+    leftward matters: picking the nearest successor to the right instead
+    gives the wrong polynomial first at n = 5, e.g. K((4,1),(2,2,1))
+    would come out 2q^3 instead of q^2 + q^3.  The easy checks
+    K(lambda,lambda) = 1 and K((n),(1^n)) = q^(n(n-1)/2) do not pin the
+    scan direction; the Gram-Schmidt test in test_symfun.py does.
+    """
+    word = [c for row in reversed(tableau) for c in row]
+    content = {}
+    for c in word:
+        content[c] = content.get(c, 0) + 1
+    mults = [content.get(i, 0) for i in range(1, max(content) + 1)] if content else []
+    if any(mults[i] < mults[i + 1] for i in range(len(mults) - 1)) or 0 in mults:
+        raise ValueError("charge needs partition content")
+
+    alive = [True] * len(word)
+    remaining = len(word)
+    total = 0
+    while remaining:
+        cur = next(i for i in range(len(word)) if alive[i] and word[i] == 1)
+        alive[cur] = False
+        remaining -= 1
+        index = 0
+        target = 2
+        while True:
+            nxt = None
+            for i in list(range(cur - 1, -1, -1)) + list(range(len(word) - 1, cur, -1)):
+                if alive[i] and word[i] == target:
+                    nxt = i
+                    break
+            if nxt is None:
+                break
+            if nxt > cur:
+                index += 1
+            total += index
+            alive[nxt] = False
+            remaining -= 1
+            cur = nxt
+            target += 1
+    return total
+
+
+def charge_kostka_foulkes(lam, mu) -> IntPolynomial:
+    """K_{lambda,mu}(q) as the sum of q^charge(T) over SSYT(lambda, mu):
+    the route kostka_foulkes took before the Lusztig-Shoji solve."""
+    coeffs = [0]
+    for t in enumerate_ssyt(lam, mu):
+        c = charge(t)
+        coeffs.extend([0] * (c + 1 - len(coeffs)))
+        coeffs[c] += 1
+    return IntPolynomial(coeffs)
+
+
+def _strip_removals(lam, r):
+    """Ways to remove one border strip of size r: (smaller partition, height)."""
+    L = len(lam)
+    betas = [lam[i] + (L - 1 - i) for i in range(L)]
+    bset = set(betas)
+    out = []
+    for b in betas:
+        nb = b - r
+        if nb >= 0 and nb not in bset:
+            height = sum(1 for x in betas if nb < x < b)
+            new = sorted((bset - {b}) | {nb}, reverse=True)
+            parts = [x - (L - 1 - i) for i, x in enumerate(new)]
+            out.append((Partition([p for p in parts if p > 0]), height))
+    return out
+
+
+@lru_cache(maxsize=None)
+def strip_character(lam, rho) -> int:
+    """chi^lambda(rho) by Murnaghan-Nakayama on validated partitions:
+    the recursion char_sn ran before it moved to beta-set bitmasks."""
+    lam, rho = Partition(lam), Partition(rho)
+    if not rho:
+        return 1
+    rest = Partition(rho[1:])
+    return sum((-1) ** h * strip_character(new, rest)
+               for new, h in _strip_removals(lam, rho[0]))
 
 
 def rank(rows) -> int:

@@ -78,6 +78,17 @@ def test_divmod_roundtrip(a, b, r):
     assert quo == pa and rem == pr
 
 
+def test_divmod_exact_rejects_a_fractional_quotient():
+    assert IntPolynomial((2, 4, 2)).divmod_exact(IntPolynomial((2, 2))) \
+        == (IntPolynomial((1, 1)), IntPolynomial())
+    assert IntPolynomial((3, 1)).divmod_exact(IntPolynomial((1, 0, 1))) \
+        == (IntPolynomial(), IntPolynomial((3, 1)))
+    with pytest.raises(ValueError, match="non-integral"):
+        IntPolynomial((1, 1)).divmod_exact(IntPolynomial((2,)))
+    with pytest.raises(ZeroDivisionError):
+        IntPolynomial((1,)).divmod_exact(IntPolynomial())
+
+
 def test_cyclotomic_poly_small():
     assert cyclotomic_poly(1) == IntPolynomial((-1, 1))
     assert cyclotomic_poly(2) == IntPolynomial((1, 1))
@@ -161,6 +172,20 @@ def test_cyclotomic_rationality():
     assert Cyclotomic.from_fraction(8, Fraction(3, 2)).as_fraction() == Fraction(3, 2)
     with pytest.raises(ValueError):
         z.as_fraction()
+
+
+def test_cross_conductor_equality():
+    # rational values compare by value whatever the conductor, and hash
+    # alike; e^(2 pi i/3) in Q(zeta_6) and in Q(zeta_3) cannot be compared
+    assert Cyclotomic.zeta(6, 3) == Cyclotomic.zeta(4, 2) == -1
+    assert Cyclotomic.from_fraction(6, Fraction(1, 2)) != Cyclotomic.one(3)
+    assert hash(Cyclotomic.zeta(6, 3)) == hash(Cyclotomic.zeta(4, 2))
+    with pytest.raises(TypeError, match="different conductors"):
+        Cyclotomic.zeta(6, 2) == Cyclotomic.zeta(3)
+    with pytest.raises(TypeError, match="different conductors"):
+        Cyclotomic.one(6) == Cyclotomic.zeta(3)
+    with pytest.raises(TypeError, match="different conductors"):
+        Cyclotomic.zeta(6, 2) + Cyclotomic.zeta(3)
 
 
 def test_galois_action():

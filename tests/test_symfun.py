@@ -11,7 +11,6 @@ from greenchar.poly import IntPolynomial
 from greenchar.symfun import (
     GradedCharacter,
     Partition,
-    charge,
     char_sn,
     closed_form_coset_count,
     enumerate_ssyt,
@@ -21,7 +20,14 @@ from greenchar.symfun import (
     springer_graded_char,
 )
 
-from oracles import class_size, coinvariant_graded_char
+import greenchar.symfun as symfun
+from oracles import (
+    charge,
+    charge_kostka_foulkes,
+    class_size,
+    coinvariant_graded_char,
+    strip_character,
+)
 
 
 def hook_dim(lam):
@@ -127,6 +133,71 @@ def test_kostka_foulkes_values():
     n = 5
     assert kostka_foulkes((n,), (1,) * n) == IntPolynomial.monomial(n * (n - 1) // 2)
     assert kostka_foulkes((1,) * n, (1,) * n) == IntPolynomial((1,))
+
+
+def test_kostka_solve_matches_charge():
+    # every pair with n <= 9, against charge summed over tableaux
+    for n in range(10):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                want = charge_kostka_foulkes(lam, mu)
+                assert kostka_foulkes(lam, mu) == want, (lam, mu)
+
+
+def test_kostka_solve_empty_partition():
+    assert kostka_foulkes((), ()) == IntPolynomial((1,))
+    gc = springer_graded_char(())
+    assert gc.items() == [(Partition(()), IntPolynomial((1,)))]
+    with pytest.raises(ValueError):
+        kostka_foulkes((1,), ())
+
+
+def _clear_solve_caches():
+    for fn in (symfun._kostka_solve, symfun.kostka_foulkes,
+               symfun.springer_graded_char):
+        fn.cache_clear()
+
+
+@pytest.fixture
+def fresh_solve():
+    _clear_solve_caches()
+    yield
+    _clear_solve_caches()
+
+
+@pytest.mark.parametrize("nu,wrong", [
+    ((2, 2), lambda d: d * 2),
+    ((2, 1, 1), lambda d: d + IntPolynomial.monomial(3)),
+    ((1, 1, 1, 1), lambda d: d - 1),
+])
+def test_kostka_solve_rejects_a_wrong_norm(monkeypatch, fresh_solve, nu, wrong):
+    norm = symfun._norm
+
+    def patched(n, kappa):
+        d = norm(n, kappa)
+        return wrong(d) if kappa == nu else d
+
+    monkeypatch.setattr(symfun, "_norm", patched)
+    with pytest.raises(ArithmeticError, match="does not factor"):
+        for mu in partitions_of(4):
+            springer_graded_char(mu)
+
+
+@pytest.mark.parametrize("row", [(-1,) * 5, (1, 1, 1, 1, 2)])
+def test_kostka_solve_rejects_a_bad_quotient(row):
+    # a wrong character row for (4) changes Omega off the diagonal only:
+    # the quotient comes out negative or leaves a remainder
+    solve = symfun._KostkaSolve(4)
+    solve.chars[Partition((4,))] = row
+    with pytest.raises(ArithmeticError, match="not an integer polynomial"):
+        solve.polynomial(Partition((4,)), Partition((1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_char_sn_matches_strip_recursion(n):
+    for lam in partitions_of(n):
+        for rho in partitions_of(n):
+            assert char_sn(lam, rho) == strip_character(lam, rho), (lam, rho)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
