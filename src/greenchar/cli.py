@@ -94,7 +94,14 @@ def labels_arg(text: str):
 def enumeration_bound(args) -> int:
     if getattr(args, "bound", None) is not None:
         return args.bound
-    return int(os.environ.get(BOUND_ENV, DEFAULT_BOUND))
+    text = os.environ.get(BOUND_ENV)
+    if text is None:
+        return DEFAULT_BOUND
+    try:
+        return positive_int(text)
+    except argparse.ArgumentTypeError:
+        raise ValueError(
+            f"{BOUND_ENV} must be a positive integer, got {text!r}") from None
 
 
 def require_letters_within_bound(n: int, args):
@@ -407,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "Jordan type")
     p_green.add_argument("--mu", type=partition_arg, required=True)
     p_green.add_argument("--n", type=positive_int)
-    p_green.add_argument("--bound", type=int,
+    p_green.add_argument("--bound", type=positive_int,
                          help=f"enumeration cap, default {DEFAULT_BOUND} "
                               f"(env {BOUND_ENV})")
     common(p_green)
@@ -422,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rotating block type; repeat for several "
                              "families; the part of --mu left over sits on "
                              "a fixed block")
-    p_eval.add_argument("--bound", type=int)
+    p_eval.add_argument("--bound", type=positive_int)
     common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 

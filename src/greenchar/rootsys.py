@@ -7,6 +7,12 @@ permutation space), so Weyl elements stay readable as signed
 permutations.  Exceptional families live in the abstract simple-root
 basis with the symmetrized Cartan form as inner product.
 
+Coordinates are plain integers: every simple root, root vector and
+Gram entry is an int, except F4's two half-norms 1/2, the only place a
+denominator is real.  Reflection matrices divide by the root's norm
+and so hold Fractions; an int and an equal Fraction compare and hash
+alike, so root membership does not care.
+
 Simple roots are labeled 1..rank.  For E6/E7/E8 the labels follow the
 convention where the branch node alpha_3 hangs off alpha_4 of the chain
 alpha_1 - alpha_2 - alpha_4 - alpha_5 - alpha_6 (- alpha_7 - alpha_8);
@@ -15,7 +21,6 @@ this is not the Bourbaki numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,13 +72,13 @@ def _exceptional_cartan(family: str, rank: int):
         edges = {frozenset(e) for e in _e_series_edges(rank)}
         cartan = [[2 if i == j else -1 if frozenset((i + 1, j + 1)) in edges else 0
                    for j in range(rank)] for i in range(rank)]
-        d = [Fraction(1)] * rank
+        d = [1] * rank
     elif family == "F":
         cartan = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
-        d = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)]
+        d = [1, 1, Fraction(1, 2), Fraction(1, 2)]
     else:  # G2, alpha_1 short
         cartan = [[2, -3], [-1, 2]]
-        d = [Fraction(1), Fraction(3)]
+        d = [1, 3]
     return [tuple(row) for row in cartan], d
 
 
@@ -99,7 +104,7 @@ def _close_under_reflections(cartan):
 
 
 def _ambient(simple_roots, coords):
-    vec = [Fraction(0)] * len(simple_roots[0])
+    vec = [0] * len(simple_roots[0])
     for c, alpha in zip(coords, simple_roots):
         if c:
             for k, a in enumerate(alpha):
@@ -107,17 +112,17 @@ def _ambient(simple_roots, coords):
     return tuple(vec)
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    family: str
-    rank: int
-    dim: int
-    cartan: tuple
-    simple_roots: tuple          # ambient vectors, 0-indexed by label-1
-    gram: tuple                  # ambient symmetric form
-    root_coords: tuple           # integer coefficient tuples over the simple roots
-    roots: tuple                 # the same roots as ambient vectors
-    root_set: frozenset          # ambient vectors again, for membership tests
+    """simple_roots are ambient vectors, 0-indexed by label - 1; gram is
+    the ambient symmetric form; root_coords are the roots' coefficient
+    tuples over the simple roots, roots the same roots as ambient
+    vectors and root_set those again, for membership tests."""
+
+    def __init__(self, *, family, rank, dim, cartan, simple_roots, gram,
+                 root_coords, roots, root_set):
+        self.family, self.rank, self.dim = family, rank, dim
+        self.cartan, self.simple_roots, self.gram = cartan, simple_roots, gram
+        self.root_coords, self.roots, self.root_set = root_coords, roots, root_set
 
     def __repr__(self):
         return f"RootSystem({self.family}{self.rank}, {len(self.roots)} roots)"
@@ -174,8 +179,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     if family in ("A", "B", "C", "D"):
         dim, simples = _classical_simple_roots(family, rank)
-        gram = tuple(tuple(Fraction(1 if i == j else 0) for j in range(dim))
-                     for i in range(dim))
+        gram = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
         def dot(u, v):
             return sum(a * b for a, b in zip(u, v))
@@ -190,7 +194,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                 row.append(num // den)
             cartan.append(tuple(row))
         cartan = tuple(cartan)
-        simple_vecs = tuple(tuple(Fraction(x) for x in s) for s in simples)
+        simple_vecs = tuple(simples)
     else:
         cartan_rows, d = _exceptional_cartan(family, rank)
         cartan = tuple(cartan_rows)
@@ -200,7 +204,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         for i in range(rank):
             for j in range(rank):
                 assert gram[i][j] == gram[j][i]
-        simple_vecs = tuple(tuple(Fraction(1 if j == i else 0) for j in range(rank))
+        simple_vecs = tuple(tuple(int(j == i) for j in range(rank))
                             for i in range(rank))
 
     coords = _close_under_reflections(cartan)
@@ -266,19 +270,17 @@ def _classify_component(nodes, cartan, norms):
     return ("E", len(nodes), nodes)
 
 
-@dataclass(frozen=True)
 class LeviConfig:
     """A subset Pi_L of the simple roots together with the derived data:
     the sub-root-system Phi_L it spans, the simple roots orthogonal to
-    all of Pi_L, and the root system those span.
+    all of Pi_L, the root system those span, and its Dynkin components.
     """
 
-    parent: RootSystem
-    pi_L: tuple
-    pi_prime: tuple
-    phi_L_coords: tuple
-    phi_Lprime_coords: tuple
-    components: tuple            # Dynkin components of pi_prime
+    def __init__(self, *, parent, pi_L, pi_prime, phi_L_coords,
+                 phi_Lprime_coords, components):
+        self.parent, self.pi_L, self.pi_prime = parent, pi_L, pi_prime
+        self.phi_L_coords, self.phi_Lprime_coords = phi_L_coords, phi_Lprime_coords
+        self.components = components
 
     @property
     def pi_prime_type(self) -> str:

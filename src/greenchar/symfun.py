@@ -59,9 +59,12 @@ from greenchar.poly import Cyclotomic, IntPolynomial, eval_at_root
 
 
 class Partition(tuple):
-    """Weakly decreasing tuple of positive parts; () is the empty partition."""
+    """Weakly decreasing tuple of positive parts; () is the empty partition.
+    A Partition passed in is returned as it is, not checked again."""
 
     def __new__(cls, parts=()):
+        if type(parts) is Partition:
+            return parts
         parts = tuple(int(p) for p in parts)
         if any(p < 1 for p in parts):
             raise ValueError(f"partition parts must be positive: {parts}")

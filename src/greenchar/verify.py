@@ -11,7 +11,6 @@ enumerated block subgroup.
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -121,14 +120,12 @@ def twisted_induction_trace(ext: ExtendedGradedCharacter, w: WeylElt,
 # reports
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    config: str
-    status: str
-    counterexamples: list
-    elapsed_ms: float
-    notes: str = ""
+    def __init__(self, *, check, config, status, counterexamples, elapsed_ms,
+                 notes=""):
+        self.check, self.config, self.status = check, config, status
+        self.counterexamples, self.elapsed_ms = counterexamples, elapsed_ms
+        self.notes = notes
 
     @property
     def passed(self) -> bool:

@@ -22,8 +22,7 @@ condition that failed.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
@@ -133,16 +132,18 @@ class WeylElt:
         assert self.perm is not None, "cycle data needs the permutation form"
         return _walk(self.perm)
 
+    # cycle lengths are positive and sorted here, so the Partition is
+    # built without its validating constructor
     def cycle_type(self) -> Partition:
-        return Partition(tuple(sorted((len(c) for c, _ in _walk(self.perm)),
-                                      reverse=True)))
+        return tuple.__new__(Partition, sorted(
+            (len(c) for c, _ in _walk(self.perm)), reverse=True))
 
     def signed_cycle_type(self):
         pos, neg = [], []
         for letters, sign in self.signed_cycles():
             (pos if sign > 0 else neg).append(len(letters))
-        return (Partition(tuple(sorted(pos, reverse=True))),
-                Partition(tuple(sorted(neg, reverse=True))))
+        return (tuple.__new__(Partition, sorted(pos, reverse=True)),
+                tuple.__new__(Partition, sorted(neg, reverse=True)))
 
     def order(self) -> int:
         if self.perm is not None:
@@ -490,26 +491,22 @@ class InvalidConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InductionConfig:
+class InductionConfig(namedtuple("InductionConfig", "n e blocks block_types a")):
     """A block Levi of the general linear group plus a twisting element.
 
     blocks partition the letters 1..n into consecutive runs; the block
     subgroup is the product of the symmetric groups on the runs.  Each
     block carries the Jordan type of its unipotent factor.  The element
     a supplies the cyclic twist; validate_config decides which of the
-    two admissible shapes the data has.
+    two admissible shapes the data has.  A config is immutable, equal
+    and hashed by value, so it keys the caches below.
     """
 
-    n: int
-    e: int
-    blocks: tuple
-    block_types: tuple
-    a: WeylElt
+    __slots__ = ()
 
-    def __post_init__(self):
-        for block, jtype, run in zip(self.blocks, self.block_types,
-                                     runs(map(len, self.blocks)), strict=True):
+    def __new__(cls, n, e, blocks, block_types, a):
+        for block, jtype, run in zip(blocks, block_types,
+                                     runs(map(len, blocks)), strict=True):
             if tuple(block) != run:
                 raise ValueError(f"blocks must be consecutive runs, got {block}")
             if not isinstance(jtype, Partition):
@@ -517,10 +514,11 @@ class InductionConfig:
             if jtype.size != len(block):
                 raise ValueError(
                     f"Jordan type {jtype} does not fill a block of {len(block)}")
-        if sum(map(len, self.blocks)) != self.n:
+        if sum(map(len, blocks)) != n:
             raise ValueError("blocks do not cover the letters")
-        if self.a.n != self.n or any(v < 0 for v in self.a.perm):
+        if a.n != n or any(v < 0 for v in a.perm):
             raise ValueError("the twisting element must be a plain permutation")
+        return super().__new__(cls, n, e, blocks, block_types, a)
 
     def pi_L(self):
         labels = []

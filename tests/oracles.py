@@ -13,7 +13,9 @@ by elimination and reduction mod Phi_e by long division live here too:
 only the tests use them.  So do charge, the Kostka-Foulkes polynomials
 summed over semistandard tableaux by charge, and the Murnaghan-Nakayama
 recursion on validated partitions: the routes the library took before
-its Lusztig-Shoji solve and its beta-set characters.
+its Lusztig-Shoji solve and its beta-set characters.  Root systems
+built in Fraction arithmetic throughout check the integer coordinates
+of the library.
 """
 
 from collections import Counter
@@ -29,7 +31,13 @@ from greenchar.poly import (
     cyclotomic_poly,
     kernel_basis,
 )
-from greenchar.rootsys import RootSystem, build_root_system
+from greenchar.rootsys import (
+    RootSystem,
+    _classical_simple_roots,
+    _close_under_reflections,
+    _exceptional_cartan,
+    build_root_system,
+)
 from greenchar.symfun import (
     GradedCharacter,
     Partition,
@@ -99,6 +107,51 @@ def enumerate_group(rs: RootSystem, bound=DEFAULT_BOUND) -> SubgroupTable:
         return table
     assert len(elements) == order
     return SubgroupTable(elements)
+
+
+def fraction_root_system(family: str, rank: int) -> dict:
+    """simple_roots, gram, root_coords, roots and the simple reflection
+    matrices of a root system, every coordinate a Fraction: the route
+    build_root_system took before its coordinates became integers.  The
+    Cartan matrix is read off the Fraction form, not taken from the
+    library."""
+    if family in "ABCD":
+        dim, simples = _classical_simple_roots(family, rank)
+        gram = tuple(tuple(Fraction(int(i == j)) for j in range(dim))
+                     for i in range(dim))
+        simples = tuple(tuple(Fraction(x) for x in s) for s in simples)
+    else:
+        cartan, _ = _exceptional_cartan(family, rank)
+        # the half-norms of the simple roots
+        d = {"E": [Fraction(1)] * rank,
+             "F": [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)],
+             "G": [Fraction(1), Fraction(3)]}[family]
+        dim = rank
+        gram = tuple(tuple(d[i] * cartan[i][j] for j in range(rank))
+                     for i in range(rank))
+        simples = tuple(tuple(Fraction(int(j == i)) for j in range(rank))
+                        for i in range(rank))
+
+    def inner(u, v):
+        return sum(u[i] * gram[i][j] * v[j]
+                   for i in range(dim) if u[i] for j in range(dim) if v[j])
+
+    cartan = [[2 * inner(a, b) / inner(a, a) for b in simples] for a in simples]
+    assert all(x.denominator == 1 for row in cartan for x in row)
+    coords = _close_under_reflections(cartan)
+    roots = tuple(tuple(sum((c * alpha[k] for c, alpha in zip(cs, simples)),
+                            Fraction(0)) for k in range(dim)) for cs in coords)
+    units = [tuple(Fraction(int(k == c)) for k in range(dim)) for c in range(dim)]
+    reflections = []
+    for alpha in simples:
+        cols = []
+        for u in units:
+            coef = 2 * inner(u, alpha) / inner(alpha, alpha)
+            cols.append(tuple(u[r] - coef * alpha[r] for r in range(dim)))
+        reflections.append(tuple(tuple(col[r] for col in cols)
+                                 for r in range(dim)))
+    return {"simple_roots": simples, "gram": gram, "root_coords": coords,
+            "roots": roots, "reflections": tuple(reflections)}
 
 
 def class_size(rho) -> int:

@@ -86,6 +86,20 @@ def test_green_bound(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize("command", [["green", "--mu", "2,2"],
+                                     ["eval", "--mu", "2,2", "--e", "2"]])
+def test_bound_must_be_a_positive_integer(capsys, monkeypatch, command, value):
+    code, out, err = run_cli(capsys, *command, f"--bound={value}")
+    assert code == 2 and out == ""
+    assert "argument --bound:" in err and "Traceback" not in err
+    monkeypatch.setenv("GREENCHAR_BOUND", value)
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2 and out == ""
+    assert err == ("error: GREENCHAR_BOUND must be a positive integer, "
+                   f"got {value!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -695,13 +709,27 @@ def test_eval_csv_parses(capsys):
     assert ["2,2", "2", "4", "2", "4", "ok"] in rows
 
 
-def test_entry_point_runs():
-    # the child imports the same greenchar as this process, installed or not
+def child_env():
+    """The environment of a child that imports the same greenchar as this
+    process, installed or not."""
     src = str(Path(greenchar.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path]) if path else src)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, path]) if path else src)
+
+
+def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "greenchar.cli", "green",
                            "--mu", "2,1", "--format", "json"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "green"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # a cold request pays for every module the library imports
+    code = ("import greenchar.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

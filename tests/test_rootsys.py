@@ -1,8 +1,12 @@
 """Root system construction, closure invariants, Levi configurations."""
 
+from fractions import Fraction
+
 import pytest
 
 from greenchar.rootsys import build_root_system, levi_config
+
+from oracles import fraction_root_system
 
 SYSTEMS = [
     ("A", 1, 2), ("A", 3, 12), ("A", 5, 30),
@@ -21,6 +25,29 @@ def test_root_counts(family, rank, count):
     rs = build_root_system(family, rank)
     assert len(rs.roots) == count
     assert len(set(rs.roots)) == count
+
+
+ALL_TYPES = ([("A", r) for r in range(1, 12)]
+             + [(f, r) for f in "BC" for r in range(2, 9)]
+             + [("D", r) for r in range(3, 9)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_integer_coordinates_match_the_fraction_route(family, rank):
+    rs = build_root_system(family, rank)
+    slow = fraction_root_system(family, rank)
+    assert rs.simple_roots == slow["simple_roots"]
+    assert rs.gram == slow["gram"]
+    assert rs.root_coords == slow["root_coords"]
+    assert rs.roots == slow["roots"]
+    assert rs.root_set == frozenset(slow["roots"])
+    for label, reflection in enumerate(slow["reflections"], start=1):
+        assert rs.simple_reflection(label) == reflection
+    vectors = rs.roots + rs.simple_roots + rs.root_coords
+    assert all(type(x) is int for vec in vectors for x in vec)
+    gram_types = {type(x) for row in rs.gram for x in row}
+    assert gram_types == ({int, Fraction} if family == "F" else {int})
 
 
 @pytest.mark.parametrize("family,rank", [("D", 2), ("E", 5), ("F", 3),

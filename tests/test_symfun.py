@@ -6,6 +6,8 @@ from math import factorial
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenchar.poly import IntPolynomial
 from greenchar.symfun import (
@@ -80,6 +82,28 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+
+
+def test_partition_of_a_partition_is_itself():
+    lam = Partition((3, 1, 1))
+    assert Partition(lam) is lam
+    assert Partition((3, 1, 1)) is not lam
+    assert type(Partition([2, 2])) is Partition
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-2, max_value=6), max_size=5))
+def test_partition_accepts_exactly_positive_decreasing_tuples(parts):
+    t = tuple(parts)
+    if all(p >= 1 for p in t) and list(t) == sorted(t, reverse=True):
+        assert Partition(t) == t
+        return
+    with pytest.raises(ValueError) as info:
+        Partition(t)
+    if any(p < 1 for p in t):
+        assert str(info.value) == f"partition parts must be positive: {t}"
+    else:
+        assert str(info.value) == f"parts must be weakly decreasing: {t}"
 
 
 def test_partition_stats():

@@ -84,6 +84,25 @@ class TestWeylElt:
         assert w.order() == 2
         assert w.signed_cycle_type() == (Partition(()), Partition((1, 1)))
 
+    @settings(max_examples=60)
+    @given(signed_perms(6))
+    def test_cycle_types_are_the_sorted_cycle_lengths(self, p):
+        seen, pos, neg = set(), [], []
+        for start in range(1, len(p) + 1):
+            length, sign, cur = 0, 1, start
+            while cur not in seen:
+                seen.add(cur)
+                sign *= 1 if p[cur - 1] > 0 else -1
+                cur = abs(p[cur - 1])
+                length += 1
+            if length:
+                (pos if sign > 0 else neg).append(length)
+        w = WeylElt(perm=p)
+        assert type(w.cycle_type()) is Partition
+        assert w.cycle_type() == tuple(sorted(pos + neg, reverse=True))
+        assert w.signed_cycle_type() == (tuple(sorted(pos, reverse=True)),
+                                         tuple(sorted(neg, reverse=True)))
+
     def test_apply_matches_matrix(self):
         w = WeylElt(perm=(2, -1, 3))
         vec = (Fraction(5), Fraction(7), Fraction(11))
@@ -630,6 +649,48 @@ class TestConfigs:
             InductionConfig(n=4, e=2, blocks=((1, 3), (2, 4)),
                             block_types=(Partition((2,)), Partition((2,))),
                             a=from_cycles(4, (1, 2)))
+
+    @pytest.mark.parametrize("blocks,types,a,message", [
+        (((1, 2), (3,)), ((2,), (1,)), from_cycles(3),
+         "block types must be Partition instances"),
+        (((1, 2), (3,)), (Partition((1,)), Partition((1,))), from_cycles(3),
+         "Jordan type (1,) does not fill a block of 2"),
+        (((1, 2),), (Partition((2,)),), from_cycles(3),
+         "blocks do not cover the letters"),
+        (((1, 2), (3,)), (Partition((2,)), Partition((1,))),
+         WeylElt(perm=(-1, 2, 3)),
+         "the twisting element must be a plain permutation"),
+    ])
+    def test_invalid_blocks_are_refused_at_construction(self, blocks, types,
+                                                        a, message):
+        with pytest.raises(ValueError) as info:
+            InductionConfig(n=3, e=2, blocks=blocks, block_types=types, a=a)
+        assert str(info.value) == message
+
+    def test_equal_configs_share_their_cache_entries(self):
+        def build():
+            return InductionConfig(
+                n=4, e=2, blocks=((1, 2), (3, 4)),
+                block_types=(Partition((2,)), Partition((2,))),
+                a=from_cycles(4, (1, 3), (2, 4)))
+
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first == standard_block_config(2, 2)
+        assert first != standard_block_config(2, 2, Partition((1, 1)))
+        coset_census(first, 1)
+        hits = coset_census.cache_info().hits
+        assert coset_census(second, 1) is coset_census(first, 1)
+        assert coset_census.cache_info().hits == hits + 2
+
+    def test_configs_are_immutable(self):
+        cfg = standard_block_config(2, 2)
+        for field in ("n", "e", "blocks", "block_types", "a"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, field, None)
+        with pytest.raises(AttributeError):
+            cfg.extra = 1
 
 
 def _block_layouts(n):
