@@ -520,6 +520,10 @@ class InductionConfig(namedtuple("InductionConfig", "n e blocks block_types a"))
             raise ValueError("the twisting element must be a plain permutation")
         return super().__new__(cls, n, e, blocks, block_types, a)
 
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # so that _replace checks its result too
+
     def pi_L(self):
         labels = []
         for block in self.blocks:

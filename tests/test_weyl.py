@@ -691,6 +691,8 @@ class TestConfigs:
                 setattr(cfg, field, None)
         with pytest.raises(AttributeError):
             cfg.extra = 1
+        with pytest.raises(ValueError, match="consecutive"):
+            cfg._replace(blocks=((1, 3), (2, 4)))
 
 
 def _block_layouts(n):
