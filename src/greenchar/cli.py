@@ -10,43 +10,28 @@ compact separators, so parse and re-dump reproduces the bytes.  Table
 values are decimal strings (exact, unbounded); polynomial coefficient
 arrays stay numeric with index equal to exponent.  Exit codes: 0 all
 dispatched work passed, 1 a check failed, 2 the request was invalid.
+
+Every request runs in a fresh interpreter, so this module imports no
+other greenchar module at load time; each subcommand imports what it
+uses.  green, and eval without --nu, load symfun and poly only.  eval
+with --nu, regular and config-validate add rootsys and weyl.  Only
+verify loads verify.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
-from collections import Counter
 from functools import partial
-
-from .poly import eval_at_root, render_terms
-from .rootsys import build_root_system, levi_config
-from .symfun import Partition, partitions_of, springer_graded_char
-from .verify import (
-    ALL_CHECKS,
-    VerificationReport,
-    _config_echo,
-    _require_regular_blocks,
-    check_regular_catalog,
-    check_ungraded_induction,
-    class_representative,
-)
-from .weyl import (
-    InductionConfig,
-    InvalidConfigError,
-    block_shift_element,
-    coset_count,
-    eigenspace,
-    is_L_regular,
-    l_regular_config,
-    regular_element,
-    runs,
-    validate_config,
-)
 
 DEFAULT_BOUND = 10
 BOUND_ENV = "GREENCHAR_BOUND"
+
+# the keys of verify.ALL_CHECKS in its order, spelled out so that parsing a
+# request does not import verify
+CHECKS = ("twisted-induction", "component-dims", "roots-of-unity",
+          "mod-e-induction", "component-induction", "ungraded-induction",
+          "closed-form-count", "regular-catalog")
 
 # checks that consume a block configuration, in dispatch order for --check all
 CONFIG_CHECKS = ("twisted-induction", "component-dims", "roots-of-unity",
@@ -57,7 +42,8 @@ CONFIG_CHECKS = ("twisted-induction", "component-dims", "roots-of-unity",
 # argument grammar
 
 
-def partition_arg(text: str) -> Partition:
+def partition_arg(text: str):
+    from .symfun import Partition
     try:
         parts = tuple(sorted((int(x) for x in text.split(",") if x.strip()),
                              reverse=True))
@@ -66,7 +52,7 @@ def partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
 
 
-def block_type_arg(text: str) -> Partition:
+def block_type_arg(text: str):
     """A --nu block type: a partition of at least one letter."""
     nu = partition_arg(text)
     if not nu:
@@ -112,9 +98,13 @@ def require_letters_within_bound(n: int, args):
         raise ValueError(f"n = {n} exceeds the enumeration bound {bound}")
 
 
-def fixed_block_type(mu: Partition, nus, e: int):
+def fixed_block_type(mu, nus, e: int):
     """What is left of mu after removing e copies of every rotating
     type; None when nothing is left."""
+    from collections import Counter
+
+    from .symfun import Partition
+    from .weyl import InvalidConfigError
     remaining = Counter(tuple(mu))
     for nu in nus:
         for part in nu:
@@ -127,7 +117,7 @@ def fixed_block_type(mu: Partition, nus, e: int):
     return Partition(parts) if parts else None
 
 
-def build_block_config(args) -> InductionConfig:
+def build_block_config(args):
     """Configuration from the flags.
 
     With --n the shape is a distinguished trailing block of the single
@@ -135,6 +125,9 @@ def build_block_config(args) -> InductionConfig:
     it, each --nu gives a family of e rotating blocks, preceded by one
     fixed block holding whatever --mu leaves over.
     """
+    from .weyl import (InductionConfig, InvalidConfigError,
+                       block_shift_element, l_regular_config, runs,
+                       validate_config)
     e = getattr(args, "e", None)
     if e is None:
         raise InvalidConfigError("--e is required here")
@@ -190,6 +183,7 @@ def emit_table(args, payload, columns, rows, title: str):
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
@@ -202,7 +196,7 @@ def emit_table(args, payload, columns, rows, title: str):
             print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
 
 
-def report_payload(rep: VerificationReport) -> dict:
+def report_payload(rep) -> dict:
     witnesses = []
     for item in rep.counterexamples:
         klass, index, lhs, rhs = item
@@ -222,6 +216,8 @@ def report_payload(rep: VerificationReport) -> dict:
 
 
 def cmd_green(args) -> int:
+    from .poly import render_terms
+    from .symfun import partitions_of, springer_graded_char
     mu = args.mu
     n = mu.size
     if args.n is not None and args.n != n:
@@ -245,6 +241,8 @@ def cmd_green(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .poly import eval_at_root, render_terms
+    from .symfun import partitions_of, springer_graded_char
     mu = args.mu
     n = mu.size
     e = args.e
@@ -252,6 +250,9 @@ def cmd_eval(args) -> int:
     exponents = [args.j % e] if args.j is not None else list(range(e))
     cfg = None
     if args.nu:
+        from .weyl import (InvalidConfigError, _config_echo,
+                           _require_regular_blocks, class_representative,
+                           coset_count)
         cfg = build_block_config(args)
         if tuple(cfg.merged_type()) != tuple(mu):
             raise InvalidConfigError(
@@ -292,14 +293,22 @@ def cmd_eval(args) -> int:
     return 1 if failed else 0
 
 
-def _skipped(name: str, cfg, exc) -> VerificationReport:
+def _skipped(name: str, cfg, exc):
+    from .verify import VerificationReport, _config_echo
     return VerificationReport(check=name, config=_config_echo(cfg),
                               status="skipped", counterexamples=[],
                               elapsed_ms=0.0, notes=str(exc))
 
 
 def run_checks(args):
+    from .verify import (ALL_CHECKS, check_regular_catalog,
+                         check_ungraded_induction)
+    from .weyl import InvalidConfigError
     name = args.check
+    for flag, value in (("--family", args.family), ("--rank", args.rank)):
+        if value is not None and name != "regular-catalog":
+            raise ValueError(f"{flag} restricts regular-catalog only, not "
+                             f"--check {name}")
     if name == "regular-catalog":
         return [check_regular_catalog(args.family, args.rank)]
     if name == "ungraded-induction":
@@ -348,6 +357,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_regular(args) -> int:
+    from .rootsys import build_root_system, levi_config
+    from .weyl import eigenspace, is_L_regular, regular_element
     # a rank with no root system is refused before the catalog's rules
     rs = build_root_system(args.family, args.rank)
     a = regular_element(args.family, args.rank, args.e, args.variant)
@@ -363,6 +374,7 @@ def cmd_regular(args) -> int:
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["element", "order", "regular", "eigenspace_dim",
                          "pi_L"])
@@ -377,6 +389,7 @@ def cmd_regular(args) -> int:
 
 
 def cmd_config_validate(args) -> int:
+    from .weyl import _config_echo, validate_config
     cfg = build_block_config(args)
     shape = validate_config(cfg)
     payload = {"command": "config-validate", "shape": shape,
@@ -384,6 +397,7 @@ def cmd_config_validate(args) -> int:
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["shape", "config"])
         writer.writerow([shape, _config_echo(cfg)])
@@ -436,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run one named check, or every "
                                              "applicable one")
     p_verify.add_argument("--check", required=True,
-                          choices=tuple(ALL_CHECKS) + ("all",))
+                          choices=CHECKS + ("all",))
     p_verify.add_argument("--n", type=positive_int,
                           help="selects the regular-twist shape: one "
                                "distinguished block of type --nu, catalog "
@@ -482,7 +496,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfigError, ValueError) as exc:
+    except ValueError as exc:  # InvalidConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

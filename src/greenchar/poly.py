@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 def render_terms(coeffs, var: str) -> str:
@@ -392,17 +391,6 @@ class Cyclotomic:
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.coords[0])
-
-    def galois(self, j: int) -> "Cyclotomic":
-        """Field automorphism sending the basis root z to z^j; needs gcd(j,e)=1."""
-        j %= self.e
-        if gcd(j, self.e) != 1:
-            raise ValueError(f"exponent {j} is not invertible mod {self.e}")
-        acc = [0] * self.e
-        for k, c in enumerate(self.coords):
-            if c:
-                acc[(k * j) % self.e] += c
-        return Cyclotomic.from_poly(self.e, acc)
 
     def _lift(self, other):
         if isinstance(other, (int, Fraction)):

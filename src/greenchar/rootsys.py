@@ -282,12 +282,6 @@ class LeviConfig:
         self.phi_L_coords, self.phi_Lprime_coords = phi_L_coords, phi_Lprime_coords
         self.components = components
 
-    @property
-    def pi_prime_type(self) -> str:
-        if not self.components:
-            return "empty"
-        return "+".join(f"{letter}{rank}" for letter, rank, _ in self.components)
-
     def crossing_roots(self):
         """Roots of the parent outside Phi_L, as ambient vectors."""
         inside = frozenset(self.phi_L_coords)

@@ -20,9 +20,8 @@ product is the integer polynomial matrix
 
 and Omega = K D K^T with K unitriangular for dominance and
 D_nu = n! phi_n / b_nu (Macdonald, Symmetric Functions and Hall
-Polynomials, III.2-III.6).  Each W_rho and D_nu is built once per n by
-exact division.  Peeling Omega from the bottom of the dominance order
-gives, for lambda strictly above kappa,
+Polynomials, III.2-III.6).  Peeling Omega from the bottom of the
+dominance order gives, for lambda strictly above kappa,
 
     K(lambda,kappa) D_kappa = Omega_{lambda,kappa}
         - sum over tau strictly below kappa of K(lambda,tau) D_tau K(kappa,tau).
@@ -30,15 +29,29 @@ gives, for lambda strictly above kappa,
 The solve runs on the values of these polynomials at X = 2^B, one
 Python int each (Kronecker substitution).  Evaluation is a ring map,
 so every product, difference and exact quotient is exact whatever the
-size of the coefficients.  B matters only when K is read back off its
-base-X digits: K has nonnegative coefficients summing to a Kostka
-number, at most n!, so B = bit_length(n!) bits hold each coefficient.
-A wrong table raises ArithmeticError instead of being returned: every
-quotient must leave no remainder and be nonnegative, and for each
-kappa the diagonal Omega_{kappa,kappa} - sum over tau of
-K(kappa,tau)^2 D_tau must give D_kappa back.  The tests compare the
-solve with charge summed over semistandard tableaux, which shares no
-inner product with it, and with a Gram-Schmidt orthogonalisation.
+size of the coefficients.  No polynomial is formed: phi_m(X) is one
+product of integers for each m <= n, and each W_rho and D_nu is phi_n(X)
+divided by prod_i (1 - X^{rho_i}) or by prod of phi_m(X) over the part
+multiplicities m of nu, a division in integers that must leave no
+remainder.  A wrong table raises ArithmeticError instead of being
+returned: every quotient must leave no remainder and be nonnegative,
+and for each kappa the diagonal Omega_{kappa,kappa} - sum over tau of
+K(kappa,tau)^2 D_tau must give D_kappa back.
+
+The Green table of mu stays packed too.  Its value at rho is
+S_rho(X) = sum over lambda dominating mu of chi^lambda_rho K(lambda,mu)(X),
+read back as signed base-X digits and reversed to degree n(mu).  B
+matters only in that readback.  Every coefficient of S_rho is at most
+sum over lambda of chi^lambda(1) K(lambda,mu)(1) = n!/prod_i mu_i! <= n!
+in absolute value, because |chi^lambda_rho| <= chi^lambda(1) and K has
+nonnegative coefficients; so B = bit_length(n!) + 1 bits hold each
+signed digit, and the nonnegative digits of K as well.  As a guard on
+the whole table, the coefficients at the identity class must sum to
+n!/prod_i mu_i!, the Euler characteristic of the Springer fibre, or
+the build raises ArithmeticError.  The tests compare the solve with
+charge summed over semistandard tableaux, which shares no inner
+product with it, with a Gram-Schmidt orthogonalisation, and the packed
+weights and tables with the polynomial route they replace.
 
 Characters run Murnaghan-Nakayama on beta-sets held as bitmasks:
 removing a border strip of size r moves one bead down r places.
@@ -52,7 +65,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from greenchar.poly import Cyclotomic, IntPolynomial, eval_at_root
@@ -86,11 +99,6 @@ class Partition(tuple):
         for p in self:
             out[p] = out.get(p, 0) + 1
         return out
-
-    def conjugate(self) -> "Partition":
-        if not self:
-            return Partition()
-        return Partition(tuple(sum(1 for p in self if p > i) for i in range(self[0])))
 
     def centralizer_order(self) -> int:
         """Order of the centralizer of this cycle type in S_|lambda|."""
@@ -170,10 +178,13 @@ class _KostkaSolve:
 
     def __init__(self, n: int):
         self.parts = partitions_of(n)
-        self.width = factorial(n).bit_length()
+        self.width = factorial(n).bit_length() + 1
         x = 1 << self.width
-        self.weights = [_class_weight(n, rho)(x) for rho in self.parts]
-        self.norms = {nu: _norm(n, nu)(x) for nu in self.parts}
+        phi = [1]
+        for k in range(1, n + 1):
+            phi.append(phi[-1] * (1 - x ** k))
+        self.weights = [_class_weight(rho, x, phi) for rho in self.parts]
+        self.norms = {nu: _norm(nu, phi) for nu in self.parts}
         self.prefix = {nu: tuple(accumulate(nu + (0,) * (n - len(nu))))
                        for nu in self.parts}
         self.chars = {}
@@ -245,31 +256,59 @@ class _KostkaSolve:
             k >>= self.width
         return IntPolynomial(coeffs)
 
+    def green_table(self, mu) -> dict:
+        """The Green polynomial of (mu, rho) for every rho: the signed
+        base-X digits of sum over lam of chi^lam_rho K(lam, mu)(X),
+        reversed to degree n(mu)."""
+        terms = [(self._chars(lam), self._packed(lam, mu))
+                 for lam in self.parts if self.dominates(lam, mu)]
+        nmu = mu.n_stat
+        width = self.width
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        table = {}
+        for i, rho in enumerate(self.parts):
+            value = sum(chars[i] * k for chars, k in terms)
+            coeffs = [0] * (nmu + 1)
+            for d in range(nmu, -1, -1):
+                digit = value & mask
+                if digit >= half:
+                    digit -= 1 << width
+                coeffs[d] = digit
+                value = (value - digit) >> width
+            if value:
+                raise ArithmeticError(
+                    f"Green polynomial of {tuple(mu)} at {tuple(rho)} has "
+                    f"degree above n(mu) = {nmu}")
+            table[rho] = IntPolynomial(coeffs)
+        euler = factorial(mu.size) // prod(factorial(p) for p in mu)
+        if sum(table[self.parts[-1]].coeffs) != euler:
+            raise ArithmeticError(
+                f"Green table of {tuple(mu)} misses the Euler characteristic "
+                f"{euler} of the Springer fibre")
+        return table
 
-@lru_cache(maxsize=None)
-def _phi(m: int) -> IntPolynomial:
-    """phi_m(t) = prod over k <= m of (1 - t^k)."""
-    out = IntPolynomial((1,))
-    for k in range(1, m + 1):
-        out = out * (1 - IntPolynomial.monomial(k))
-    return out
+
+def _exact_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division of values at X")
+    return q
 
 
-def _class_weight(n: int, rho) -> IntPolynomial:
-    """W_rho = (n!/z_rho) phi_n / prod_i (1 - t^rho_i)."""
-    den = IntPolynomial((1,))
-    for part in rho:
-        den = den * (1 - IntPolynomial.monomial(part))
-    return _phi(n).exact_div(den) * (factorial(n) // rho.centralizer_order())
+def _class_weight(rho, x: int, phi) -> int:
+    """W_rho at X = x: (n!/z_rho) phi_n(X) / prod_i (1 - X^rho_i), where
+    phi lists phi_0(X), ..., phi_n(X)."""
+    n = rho.size
+    return (_exact_quotient(phi[n], prod(1 - x ** part for part in rho))
+            * (factorial(n) // rho.centralizer_order()))
 
 
-def _norm(n: int, nu) -> IntPolynomial:
-    """D_nu = n! phi_n / b_nu, where b_nu is the product of phi_m over the
-    part multiplicities m of nu."""
-    b = IntPolynomial((1,))
-    for mult in nu.multiplicities().values():
-        b = b * _phi(mult)
-    return _phi(n).exact_div(b) * factorial(n)
+def _norm(nu, phi) -> int:
+    """D_nu at X: n! phi_n(X) / b_nu(X), where b_nu is the product of
+    phi_m over the part multiplicities m of nu."""
+    n = nu.size
+    return _exact_quotient(factorial(n) * phi[n],
+                           prod(phi[m] for m in nu.multiplicities().values()))
 
 
 @lru_cache(maxsize=None)
@@ -358,29 +397,13 @@ def springer_graded_char(mu) -> GradedCharacter:
 
     Value at cycle type rho is the Green polynomial: the coefficient of
     q^d at the identity is the 2d-th Betti number of the fiber, and the
-    top degree at the identity is n(mu).  Cached per Jordan type (a
-    tuple and the equal Partition share one entry); the size is not
-    capped here, callers that take n from a user check it first.
+    top degree at the identity is n(mu).  Read off the Lusztig-Shoji
+    solve of size |mu| (see the module docstring).  Cached per Jordan
+    type (a tuple and the equal Partition share one entry); the size is
+    not capped here, callers that take n from a user check it first.
     """
     mu = Partition(mu)
-    n = mu.size
-    nmu = mu.n_stat
-    terms = []
-    for lam in partitions_of(n):
-        kf = kostka_foulkes(lam, mu)
-        if kf:
-            assert kf.degree <= nmu
-            terms.append((lam, kf.reverse(nmu).coeffs))
-    values = {}
-    for rho in partitions_of(n):
-        acc = [0] * (nmu + 1)
-        for lam, coeffs in terms:
-            chi = char_sn(lam, rho)
-            if chi:
-                for d, c in enumerate(coeffs):
-                    acc[d] += chi * c
-        values[rho] = IntPolynomial(acc)
-    return GradedCharacter(n, values)
+    return GradedCharacter(mu.size, _kostka_solve(mu.size).green_table(mu))
 
 
 def green_at_root(mu, rho, e: int, j: int) -> Cyclotomic:

@@ -21,8 +21,11 @@ from .weyl import (
     InductionConfig,
     SubgroupTable,
     WeylElt,
+    _config_echo,
     _normalize_scalar,
+    _require_regular_blocks,
     block_restriction,
+    class_representative,
     coset_census,
     coset_count,
     coset_elements,
@@ -42,12 +45,6 @@ from .weyl import (
     young_subgroup,
 )
 from .rootsys import build_root_system, levi_config
-
-def class_representative(rho) -> WeylElt:
-    """A permutation with the given cycle type, cycles on consecutive
-    letters in decreasing part order."""
-    rho = Partition(rho)
-    return from_cycles(rho.size, *runs(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +129,6 @@ class VerificationReport:
         return self.status == "pass"
 
 
-def _config_echo(cfg: InductionConfig) -> str:
-    types = ",".join("+".join(str(p) for p in t) for t in cfg.block_types)
-    return f"n={cfg.n} e={cfg.e} blocks={cfg.blocks} types=({types})"
-
-
 def _finish(check: str, config: str, counterexamples, t0: float,
             notes: str = "") -> VerificationReport:
     status = "pass" if not counterexamples else "fail"
@@ -144,14 +136,6 @@ def _finish(check: str, config: str, counterexamples, t0: float,
                               counterexamples=list(counterexamples),
                               elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                               notes=notes)
-
-
-def _require_regular_blocks(cfg: InductionConfig):
-    for jtype in cfg.block_types:
-        if len(jtype) != 1:
-            raise ValueError(
-                "check needs a one-row Jordan type on every block, got "
-                f"{tuple(jtype)}")
 
 
 def _primitive_exponents(e: int):

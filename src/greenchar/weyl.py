@@ -118,15 +118,6 @@ class WeylElt:
             return all(v == i for i, v in enumerate(self.perm, start=1))
         return self._mat == _identity_matrix(self.n)
 
-    def apply(self, vec):
-        """Image of an ambient vector."""
-        if self.perm is not None:
-            out = [0] * len(self.perm)
-            for i, v in enumerate(self.perm):
-                out[abs(v) - 1] = vec[i] if v > 0 else -vec[i]
-            return tuple(out)
-        return _matvec(self.matrix, vec)
-
     def signed_cycles(self):
         """Orbits of the underlying permutation, each with its sign."""
         assert self.perm is not None, "cycle data needs the permutation form"
@@ -137,13 +128,6 @@ class WeylElt:
     def cycle_type(self) -> Partition:
         return tuple.__new__(Partition, sorted(
             (len(c) for c, _ in _walk(self.perm)), reverse=True))
-
-    def signed_cycle_type(self):
-        pos, neg = [], []
-        for letters, sign in self.signed_cycles():
-            (pos if sign > 0 else neg).append(len(letters))
-        return (tuple.__new__(Partition, sorted(pos, reverse=True)),
-                tuple.__new__(Partition, sorted(neg, reverse=True)))
 
     def order(self) -> int:
         if self.perm is not None:
@@ -539,6 +523,26 @@ class InductionConfig(namedtuple("InductionConfig", "n e blocks block_types a"))
     def merged_type(self) -> Partition:
         parts = [p for jtype in self.block_types for p in jtype]
         return Partition(tuple(sorted(parts, reverse=True)))
+
+
+def _config_echo(cfg: InductionConfig) -> str:
+    types = ",".join("+".join(str(p) for p in t) for t in cfg.block_types)
+    return f"n={cfg.n} e={cfg.e} blocks={cfg.blocks} types=({types})"
+
+
+def _require_regular_blocks(cfg: InductionConfig):
+    for jtype in cfg.block_types:
+        if len(jtype) != 1:
+            raise ValueError(
+                "check needs a one-row Jordan type on every block, got "
+                f"{tuple(jtype)}")
+
+
+def class_representative(rho) -> WeylElt:
+    """A permutation with the given cycle type, cycles on consecutive
+    letters in decreasing part order."""
+    rho = Partition(rho)
+    return from_cycles(rho.size, *runs(rho))
 
 
 def young_subgroup(blocks):

@@ -15,14 +15,18 @@ summed over semistandard tableaux by charge, and the Murnaghan-Nakayama
 recursion on validated partitions: the routes the library took before
 its Lusztig-Shoji solve and its beta-set characters.  Root systems
 built in Fraction arithmetic throughout check the integer coordinates
-of the library.
+of the library.  The class weights, norms and Green tables as
+polynomials check the packed integers of the Lusztig-Shoji solve, and a
+few methods the library dropped because only the tests called them
+(Galois action, vector action, signed cycle type, type of Pi', conjugate
+partition) live on here as functions.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, gcd
 
 from greenchar.poly import (
     Cyclotomic,
@@ -32,6 +36,7 @@ from greenchar.poly import (
     kernel_basis,
 )
 from greenchar.rootsys import (
+    LeviConfig,
     RootSystem,
     _classical_simple_roots,
     _close_under_reflections,
@@ -41,7 +46,9 @@ from greenchar.rootsys import (
 from greenchar.symfun import (
     GradedCharacter,
     Partition,
+    char_sn,
     enumerate_ssyt,
+    kostka_foulkes,
     partitions_of,
 )
 from greenchar.weyl import (
@@ -49,6 +56,7 @@ from greenchar.weyl import (
     InductionConfig,
     SubgroupTable,
     WeylElt,
+    _matvec,
     block_permutation,
     block_restriction,
     coset_elements,
@@ -267,6 +275,111 @@ def strip_character(lam, rho) -> int:
     rest = Partition(rho[1:])
     return sum((-1) ** h * strip_character(new, rest)
                for new, h in _strip_removals(lam, rho[0]))
+
+
+# ---------------------------------------------------------------------------
+# the Lusztig-Shoji inputs and the Green table as polynomials
+
+
+@lru_cache(maxsize=None)
+def phi_polynomial(m: int) -> IntPolynomial:
+    """phi_m(t) = prod over k <= m of (1 - t^k)."""
+    out = IntPolynomial((1,))
+    for k in range(1, m + 1):
+        out = out * (1 - IntPolynomial.monomial(k))
+    return out
+
+
+def class_weight_polynomial(n: int, rho) -> IntPolynomial:
+    """W_rho = (n!/z_rho) phi_n / prod_i (1 - t^rho_i), by long division:
+    the polynomial the library evaluates at X before its solve."""
+    rho = Partition(rho)
+    den = IntPolynomial((1,))
+    for part in rho:
+        den = den * (1 - IntPolynomial.monomial(part))
+    return phi_polynomial(n).exact_div(den) * (factorial(n)
+                                               // rho.centralizer_order())
+
+
+def norm_polynomial(n: int, nu) -> IntPolynomial:
+    """D_nu = n! phi_n / b_nu, where b_nu is the product of phi_m over the
+    part multiplicities m of nu."""
+    b = IntPolynomial((1,))
+    for mult in Partition(nu).multiplicities().values():
+        b = b * phi_polynomial(mult)
+    return phi_polynomial(n).exact_div(b) * factorial(n)
+
+
+def assembled_green_table(mu) -> GradedCharacter:
+    """The Green polynomials of mu summed coefficient by coefficient over
+    lambda, rho and the degree from kostka_foulkes and char_sn: the
+    assembly springer_graded_char ran before it read the packed solve."""
+    mu = Partition(mu)
+    nmu = mu.n_stat
+    terms = [(lam, kostka_foulkes(lam, mu).reverse(nmu).coeffs)
+             for lam in partitions_of(mu.size) if kostka_foulkes(lam, mu)]
+    values = {}
+    for rho in partitions_of(mu.size):
+        acc = [0] * (nmu + 1)
+        for lam, coeffs in terms:
+            chi = char_sn(lam, rho)
+            for d, c in enumerate(coeffs):
+                acc[d] += chi * c
+        values[rho] = IntPolynomial(acc)
+    return GradedCharacter(mu.size, values)
+
+
+# ---------------------------------------------------------------------------
+# methods the library dropped because only the tests called them
+
+
+def conjugate(lam) -> Partition:
+    """The transposed Young diagram."""
+    lam = Partition(lam)
+    if not lam:
+        return Partition()
+    return Partition(tuple(sum(1 for p in lam if p > i) for i in range(lam[0])))
+
+
+def galois(z: Cyclotomic, j: int) -> Cyclotomic:
+    """Field automorphism sending the basis root to its j-th power;
+    needs gcd(j, e) = 1."""
+    j %= z.e
+    if gcd(j, z.e) != 1:
+        raise ValueError(f"exponent {j} is not invertible mod {z.e}")
+    acc = [0] * z.e
+    for k, c in enumerate(z.coords):
+        if c:
+            acc[(k * j) % z.e] += c
+    return Cyclotomic.from_poly(z.e, acc)
+
+
+def apply(w: WeylElt, vec):
+    """Image of an ambient vector under w."""
+    if w.perm is not None:
+        out = [0] * len(w.perm)
+        for i, v in enumerate(w.perm):
+            out[abs(v) - 1] = vec[i] if v > 0 else -vec[i]
+        return tuple(out)
+    return _matvec(w.matrix, vec)
+
+
+def signed_cycle_type(w: WeylElt):
+    """(lengths of the positive cycles, lengths of the negative cycles),
+    each a partition."""
+    pos, neg = [], []
+    for letters, sign in w.signed_cycles():
+        (pos if sign > 0 else neg).append(len(letters))
+    return (Partition(sorted(pos, reverse=True)),
+            Partition(sorted(neg, reverse=True)))
+
+
+def pi_prime_type(lv: LeviConfig) -> str:
+    """Dynkin type of the simple roots orthogonal to Pi_L, such as
+    "A1+A1", or "empty"."""
+    if not lv.components:
+        return "empty"
+    return "+".join(f"{letter}{rank}" for letter, rank, _ in lv.components)
 
 
 def rank(rows) -> int:

@@ -47,7 +47,7 @@ from greenchar.verify import (check_closed_form, check_component_dims,
 from greenchar.weyl import (embed_component_element, from_cycles,
                             l_regular_config, regular_element)
 
-from oracles import class_size
+from oracles import apply, class_size
 
 
 def announce(num: int, ok: bool, detail: str) -> str:
@@ -298,7 +298,7 @@ def test_criterion_7_regular_element_catalog():
     # +-alpha_6 and +-(alpha_6 + alpha_7), two opposite pairs of
     # crossing roots; the two A4-type twists fix none.
     for name, (lv, a) in exceptional_spot_twists().items():
-        fixed = {beta for beta in lv.crossing_roots() if a.apply(beta) == beta}
+        fixed = {beta for beta in lv.crossing_roots() if apply(a, beta) == beta}
         want = set()
         if name == "E7 pi_L=(7,)":
             for coords in [(0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1, 1)]:

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import greenchar
+from greenchar import cli, verify
 from greenchar.cli import main
 from oracles import DEGREES
 
@@ -364,6 +365,24 @@ def test_verify_catalog_full_fails_honestly(capsys):
     assert payload["status"] == "fail"
     assert payload["counterexamples"] == [
         {"class": "E7 pi_L=(7,)", "index": 5, "lhs": False, "rhs": True}]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--check", "all", "--mu", "2,2", "--nu", "2", "--e", "2",
+     "--family", "E"),
+    ("--check", "twisted-induction", "--nu", "2", "--e", "2", "--rank", "3"),
+    ("--check", "closed-form-count", "--nu", "2", "--e", "2",
+     "--family", "A"),
+    ("--check", "ungraded-induction", "--nu", "2", "--nu", "1",
+     "--rank", "2"),
+])
+def test_catalog_flags_with_another_check_are_invalid(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    flag = argv[-2]
+    assert f"error: {flag} restricts regular-catalog only, not --check " \
+        f"{argv[1]}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -733,3 +752,48 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# a request prints only its own report; the child then lists the greenchar
+# modules it loaded
+LOADED = ("import contextlib, io, sys\n"
+          "from greenchar.cli import main\n"
+          "with contextlib.redirect_stdout(io.StringIO()):\n"
+          "    code = main(sys.argv[1:])\n"
+          "print(code, *sorted(m for m in sys.modules\n"
+          "                    if m.startswith('greenchar.')))")
+
+ARITHMETIC = ["greenchar.cli", "greenchar.poly", "greenchar.symfun"]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (("green", "--mu", "4,3,2,1", "--format", "csv"), ARITHMETIC),
+    (("green", "--mu", "2,2", "--format", "text"), ARITHMETIC),
+    (("eval", "--mu", "3,2,1", "--e", "3", "--format", "json"), ARITHMETIC),
+    (("eval", "--mu", "2,2", "--e", "2", "--nu", "2"), None),
+    (("regular", "--family", "B", "--rank", "3", "--e", "3", "--pi-L", "1",
+      "--format", "csv"), None),
+    (("config-validate", "--mu", "2,2", "--nu", "2", "--e", "2"), None),
+])
+def test_cli_requests_load_only_what_they_use(argv, loaded):
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED, *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    assert code == "0"
+    if loaded is not None:
+        assert modules == loaded
+    assert "greenchar.verify" not in modules
+
+
+def test_cli_import_loads_no_other_greenchar_module():
+    code = ("import greenchar.cli, sys; "
+            "print(*sorted(m for m in sys.modules if m.startswith('greenchar')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["greenchar", "greenchar.cli"]
+
+
+def test_check_choices_are_the_checks_of_verify():
+    assert cli.CHECKS == tuple(verify.ALL_CHECKS)

@@ -6,7 +6,7 @@ import pytest
 
 from greenchar.rootsys import build_root_system, levi_config
 
-from oracles import fraction_root_system
+from oracles import fraction_root_system, pi_prime_type
 
 SYSTEMS = [
     ("A", 1, 2), ("A", 3, 12), ("A", 5, 30),
@@ -95,17 +95,17 @@ def test_levi_basic_examples():
     a3 = build_root_system("A", 3)
     cfg = levi_config(a3, [3])
     assert cfg.pi_prime == (1,)
-    assert cfg.pi_prime_type == "A1"
+    assert pi_prime_type(cfg) == "A1"
     assert len(cfg.phi_L_coords) == 2
 
     e7 = build_root_system("E", 7)
     cfg = levi_config(e7, [7])
     assert cfg.pi_prime == (1, 2, 3, 4, 5)
-    assert cfg.pi_prime_type == "D5"
+    assert pi_prime_type(cfg) == "D5"
 
     full = levi_config(a3, [1, 2, 3])
     assert full.pi_prime == ()
-    assert full.pi_prime_type == "empty"
+    assert pi_prime_type(full) == "empty"
 
     empty = levi_config(a3, [])
     assert empty.pi_prime == (1, 2, 3)
@@ -113,15 +113,15 @@ def test_levi_basic_examples():
 
 
 def test_levi_classifier_types():
-    assert levi_config(build_root_system("B", 5), [1]).pi_prime_type == "B3"
-    assert levi_config(build_root_system("C", 5), [1]).pi_prime_type == "C3"
-    assert levi_config(build_root_system("C", 4), [1]).pi_prime_type == "B2"
-    assert levi_config(build_root_system("D", 6), [1]).pi_prime_type == "D4"
-    assert levi_config(build_root_system("E", 8), [1]).pi_prime_type == "A6"
-    assert levi_config(build_root_system("E", 6), [1]).pi_prime_type == "A4"
-    assert levi_config(build_root_system("F", 4), []).pi_prime_type == "F4"
-    assert levi_config(build_root_system("G", 2), []).pi_prime_type == "G2"
-    assert levi_config(build_root_system("A", 5), [3]).pi_prime_type == "A1+A1"
+    assert pi_prime_type(levi_config(build_root_system("B", 5), [1])) == "B3"
+    assert pi_prime_type(levi_config(build_root_system("C", 5), [1])) == "C3"
+    assert pi_prime_type(levi_config(build_root_system("C", 4), [1])) == "B2"
+    assert pi_prime_type(levi_config(build_root_system("D", 6), [1])) == "D4"
+    assert pi_prime_type(levi_config(build_root_system("E", 8), [1])) == "A6"
+    assert pi_prime_type(levi_config(build_root_system("E", 6), [1])) == "A4"
+    assert pi_prime_type(levi_config(build_root_system("F", 4), [])) == "F4"
+    assert pi_prime_type(levi_config(build_root_system("G", 2), [])) == "G2"
+    assert pi_prime_type(levi_config(build_root_system("A", 5), [3])) == "A1+A1"
 
 
 def test_levi_label_validation():

@@ -24,10 +24,14 @@ from greenchar.symfun import (
 
 import greenchar.symfun as symfun
 from oracles import (
+    assembled_green_table,
     charge,
     charge_kostka_foulkes,
     class_size,
+    class_weight_polynomial,
     coinvariant_graded_char,
+    conjugate,
+    norm_polynomial,
     strip_character,
 )
 
@@ -35,7 +39,7 @@ from oracles import (
 def hook_dim(lam):
     """Dimension by the hook length formula (independent of the recursion)."""
     lam = Partition(lam)
-    conj = lam.conjugate()
+    conj = conjugate(lam)
     prod = 1
     for i, li in enumerate(lam):
         for j in range(li):
@@ -109,8 +113,8 @@ def test_partition_accepts_exactly_positive_decreasing_tuples(parts):
 def test_partition_stats():
     lam = Partition((3, 2, 2, 1))
     assert lam.n_stat == 0 * 3 + 1 * 2 + 2 * 2 + 3 * 1
-    assert lam.conjugate() == Partition((4, 3, 1))
-    assert lam.conjugate().conjugate() == lam
+    assert conjugate(lam) == Partition((4, 3, 1))
+    assert conjugate(conjugate(lam)) == lam
     assert Partition((2, 2)).centralizer_order() == 8
     assert Partition((1, 1, 1)).centralizer_order() == 6
     assert class_size((2, 1, 1)) == 6
@@ -197,9 +201,10 @@ def fresh_solve():
 def test_kostka_solve_rejects_a_wrong_norm(monkeypatch, fresh_solve, nu, wrong):
     norm = symfun._norm
 
-    def patched(n, kappa):
-        d = norm(n, kappa)
-        return wrong(d) if kappa == nu else d
+    def patched(kappa, phi):
+        d = norm(kappa, phi)
+        # D is an int at X; wrong acts on polynomials, and X = 1 - phi_1(X)
+        return wrong(IntPolynomial((d,)))(1 - phi[1]) if kappa == nu else d
 
     monkeypatch.setattr(symfun, "_norm", patched)
     with pytest.raises(ArithmeticError, match="does not factor"):
@@ -215,6 +220,38 @@ def test_kostka_solve_rejects_a_bad_quotient(row):
     solve.chars[Partition((4,))] = row
     with pytest.raises(ArithmeticError, match="not an integer polynomial"):
         solve.polynomial(Partition((4,)), Partition((1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_packed_weights_and_norms_match_the_polynomials(n):
+    solve = symfun._KostkaSolve(n)
+    x = 1 << solve.width
+    for rho, weight in zip(solve.parts, solve.weights):
+        assert weight == class_weight_polynomial(n, rho)(x), rho
+    for nu in solve.parts:
+        assert solve.norms[nu] == norm_polynomial(n, nu)(x), nu
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_packed_green_table_matches_the_assembly(n):
+    for mu in partitions_of(n):
+        assert springer_graded_char(mu) == assembled_green_table(mu), mu
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(partitions_of(11) + partitions_of(12)))
+def test_packed_green_table_matches_the_assembly_at_11_and_12(mu):
+    assert springer_graded_char(mu) == assembled_green_table(mu)
+
+
+def test_green_table_rejects_a_wrong_kostka_entry(fresh_solve):
+    # one coefficient too many in K((3,1), (2,1,1)) raises the identity
+    # row's sum by chi^(3,1)(1) = 3
+    lam, mu = Partition((3, 1)), Partition((2, 1, 1))
+    solve = symfun._kostka_solve(4)
+    solve.packed[lam, mu] = solve._packed(lam, mu) + 1
+    with pytest.raises(ArithmeticError, match="Euler characteristic 12"):
+        springer_graded_char(mu)
 
 
 @pytest.mark.parametrize("n", range(11))
