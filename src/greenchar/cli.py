@@ -294,7 +294,8 @@ def cmd_eval(args) -> int:
 
 
 def _skipped(name: str, cfg, exc):
-    from .verify import VerificationReport, _config_echo
+    from .verify import VerificationReport
+    from .weyl import _config_echo
     return VerificationReport(check=name, config=_config_echo(cfg),
                               status="skipped", counterexamples=[],
                               elapsed_ms=0.0, notes=str(exc))

@@ -31,19 +31,19 @@ Python int each (Kronecker substitution).  Evaluation is a ring map,
 so every product, difference and exact quotient is exact whatever the
 size of the coefficients.  No polynomial is formed: phi_m(X) is one
 product of integers for each m <= n, and each W_rho and D_nu is phi_n(X)
-divided by prod_i (1 - X^{rho_i}) or by prod of phi_m(X) over the part
-multiplicities m of nu, a division in integers that must leave no
-remainder.  A wrong table raises ArithmeticError instead of being
-returned: every quotient must leave no remainder and be nonnegative,
-and for each kappa the diagonal Omega_{kappa,kappa} - sum over tau of
-K(kappa,tau)^2 D_tau must give D_kappa back.
+divided in integers by prod_i (1 - X^{rho_i}), or by the product of
+phi_m(X) over the part multiplicities m of nu.  A wrong table raises
+ArithmeticError instead of being returned: every quotient must leave
+no remainder, every K must be nonnegative, and for each kappa the
+diagonal Omega_{kappa,kappa} - sum over tau of K(kappa,tau)^2 D_tau
+must give D_kappa back.
 
 The Green table of mu stays packed too.  Its value at rho is
 S_rho(X) = sum over lambda dominating mu of chi^lambda_rho K(lambda,mu)(X),
 read back as signed base-X digits and reversed to degree n(mu).  B
-matters only in that readback.  Every coefficient of S_rho is at most
-sum over lambda of chi^lambda(1) K(lambda,mu)(1) = n!/prod_i mu_i! <= n!
-in absolute value, because |chi^lambda_rho| <= chi^lambda(1) and K has
+matters only when a value is read back.  Every coefficient of S_rho is
+at most sum over lambda of chi^lambda(1) K(lambda,mu)(1)
+= n!/prod_i mu_i! <= n! in absolute value, because |chi^lambda_rho| <= chi^lambda(1) and K has
 nonnegative coefficients; so B = bit_length(n!) + 1 bits hold each
 signed digit, and the nonnegative digits of K as well.  As a guard on
 the whole table, the coefficients at the identity class must sum to
