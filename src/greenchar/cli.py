@@ -37,6 +37,18 @@ CHECKS = ("twisted-induction", "component-dims", "roots-of-unity",
 CONFIG_CHECKS = ("twisted-induction", "component-dims", "roots-of-unity",
                  "mod-e-induction", "component-induction")
 
+# the flags each request reads: the three checks that take no block
+# configuration, then a configuration in either shape (--n selects the
+# regular-twist shape); any other flag given exits 2 instead of being
+# ignored
+READS = {
+    "regular-catalog": ("family", "rank"),
+    "ungraded-induction": ("n", "nu"),
+    "closed-form-count": ("nu", "e"),
+    "with --n": ("n", "nu", "e", "variant"),
+    "without --n": ("mu", "nu", "e"),
+}
+
 
 # ---------------------------------------------------------------------------
 # argument grammar
@@ -98,6 +110,20 @@ def require_letters_within_bound(n: int, args):
         raise ValueError(f"n = {n} exceeds the enumeration bound {bound}")
 
 
+def refuse_unread_flags(args, request: str):
+    """Raise on the first flag given that the request does not read."""
+    key = getattr(args, "check", None)
+    if key not in READS:
+        key = "with --n" if args.n is not None else "without --n"
+        request = f"{request} {key}"
+    for flag in ("family", "rank", "n", "mu", "nu", "e", "variant"):
+        if getattr(args, flag, None) is not None and flag not in READS[key]:
+            if flag in READS["regular-catalog"]:
+                raise ValueError(f"--{flag} restricts regular-catalog only, "
+                                 f"not --check {args.check}")
+            raise ValueError(f"--{flag} is not read by {request}")
+
+
 def fixed_block_type(mu, nus, e: int):
     """What is left of mu after removing e copies of every rotating
     type; None when nothing is left."""
@@ -138,8 +164,9 @@ def build_block_config(args):
             raise InvalidConfigError(
                 "the regular-twist shape takes exactly one --nu, the type "
                 "of the distinguished block")
+        variant = getattr(args, "variant", None)
         cfg = l_regular_config(n_flag, nus[0].size, e, nu=nus[0],
-                               variant=getattr(args, "variant", "a"))
+                               variant="a" if variant is None else variant)
         validate_config(cfg)
         return cfg
     if not nus:
@@ -179,7 +206,18 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def emit_table(args, payload, columns, rows, title: str):
+def aligned(title: str, columns, rows):
+    """Text table lines: the title, then header and rows in padded columns."""
+    widths = [max([len(col)] + [len(r[i]) for r in rows])
+              for i, col in enumerate(columns)]
+    return [title] + ["  ".join(cell.ljust(w) for cell, w in
+                                zip(r, widths)).rstrip()
+                      for r in [columns, *rows]]
+
+
+def emit(args, payload, columns, rows, lines):
+    """The one output path: payload as canonical json, columns and rows
+    as csv, or the text lines."""
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
@@ -188,12 +226,8 @@ def emit_table(args, payload, columns, rows, title: str):
         writer.writerow(columns)
         writer.writerows(rows)
     else:
-        print(title)
-        widths = [max([len(col)] + [len(r[i]) for r in rows])
-                  for i, col in enumerate(columns)]
-        print("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip())
-        for r in rows:
-            print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        for line in lines:
+            print(line)
 
 
 def report_payload(rep) -> dict:
@@ -229,14 +263,14 @@ def cmd_green(args) -> int:
     payload = {"command": "green", "mu": list(mu), "n": n,
                "rows": [{"class": list(rho), "coeffs": list(g[rho].coeffs)}
                         for rho in classes]}
-    if args.format == "csv":
-        rows = [[part_text(rho), " ".join(str(c) for c in g[rho].coeffs)]
-                for rho in classes]
-    else:
-        rows = [[f"({part_text(rho)})", render_terms(g[rho].coeffs, "q")]
-                for rho in classes]
-    emit_table(args, payload, ["class", "polynomial"], rows,
-               f"Green polynomials for mu=({part_text(mu)}), one row per class")
+    columns = ["class", "polynomial"]
+    rows = [[part_text(rho), " ".join(str(c) for c in g[rho].coeffs)]
+            for rho in classes]
+    text = [[f"({part_text(rho)})", render_terms(g[rho].coeffs, "q")]
+            for rho in classes]
+    emit(args, payload, columns, rows, aligned(
+        f"Green polynomials for mu=({part_text(mu)}), one row per class",
+        columns, text))
     return 0
 
 
@@ -267,8 +301,7 @@ def cmd_eval(args) -> int:
         values = [eval_at_root(g[rho], e, j) for j in exponents]
         cells = [render_terms(v.coords, "z") for v in values]
         json_row = {"class": list(rho), "values": cells}
-        row = [f"({part_text(rho)})" if args.format != "csv" else part_text(rho)]
-        row.extend(cells)
+        row = [part_text(rho)] + cells
         if cfg is not None:
             w = class_representative(rho)
             counts = [coset_count(w, cfg, j) for j in exponents]
@@ -288,8 +321,9 @@ def cmd_eval(args) -> int:
         payload["config"] = _config_echo(cfg)
         payload["status"] = "fail" if failed else "pass"
         columns += [f"count j={j}" for j in exponents] + ["match"]
-    emit_table(args, payload, columns, rows,
-               f"Values at {e}-th roots for mu=({part_text(mu)})")
+    text = [[f"({row[0]})"] + row[1:] for row in rows]
+    emit(args, payload, columns, rows, aligned(
+        f"Values at {e}-th roots for mu=({part_text(mu)})", columns, text))
     return 1 if failed else 0
 
 
@@ -306,10 +340,7 @@ def run_checks(args):
                          check_ungraded_induction)
     from .weyl import InvalidConfigError
     name = args.check
-    for flag, value in (("--family", args.family), ("--rank", args.rank)):
-        if value is not None and name != "regular-catalog":
-            raise ValueError(f"{flag} restricts regular-catalog only, not "
-                             f"--check {name}")
+    refuse_unread_flags(args, f"verify --check {name}")
     if name == "regular-catalog":
         return [check_regular_catalog(args.family, args.rank)]
     if name == "ungraded-induction":
@@ -343,17 +374,12 @@ def run_checks(args):
 
 def cmd_verify(args) -> int:
     reports = run_checks(args)
-    if args.format == "json":
-        if len(reports) == 1:
-            print(canonical_json(report_payload(reports[0])))
-        else:
-            print(canonical_json([report_payload(r) for r in reports]))
-    else:
-        columns = ["check", "status", "witnesses", "elapsed_ms", "notes"]
-        rows = [[r.check, r.status, json.dumps(r.counterexamples),
-                 f"{r.elapsed_ms:.1f}", r.notes] for r in reports]
-        emit_table(args, None, columns, rows,
-                   f"verify: {reports[0].config}")
+    payload = [report_payload(r) for r in reports]
+    columns = ["check", "status", "witnesses", "elapsed_ms", "notes"]
+    rows = [[r.check, r.status, json.dumps(r.counterexamples),
+             f"{r.elapsed_ms:.1f}", r.notes] for r in reports]
+    emit(args, payload[0] if len(payload) == 1 else payload, columns, rows,
+         aligned(f"verify: {reports[0].config}", columns, rows))
     return 0 if all(r.status in ("pass", "skipped") for r in reports) else 1
 
 
@@ -372,38 +398,25 @@ def cmd_regular(args) -> int:
                "pi_L": list(lv.pi_L), "element": element,
                "perm": list(a.perm), "order": a.order(),
                "regular": regular, "eigenspace_dim": dim}
-    if args.format == "json":
-        print(canonical_json(payload))
-    elif args.format == "csv":
-        import csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["element", "order", "regular", "eigenspace_dim",
-                         "pi_L"])
-        writer.writerow([element, a.order(), regular, dim, part_text(lv.pi_L)])
-    else:
-        word = "regular" if regular else "not regular"
-        if lv.pi_L:
-            word = ("L-regular" if regular else "not L-regular") \
-                + f" for pi_L={part_text(lv.pi_L)}"
-        print(f"{element}, {word}, a(e)={dim}")
+    word = "regular" if regular else "not regular"
+    if lv.pi_L:
+        word = ("L-regular" if regular else "not L-regular") \
+            + f" for pi_L={part_text(lv.pi_L)}"
+    emit(args, payload, ["element", "order", "regular", "eigenspace_dim",
+                         "pi_L"],
+         [[element, a.order(), regular, dim, part_text(lv.pi_L)]],
+         [f"{element}, {word}, a(e)={dim}"])
     return 0
 
 
 def cmd_config_validate(args) -> int:
     from .weyl import _config_echo, validate_config
+    refuse_unread_flags(args, "config-validate")
     cfg = build_block_config(args)
     shape = validate_config(cfg)
-    payload = {"command": "config-validate", "shape": shape,
-               "config": _config_echo(cfg)}
-    if args.format == "json":
-        print(canonical_json(payload))
-    elif args.format == "csv":
-        import csv
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["shape", "config"])
-        writer.writerow([shape, _config_echo(cfg)])
-    else:
-        print(f"valid ({shape}): {_config_echo(cfg)}")
+    echo = _config_echo(cfg)
+    emit(args, {"command": "config-validate", "shape": shape, "config": echo},
+         ["shape", "config"], [[shape, echo]], [f"valid ({shape}): {echo}"])
     return 0
 
 
@@ -461,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "rotating blocks sits on a fixed block")
     p_verify.add_argument("--nu", type=block_type_arg, action="append")
     p_verify.add_argument("--e", type=positive_int)
-    p_verify.add_argument("--variant", default="a")
+    p_verify.add_argument("--variant")
     p_verify.add_argument("--family", help="restrict regular-catalog")
     p_verify.add_argument("--rank", type=positive_int,
                           help="restrict regular-catalog")
@@ -486,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--mu", type=partition_arg)
     p_validate.add_argument("--nu", type=block_type_arg, action="append")
     p_validate.add_argument("--e", type=positive_int)
-    p_validate.add_argument("--variant", default="a")
+    p_validate.add_argument("--variant")
     common(p_validate)
     p_validate.set_defaults(func=cmd_config_validate)
 

@@ -2,17 +2,20 @@
 
 Integer polynomials in one variable q, cyclotomic polynomials, elements
 of cyclotomic number fields in the power basis, and exact linear algebra
-(rank and right kernel) over the rationals or over a cyclotomic field.
+(reduced echelon form and right kernel) over the rationals or over a
+cyclotomic field.  That one Gauss-Jordan elimination is the package's
+only solver: kernels, matrix inverses and field inverses all go through
+it, and IntPolynomial.divmod_exact is the only long division.
 
 A field element keeps its coordinates as Python ints while they are
 integral.  Reduction mod Phi_e reads one cached table per conductor,
 the integer coordinates of x^k for k < e: Phi_e is monic, so the table
 is integral, and x^e = 1, so any coefficient list folds mod e and then
 reduces by integer multiply-adds.  Fractions arise only where a value
-really is rational: inverses (an extended Euclid over Q[x]) and
-products with rational weights.  All values are immutable after
-construction and safe to share between threads; nothing in this module
-ever touches a float.
+really is rational: inverses (one rational elimination) and products
+with rational weights.  All values are immutable after construction
+and safe to share between threads; nothing in this module ever touches
+a float.
 """
 
 from __future__ import annotations
@@ -67,9 +70,6 @@ class IntPolynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> int:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -264,70 +264,6 @@ def _reduce(e: int, coeffs) -> list:
     return out
 
 
-# Helpers on raw Fraction coefficient lists (used for exact polynomial
-# division and for the extended Euclid behind cyclotomic inversion).
-
-def _fp_trim(cs):
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _fp_sub_scaled(a, b, c, shift):
-    # a -= c * x^shift * b, in place; a must be long enough
-    for i, bc in enumerate(b):
-        if bc:
-            a[i + shift] -= c * bc
-    return a
-
-
-def _fp_divmod(a, b):
-    a = _fp_trim(list(a))
-    b = _fp_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    d = len(b) - 1
-    lead = b[-1]
-    quo = [Fraction(0)] * max(0, len(a) - d)
-    for i in range(len(a) - 1, d - 1, -1):
-        c = a[i] / lead
-        if c:
-            quo[i - d] = c
-            _fp_sub_scaled(a, b, c, i - d)
-    return _fp_trim(quo), _fp_trim(a[:d])
-
-
-def _fp_mul(a, b):
-    if not a or not b:
-        return []
-    cs = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                cs[i + j] += x * y
-    return _fp_trim(cs)
-
-
-def _fp_sub(a, b):
-    cs = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        cs[i] -= y
-    return _fp_trim(cs)
-
-
-def _fp_ext_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g, over Q[x]."""
-    r0, r1 = _fp_trim(list(a)), _fp_trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _fp_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1))
-        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1))
-    return r0, s0, t0
-
-
 class Cyclotomic:
     """Element of the cyclotomic field obtained by adjoining a primitive
     e-th root of unity to the rationals.
@@ -337,13 +273,14 @@ class Cyclotomic:
     coset of x, the distinguished primitive root.  Coordinates are ints
     or Fractions, never floats: integer input stays integral through
     sums, products and reduction (the table of power residues is
-    integral), and Fractions come only from inverse() and from rational
-    scalars.  An int and a Fraction of equal value compare and hash
-    alike, so equality and hashing do not depend on which one a
-    coordinate is, and equality against ints and Fractions works
-    whenever the element is rational.  Elements of different conductors
-    compare by value when both are rational; otherwise == raises
-    TypeError, as + does, instead of calling equal values unequal.
+    integral), and Fractions come only from rational scalars and from
+    inverse(), which solves x * self = 1 by one rational elimination.
+    An int and a Fraction of equal value compare and hash alike, so
+    equality and hashing do not depend on which one a coordinate is,
+    and equality against ints and Fractions works whenever the element
+    is rational.  Elements of different conductors compare by value when
+    both are rational; otherwise == raises TypeError, as + does, instead
+    of calling equal values unequal.
     """
 
     __slots__ = ("e", "coords")
@@ -447,15 +384,17 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """Solve x * self = 1 by one rational elimination.  Column k of
+        M holds the coordinates of self * zeta^k; a nonzero element of a
+        field has an inverse, so M is invertible and the reduced echelon
+        form of [M | 1] is [I | self^-1]."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        phi_cs = [Fraction(c) for c in cyclotomic_poly(self.e).coeffs]
-        # Fraction coordinates, so that no division below is int / int
-        g, s, _ = _fp_ext_gcd([Fraction(c) for c in self.coords], phi_cs)
-        # Phi_e is irreducible over Q, so the gcd is a nonzero constant
-        assert len(g) == 1
-        c = g[0]
-        return Cyclotomic.from_poly(self.e, [x / c for x in s])
+        cols = [_reduce(self.e, (0,) * k + self.coords)
+                for k in range(len(self.coords))]
+        m, _, _ = _echelon([list(row) + [int(i == 0)]
+                            for i, row in enumerate(zip(*cols))])
+        return Cyclotomic(self.e, [row[-1] for row in m])
 
     def __truediv__(self, other):
         o = self._lift(other)

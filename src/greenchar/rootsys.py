@@ -24,9 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
-
 def _expected_root_count(family: str, rank: int) -> int:
     if family == "A":
         return rank * (rank + 1)

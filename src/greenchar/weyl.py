@@ -381,12 +381,12 @@ def trapping_roots(rs: RootSystem, basis, roots):
                        for f in forms))
 
 
-def is_L_regular(a: WeylElt, e: int, cfg: LeviConfig, j: int = 1) -> bool:
-    """True when the zeta_e^j-eigenspace escapes the hyperplane of every
+def is_L_regular(a: WeylElt, e: int, cfg: LeviConfig) -> bool:
+    """True when the zeta_e-eigenspace escapes the hyperplane of every
     crossing root (of every root, for an empty Levi).  Over an infinite
     field a finite union of proper subspaces cannot cover the
     eigenspace, so this finds a single eigenvector off all of them."""
-    basis = eigenspace(a, e, j)
+    basis = eigenspace(a, e)
     return bool(basis) and next(trapping_roots(
         cfg.parent, basis, cfg.crossing_roots()), None) is None
 

@@ -385,6 +385,28 @@ def test_catalog_flags_with_another_check_are_invalid(capsys, argv):
         f"{argv[1]}" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("verify", "--check", "regular-catalog", "--mu", "2"), "--mu"),
+    (("verify", "--check", "regular-catalog", "--nu", "2"), "--nu"),
+    (("verify", "--check", "regular-catalog", "--e", "3"), "--e"),
+    (("verify", "--check", "ungraded-induction", "--nu", "2", "--e", "3"),
+     "--e"),
+    (("verify", "--check", "closed-form-count", "--nu", "2", "--e", "2",
+      "--mu", "4"), "--mu"),
+    (("verify", "--check", "all", "--mu", "2,2", "--nu", "2", "--e", "2",
+      "--variant", "b"), "--variant"),
+    (("config-validate", "--mu", "2,2", "--nu", "2", "--e", "2",
+      "--variant", "b"), "--variant"),
+    (("config-validate", "--n", "5", "--mu", "2,2,1", "--nu", "2", "--e",
+      "3"), "--mu"),
+])
+def test_flags_the_request_does_not_read_are_invalid(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag} is not read by " in err
+
+
 # ---------------------------------------------------------------------------
 # regular and config-validate
 

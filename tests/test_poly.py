@@ -287,6 +287,36 @@ def test_from_poly_matches_long_division(e_coeffs):
         assert all(type(c) is int for c in z.coords)
 
 
+coordinates = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7))
+
+
+@st.composite
+def nonzero_pairs(draw):
+    """Two nonzero elements of one cyclotomic field, e in 1..30."""
+    e = draw(st.integers(1, 30))
+    vector = st.lists(coordinates, min_size=euler_phi(e),
+                      max_size=euler_phi(e)).filter(any)
+    return Cyclotomic(e, draw(vector)), Cyclotomic(e, draw(vector))
+
+
+@given(nonzero_pairs())
+@settings(max_examples=60, deadline=None)
+def test_inverse_is_the_two_sided_field_inverse(xy):
+    # these identities pin the inverse down, so no second route is needed
+    x, y = xy
+    assert x * x.inverse() == 1
+    assert x.inverse() * x == 1
+    assert (x / y) * y == x
+
+
+@pytest.mark.parametrize("e", [1, 2, 5, 12])
+def test_inverse_of_zero_raises(e):
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        Cyclotomic.zero(e).inverse()
+
+
 def test_eval_at_root_stays_integral_on_criterion_1():
     # every Green polynomial of criterion 1 at every root of its conductor
     seen = 0
