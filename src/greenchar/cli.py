@@ -275,41 +275,39 @@ def cmd_green(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .poly import eval_at_root, render_terms
+    from .poly import render_terms, root_values
     from .symfun import partitions_of, springer_graded_char
     mu = args.mu
     n = mu.size
     e = args.e
     require_letters_within_bound(n, args)
     exponents = [args.j % e] if args.j is not None else list(range(e))
-    cfg = None
+    counts = None
     if args.nu:
-        from .weyl import (InvalidConfigError, _config_echo,
-                           _require_regular_blocks, class_representative,
-                           coset_count)
+        from .weyl import (CosetCounts, InvalidConfigError, _config_echo,
+                           _require_regular_blocks)
         cfg = build_block_config(args)
         if tuple(cfg.merged_type()) != tuple(mu):
             raise InvalidConfigError(
                 f"blocks merge to {tuple(cfg.merged_type())}, not {tuple(mu)}")
         _require_regular_blocks(cfg)
+        counts = CosetCounts(cfg, exponents)
     failed = False
     g = springer_graded_char(mu)
     classes = list(partitions_of(n))
     json_rows = []
     rows = []
     for rho in classes:
-        values = [eval_at_root(g[rho], e, j) for j in exponents]
-        cells = [render_terms(v.coords, "z") for v in values]
+        values = root_values(g[rho], e, exponents)
+        cells = [render_terms(v, "z") for v in values]
         json_row = {"class": list(rho), "values": cells}
         row = [part_text(rho)] + cells
-        if cfg is not None:
-            w = class_representative(rho)
-            counts = [coset_count(w, cfg, j) for j in exponents]
-            ok = all(v.is_rational and v.as_fraction() == c
-                     for v, c in zip(values, counts))
-            json_row["counts"] = [str(c) for c in counts]
+        if counts is not None:
+            scaled = counts.scaled(rho)
+            ok = all(map(counts.agrees, values, scaled))
+            json_row["counts"] = [counts.text(s) for s in scaled]
             json_row["match"] = ok
-            row.extend(str(c) for c in counts)
+            row.extend(json_row["counts"])
             row.append("ok" if ok else "MISMATCH")
             failed = failed or not ok
         json_rows.append(json_row)
@@ -317,7 +315,7 @@ def cmd_eval(args) -> int:
     payload = {"command": "eval", "mu": list(mu), "n": n, "e": e,
                "j": exponents, "rows": json_rows}
     columns = ["class"] + [f"j={j}" for j in exponents]
-    if cfg is not None:
+    if counts is not None:
         payload["config"] = _config_echo(cfg)
         payload["status"] = "fail" if failed else "pass"
         columns += [f"count j={j}" for j in exponents] + ["match"]

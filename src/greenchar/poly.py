@@ -62,10 +62,6 @@ class IntPolynomial:
                 raise TypeError(f"integer coefficient expected, got {c!r}")
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def monomial(cls, n: int, c: int = 1) -> "IntPolynomial":
-        return cls((0,) * n + (c,))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
@@ -176,15 +172,6 @@ class IntPolynomial:
             raise ValueError("inexact polynomial division")
         return quo
 
-    def reverse(self, n: int) -> "IntPolynomial":
-        """q^n * p(1/q) as a polynomial; requires n >= deg p."""
-        if n < self.degree:
-            raise ValueError("reversal degree smaller than the polynomial degree")
-        cs = [0] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[n - i] = c
-        return IntPolynomial(cs)
-
     def compose_power(self, k: int) -> "IntPolynomial":
         """p(q^k)."""
         if k < 1:
@@ -195,12 +182,6 @@ class IntPolynomial:
         for i, c in enumerate(self.coeffs):
             cs[k * i] = c
         return IntPolynomial(cs)
-
-    def shift(self, k: int) -> "IntPolynomial":
-        """q^k * p."""
-        if k < 0:
-            raise ValueError("negative shift")
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def mod_sum(self, e: int, k: int) -> int:
         """Sum of the coefficients in degrees congruent to k mod e."""
@@ -456,6 +437,22 @@ def eval_at_root(p: IntPolynomial, e: int, j: int) -> Cyclotomic:
     for k, c in enumerate(p.coeffs):
         buckets[(j * k) % e] += c
     return Cyclotomic(e, _reduce(e, buckets))
+
+
+def root_values(p: IntPolynomial, e: int, exponents) -> list:
+    """The coordinates of eval_at_root(p, e, j) for each j in exponents:
+    the coefficients are folded mod e once (x^e = 1 at every power of the
+    root), then each j moves bucket r to jr mod e and reduces mod Phi_e."""
+    folded = [0] * e
+    for k, c in enumerate(p.coeffs):
+        folded[k % e] += c
+    values = []
+    for j in exponents:
+        buckets = [0] * e
+        for r, c in enumerate(folded):
+            buckets[(j * r) % e] += c
+        values.append(tuple(_reduce(e, buckets)))
+    return values
 
 
 # Exact linear algebra.  Matrices are plain sequences of rows; entries may

@@ -14,10 +14,11 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from .poly import Cyclotomic, IntPolynomial, eval_at_root
+from .poly import Cyclotomic, IntPolynomial, eval_at_root, root_values
 from .symfun import Partition, partitions_of, springer_graded_char
 from .symfun import closed_form_coset_count
 from .weyl import (
+    CosetCounts,
     InductionConfig,
     SubgroupTable,
     WeylElt,
@@ -28,14 +29,12 @@ from .weyl import (
     class_representative,
     coset_census,
     coset_count,
-    coset_elements,
     eigenspace,
     embed_component_element,
     from_cycles,
     induced_character,
     is_L_regular,
     levi_order,
-    orbit_profile,
     pad,
     regular_element,
     runs,
@@ -80,12 +79,6 @@ class ExtendedGradedCharacter:
             factor = self._block_chars[jtype][inner_type]
             poly = poly * factor.compose_power(length)
         return poly
-
-    def trace_poly(self, z: WeylElt) -> IntPolynomial:
-        cfg = self.config
-        if not any(z in coset_elements(cfg, i) for i in range(cfg.e)):
-            raise ValueError("element lies outside the extended subgroup")
-        return self._assemble(orbit_profile(cfg, z))
 
 
 def extend_block_character(cfg: InductionConfig) -> ExtendedGradedCharacter:
@@ -194,24 +187,28 @@ def check_component_dims(cfg: InductionConfig) -> VerificationReport:
 
 def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
     """Green polynomial values at each power of the root against exact
-    coset counts, plus invariance under the choice of primitive root."""
+    coset counts (compared as integers by CosetCounts), plus invariance
+    under the choice of primitive root (coordinate tuples compared); the
+    report's strings are built for a failure only."""
     t0 = time.perf_counter()
     _require_regular_blocks(cfg)
     validate_config(cfg)
     mu = cfg.merged_type()
     g = springer_graded_char(mu)
+    e = cfg.e
+    counts = CosetCounts(cfg, range(e))
+    primitive = _primitive_exponents(e)
     bad = []
     for rho in partitions_of(cfg.n):
-        w = class_representative(rho)
-        values = [eval_at_root(g[rho], cfg.e, j) for j in range(cfg.e)]
-        for j, value in enumerate(values):
-            count = coset_count(w, cfg, j)
-            if not value.is_rational or value.as_fraction() != count:
-                bad.append((tuple(rho), j, str(value), str(count)))
-            for t in _primitive_exponents(cfg.e):
-                other = values[(t * j) % cfg.e]
-                if other != value:
-                    bad.append((tuple(rho), (j, t), str(value), str(other)))
+        values = root_values(g[rho], e, range(e))
+        for j, (value, scaled) in enumerate(zip(values, counts.scaled(rho))):
+            if not counts.agrees(value, scaled):
+                bad.append((tuple(rho), j, str(eval_at_root(g[rho], e, j)),
+                            str(coset_count(class_representative(rho), cfg, j))))
+            for t in primitive:
+                if values[(t * j) % e] != value:
+                    bad.append((tuple(rho), (j, t), str(eval_at_root(g[rho], e, j)),
+                                str(eval_at_root(g[rho], e, (t * j) % e))))
     return _finish("roots-of-unity", _config_echo(cfg), bad, t0,
                    f"merged type {tuple(mu)}")
 
@@ -318,15 +315,17 @@ def check_closed_form(m: int, e: int) -> VerificationReport:
     the multiplicity reading deviates, the classes go in the notes."""
     t0 = time.perf_counter()
     cfg = standard_block_config(m, e)
+    counts = CosetCounts(cfg, (1,))
     bad = []
     off = []
     for rho in partitions_of(cfg.n):
-        w = class_representative(rho)
-        count = coset_count(w, cfg, 1)
+        scaled, = counts.scaled(rho)
         parts_val = closed_form_coset_count(m, e, rho, "parts")
-        if parts_val != count:
-            bad.append((tuple(rho), 1, parts_val, str(count)))
-        if closed_form_coset_count(m, e, rho, "multiplicity") != count:
+        if not counts.agrees((parts_val,), scaled):
+            bad.append((tuple(rho), 1, parts_val,
+                        str(coset_count(class_representative(rho), cfg, 1))))
+        if not counts.agrees(
+                (closed_form_coset_count(m, e, rho, "multiplicity"),), scaled):
             off.append(tuple(rho))
     lead = "parts reading matches the census" if not bad else \
         "parts reading fails the census"

@@ -579,21 +579,6 @@ def block_restriction(z: WeylElt, block) -> WeylElt:
     return WeylElt(perm=tuple(z.perm[letter - 1] - shift for letter in block))
 
 
-def orbit_profile(cfg: InductionConfig, z: WeylElt):
-    """How z moves the blocks around: one entry per block orbit, holding
-    the orbit length, the cycle type of the return map on the starting
-    block, and the block's Jordan type."""
-    sigma = block_permutation(cfg.blocks, z)
-    if sigma is None:
-        raise ValueError("element does not permute the blocks")
-    profile = []
-    for orbit in orbits(sigma):
-        start = orbit[0]
-        inner = block_restriction(z ** len(orbit), cfg.blocks[start])
-        profile.append((len(orbit), inner.cycle_type(), cfg.block_types[start]))
-    return tuple(sorted(profile))
-
-
 @lru_cache(maxsize=None)
 def levi_elements(cfg: InductionConfig):
     """The block subgroup as explicit permutations."""
@@ -653,6 +638,33 @@ def coset_count(w: WeylElt, cfg: InductionConfig, j: int) -> Fraction:
     key = w.cycle_type()
     matches = sum(coset_census(cfg, j).get(key, {}).values())
     return Fraction(key.centralizer_order() * matches, levi_order(cfg))
+
+
+class CosetCounts:
+    """Coset counts of one configuration as integers, keyed by cycle type.
+
+    The count of class rho at the j-th shift is z_rho * m / |L|, m being
+    the census matches of type rho there, so a value is compared with it
+    as |L| * value == z_rho * m, and nothing is divided."""
+
+    def __init__(self, cfg: InductionConfig, exponents):
+        self.order = levi_order(cfg)
+        self.matches = [{rho: sum(by_profile.values()) for rho, by_profile
+                         in coset_census(cfg, j).items()} for j in exponents]
+
+    def scaled(self, rho: Partition) -> list:
+        """z_rho * m at each exponent, in the order given."""
+        z = rho.centralizer_order()
+        return [z * matches.get(rho, 0) for matches in self.matches]
+
+    def agrees(self, coords, scaled: int) -> bool:
+        """Whether the value with these coordinates is that count."""
+        return not any(coords[1:]) and self.order * coords[0] == scaled
+
+    def text(self, scaled: int) -> str:
+        """That count as coset_count prints it."""
+        whole, rest = divmod(scaled, self.order)
+        return str(Fraction(scaled, self.order) if rest else whole)
 
 
 def block_shift_element(blocks, e: int) -> WeylElt:

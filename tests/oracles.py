@@ -19,7 +19,12 @@ of the library.  The class weights, norms and Green tables as
 polynomials check the packed integers of the Lusztig-Shoji solve, and a
 few methods the library dropped because only the tests called them
 (Galois action, vector action, signed cycle type, type of Pi', conjugate
-partition) live on here as functions.
+partition, sign character, items of a graded character, monomials,
+reversal and shift of polynomials, orbit profiles and the trace
+polynomial of one element) live on here as functions.
+The root-of-unity and closed-form checks as they ran in Fractions, one
+class representative and one coset count per class, check the integer
+comparison that replaced them.
 """
 
 from collections import Counter
@@ -28,11 +33,13 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd
 
+from greenchar import symfun
 from greenchar.poly import (
     Cyclotomic,
     IntPolynomial,
     _echelon,
     cyclotomic_poly,
+    eval_at_root,
     kernel_basis,
 )
 from greenchar.rootsys import (
@@ -47,21 +54,28 @@ from greenchar.symfun import (
     GradedCharacter,
     Partition,
     char_sn,
+    closed_form_coset_count,
     enumerate_ssyt,
     kostka_foulkes,
     partitions_of,
 )
+from greenchar.verify import ExtendedGradedCharacter
 from greenchar.weyl import (
     DEFAULT_BOUND,
     InductionConfig,
     SubgroupTable,
     WeylElt,
     _matvec,
+    _require_regular_blocks,
     block_permutation,
     block_restriction,
+    class_representative,
+    coset_count,
     coset_elements,
     levi_elements,
-    orbit_profile,
+    orbits,
+    standard_block_config,
+    validate_config,
     young_subgroup,
 )
 
@@ -174,12 +188,12 @@ def coinvariant_graded_char(n: int) -> GradedCharacter:
     """
     num = IntPolynomial((1,))
     for i in range(1, n + 1):
-        num = num * (IntPolynomial((1,)) - IntPolynomial.monomial(i))
+        num = num * (IntPolynomial((1,)) - monomial(i))
     values = {}
     for rho in partitions_of(n):
         den = IntPolynomial((1,))
         for part in rho:
-            den = den * (IntPolynomial((1,)) - IntPolynomial.monomial(part))
+            den = den * (IntPolynomial((1,)) - monomial(part))
         values[rho] = num.exact_div(den)
     return GradedCharacter(n, values)
 
@@ -286,7 +300,7 @@ def phi_polynomial(m: int) -> IntPolynomial:
     """phi_m(t) = prod over k <= m of (1 - t^k)."""
     out = IntPolynomial((1,))
     for k in range(1, m + 1):
-        out = out * (1 - IntPolynomial.monomial(k))
+        out = out * (1 - monomial(k))
     return out
 
 
@@ -296,7 +310,7 @@ def class_weight_polynomial(n: int, rho) -> IntPolynomial:
     rho = Partition(rho)
     den = IntPolynomial((1,))
     for part in rho:
-        den = den * (1 - IntPolynomial.monomial(part))
+        den = den * (1 - monomial(part))
     return phi_polynomial(n).exact_div(den) * (factorial(n)
                                                // rho.centralizer_order())
 
@@ -316,7 +330,7 @@ def assembled_green_table(mu) -> GradedCharacter:
     assembly springer_graded_char ran before it read the packed solve."""
     mu = Partition(mu)
     nmu = mu.n_stat
-    terms = [(lam, kostka_foulkes(lam, mu).reverse(nmu).coeffs)
+    terms = [(lam, reverse(kostka_foulkes(lam, mu), nmu).coeffs)
              for lam in partitions_of(mu.size) if kostka_foulkes(lam, mu)]
     values = {}
     for rho in partitions_of(mu.size):
@@ -331,6 +345,64 @@ def assembled_green_table(mu) -> GradedCharacter:
 
 # ---------------------------------------------------------------------------
 # methods the library dropped because only the tests called them
+
+
+def cycle_sign(rho) -> int:
+    """Sign character of S_n on the cycle type rho."""
+    rho = Partition(rho)
+    return (-1) ** (rho.size - len(rho))
+
+
+def graded_items(g: GradedCharacter):
+    """(cycle type, polynomial) pairs of a graded character, in the order
+    of partitions_of."""
+    return [(rho, g.values[rho]) for rho in partitions_of(g.n)]
+
+
+def monomial(n: int, c: int = 1) -> IntPolynomial:
+    """c q^n."""
+    return IntPolynomial((0,) * n + (c,))
+
+
+def reverse(p: IntPolynomial, n: int) -> IntPolynomial:
+    """q^n * p(1/q) as a polynomial; requires n >= deg p."""
+    if n < p.degree:
+        raise ValueError("reversal degree smaller than the polynomial degree")
+    cs = [0] * (n + 1)
+    for i, c in enumerate(p.coeffs):
+        cs[n - i] = c
+    return IntPolynomial(cs)
+
+
+def shift(p: IntPolynomial, k: int) -> IntPolynomial:
+    """q^k * p."""
+    if k < 0:
+        raise ValueError("negative shift")
+    return IntPolynomial((0,) * k + p.coeffs)
+
+
+def orbit_profile(cfg: InductionConfig, z: WeylElt):
+    """How z moves the blocks around: one entry per block orbit, holding
+    the orbit length, the cycle type of the return map on the starting
+    block, and the block's Jordan type."""
+    sigma = block_permutation(cfg.blocks, z)
+    if sigma is None:
+        raise ValueError("element does not permute the blocks")
+    profile = []
+    for orbit in orbits(sigma):
+        start = orbit[0]
+        inner = block_restriction(z ** len(orbit), cfg.blocks[start])
+        profile.append((len(orbit), inner.cycle_type(), cfg.block_types[start]))
+    return tuple(sorted(profile))
+
+
+def trace_poly(ext: ExtendedGradedCharacter, z: WeylElt) -> IntPolynomial:
+    """The graded trace polynomial of one element of the twisted block
+    subgroup, assembled from its own orbit profile."""
+    cfg = ext.config
+    if not any(z in coset_elements(cfg, i) for i in range(cfg.e)):
+        raise ValueError("element lies outside the extended subgroup")
+    return ext._assemble(orbit_profile(cfg, z))
 
 
 def conjugate(lam) -> Partition:
@@ -648,3 +720,48 @@ def model_twisted_trace(cfg: InductionConfig, w: WeylElt, i: int,
     if isinstance(value, Fraction) or isinstance(value, int):
         return Cyclotomic.zeta(cfg.e, 0) * value
     return value
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route of the root-of-unity and closed-form checks
+
+
+def fraction_roots_of_unity(cfg: InductionConfig):
+    """The counterexamples and notes check_roots_of_unity reported when
+    it compared field elements with Fractions: every value at every power
+    of the root by eval_at_root, the count of a class representative by
+    coset_count, Galois invariance by field equality.  The Green table is
+    read through the symfun module, so a test can replace it there."""
+    _require_regular_blocks(cfg)
+    validate_config(cfg)
+    mu = cfg.merged_type()
+    g = symfun.springer_graded_char(mu)
+    primitive = [t for t in range(1, cfg.e) if gcd(t, cfg.e) == 1] or [0]
+    bad = []
+    for rho in partitions_of(cfg.n):
+        w = class_representative(rho)
+        values = [eval_at_root(g[rho], cfg.e, j) for j in range(cfg.e)]
+        for j, value in enumerate(values):
+            count = coset_count(w, cfg, j)
+            if not value.is_rational or value.as_fraction() != count:
+                bad.append((tuple(rho), j, str(value), str(count)))
+            for t in primitive:
+                other = values[(t * j) % cfg.e]
+                if other != value:
+                    bad.append((tuple(rho), (j, t), str(value), str(other)))
+    return bad, f"merged type {tuple(mu)}"
+
+
+def fraction_closed_form(m: int, e: int):
+    """The counterexamples of check_closed_form by the Fraction route,
+    and the classes where the multiplicity reading differs."""
+    cfg = standard_block_config(m, e)
+    bad, off = [], []
+    for rho in partitions_of(cfg.n):
+        count = coset_count(class_representative(rho), cfg, 1)
+        parts_val = closed_form_coset_count(m, e, rho, "parts")
+        if parts_val != count:
+            bad.append((tuple(rho), 1, parts_val, str(count)))
+        if closed_form_coset_count(m, e, rho, "multiplicity") != count:
+            off.append(tuple(rho))
+    return bad, off

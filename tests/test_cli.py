@@ -680,10 +680,16 @@ def argument_vectors(draw):
             break
         nus.append(partition(room))
     letters = sum(sum(_parts(nu)) for nu in nus) * copies
-    if single and check != "ungraded-induction":
+    # valid draws carry only the flags the request reads (eval reads the
+    # flags of a configuration without --n)
+    if check in cli.READS:
+        reads = cli.READS[check]
+    else:
+        reads = cli.READS["with --n" if single else "without --n"]
+    if single and "variant" in reads:
         argv += ["--n", str(draw(st.sampled_from(range(letters + 1, 7)) if
                                  letters < 6 else st.just(6)))]
-    if command == "eval" or draw(st.booleans()):
+    if "mu" in reads and (command == "eval" or draw(st.booleans())):
         if draw(st.booleans()):
             # the merged type of the blocks plus a fixed block
             parts = [p for nu in nus for p in _parts(nu) * copies] \
@@ -693,12 +699,22 @@ def argument_vectors(draw):
             argv += ["--mu", partition()]
     for nu in nus:
         argv += ["--nu", nu]
-    if command == "eval" or draw(st.sampled_from([True, True, True, False])):
+    if "e" in reads and (command == "eval" or draw(
+            st.sampled_from([True, True, True, False]))):
         argv += ["--e", str(e)]
     if command == "eval" and draw(st.booleans()):
         argv += ["--j", str(draw(st.integers(min_value=-2, max_value=4)))]
-    if command != "eval" and draw(st.booleans()):
+    if "variant" in reads and draw(st.booleans()):
         argv += ["--variant", draw(st.sampled_from("abz"))]
+    if command != "eval" and draw(st.integers(0, 9)) == 0:
+        # one flag the request does not read, which must exit 2; --n
+        # would turn a configuration without it into one with it, and
+        # config-validate has no --rank
+        flags = ("mu", "e", "variant", "n") + (("rank",) if check else ())
+        unread = [flag for flag in flags if flag not in reads
+                  and (flag != "n" or check in cli.READS)]
+        flag = draw(st.sampled_from(unread))
+        argv += [f"--{flag}", {"mu": "2,1", "variant": "a"}.get(flag, "2")]
     return argv
 
 

@@ -31,6 +31,9 @@ from oracles import (
     class_weight_polynomial,
     coinvariant_graded_char,
     conjugate,
+    cycle_sign,
+    graded_items,
+    monomial,
     norm_polynomial,
     strip_character,
 )
@@ -118,7 +121,7 @@ def test_partition_stats():
     assert Partition((2, 2)).centralizer_order() == 8
     assert Partition((1, 1, 1)).centralizer_order() == 6
     assert class_size((2, 1, 1)) == 6
-    assert Partition((2, 1, 1)).sign() == -1
+    assert cycle_sign(Partition((2, 1, 1))) == -1
 
 
 def test_partitions_of_order():
@@ -159,7 +162,7 @@ def test_kostka_foulkes_values():
     assert kostka_foulkes((2, 1), (1, 1, 1)) == IntPolynomial((0, 1, 1))
     assert kostka_foulkes((2, 1, 1), (1, 1, 1, 1)) == IntPolynomial((0, 1, 1, 1))
     n = 5
-    assert kostka_foulkes((n,), (1,) * n) == IntPolynomial.monomial(n * (n - 1) // 2)
+    assert kostka_foulkes((n,), (1,) * n) == monomial(n * (n - 1) // 2)
     assert kostka_foulkes((1,) * n, (1,) * n) == IntPolynomial((1,))
 
 
@@ -175,7 +178,7 @@ def test_kostka_solve_matches_charge():
 def test_kostka_solve_empty_partition():
     assert kostka_foulkes((), ()) == IntPolynomial((1,))
     gc = springer_graded_char(())
-    assert gc.items() == [(Partition(()), IntPolynomial((1,)))]
+    assert graded_items(gc) == [(Partition(()), IntPolynomial((1,)))]
     with pytest.raises(ValueError):
         kostka_foulkes((1,), ())
 
@@ -195,7 +198,7 @@ def fresh_solve():
 
 @pytest.mark.parametrize("nu,wrong", [
     ((2, 2), lambda d: d * 2),
-    ((2, 1, 1), lambda d: d + IntPolynomial.monomial(3)),
+    ((2, 1, 1), lambda d: d + monomial(3)),
     ((1, 1, 1, 1), lambda d: d - 1),
 ])
 def test_kostka_solve_rejects_a_wrong_norm(monkeypatch, fresh_solve, nu, wrong):
@@ -307,7 +310,7 @@ def test_char_sn_orthogonality(n):
 def test_char_sn_trivial_and_sign(n):
     for rho in partitions_of(n):
         assert char_sn((n,), rho) == 1
-        assert char_sn((1,) * n, rho) == rho.sign()
+        assert char_sn((1,) * n, rho) == cycle_sign(rho)
 
 
 def test_char_sn_dims_match_hooks():

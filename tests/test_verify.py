@@ -7,13 +7,19 @@ tests pin down the exact pass/fail shape of every check on a spread of
 small configurations.
 """
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from greenchar import verify, weyl
+from greenchar import symfun, verify, weyl
+from greenchar.cli import main
 from greenchar.poly import Cyclotomic, IntPolynomial, eval_at_root
 from greenchar.symfun import (
+    GradedCharacter,
     Partition,
     partitions_of,
     springer_graded_char,
@@ -31,7 +37,6 @@ from greenchar.weyl import (
     induced_character,
     l_regular_config,
     levi_elements,
-    orbit_profile,
     standard_block_config,
     validate_config,
 )
@@ -57,7 +62,11 @@ from oracles import (
     coset_character,
     coset_exponent,
     extended_subgroup,
+    fraction_closed_form,
+    fraction_roots_of_unity,
     model_twisted_trace,
+    orbit_profile,
+    trace_poly,
 )
 from test_acceptance import one_row_configs, regular_twist_configs
 
@@ -126,12 +135,12 @@ def test_extension_layer_polynomials():
     assert a.perm == (3, 4, 1, 2)
     # the a-orbit glues the two rank-one coinvariant blocks: per-block
     # character 1 + q of the return map (identity), q replaced by q^2
-    assert ext.trace_poly(a).coeffs == (1, 0, 1)
+    assert trace_poly(ext, a).coeffs == (1, 0, 1)
     assert orbit_profile(cfg, a) == ((2, (1, 1), (1, 1)),)
     # untwisted layer restricts to the product character
-    assert ext.trace_poly(identity_elt(4)).coeffs == (1, 2, 1)
+    assert trace_poly(ext, identity_elt(4)).coeffs == (1, 2, 1)
     trivial = extend_block_character(two_blocks((2,)))
-    assert trivial.trace_poly(trivial.config.a).coeffs == (1,)
+    assert trace_poly(trivial, trivial.config.a).coeffs == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +250,7 @@ def test_trace_matches_per_element_horner(tag):
                 total = Cyclotomic.zeta(e, 0) * 0
                 for z in coset_elements(cfg, i):
                     if z.cycle_type() == rho:
-                        total = total + ext.trace_poly(z)(point)
+                        total = total + trace_poly(ext, z)(point)
                 expected = total * Fraction(rho.centralizer_order(), order)
                 assert twisted_induction_trace(ext, w, i, j) == expected, \
                     (rho, i, j)
@@ -349,11 +358,140 @@ def test_census_route_matches_per_element_evaluator(cfg):
             assert rhs[rho, k] == ind[rho], (rho, k)
 
 
-def test_config_checks_walk_no_coset(monkeypatch):
+# ---------------------------------------------------------------------------
+# the integer root-of-unity comparison against its Fraction route
+
+
+def reported(report):
+    return report.counterexamples, report.notes
+
+
+@pytest.mark.parametrize("cfg", list(one_row_configs()), ids=_config_echo)
+def test_roots_of_unity_matches_fraction_route(cfg):
+    report = check_roots_of_unity(cfg)
+    assert report.passed
+    assert reported(report) == fraction_roots_of_unity(cfg)
+
+
+@pytest.mark.parametrize("m,e", [(m, e) for m in range(1, 9)
+                                 for e in range(1, 9) if m * e <= 8])
+def test_closed_form_matches_fraction_route(m, e):
+    bad, off = fraction_closed_form(m, e)
+    report = check_closed_form(m, e)
+    assert report.counterexamples == bad
+    assert report.notes.endswith(
+        f"differs on classes {off}" if off else "agrees everywhere")
+
+
+@st.composite
+def one_row_shapes(draw):
+    """Rotating families after an optional fixed block, or one block
+    beside a catalog twist, on at most 9 letters; some are inadmissible."""
+    e = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, max(1, 9 // e)))
+        fixed = draw(st.integers(0, max(0, 9 - m * e)))
+        return standard_block_config(m, e, fixed_size=fixed)
+    n = draw(st.integers(2, 9))
+    try:
+        return l_regular_config(n, draw(st.integers(1, n - 1)), e,
+                                variant=draw(st.sampled_from("ab")))
+    except ValueError:
+        assume(False)
+
+
+def outcome(route, *args):
+    try:
+        return route(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=one_row_shapes())
+def test_roots_of_unity_matches_fraction_route_on_drawn_shapes(cfg):
+    library = outcome(lambda c: reported(check_roots_of_unity(c)), cfg)
+    assert library == outcome(fraction_roots_of_unity, cfg)
+
+
+def flip_green_coefficient(monkeypatch, mu, rho, e):
+    """Negate the top coefficient of the Green polynomial of (mu, rho) in
+    a degree prime to e, so that the values at the primitive roots turn
+    irrational; the library and the Fraction route both see it."""
+    original = springer_graded_char
+    table = dict(original(mu).values)
+    coeffs = list(table[rho].coeffs)
+    k = max(i for i, c in enumerate(coeffs) if c and gcd(i, e) == 1)
+    coeffs[k] = -coeffs[k]
+    table[rho] = IntPolynomial(coeffs)
+    flipped = GradedCharacter(mu.size, table)
+    for module in (symfun, verify):
+        monkeypatch.setattr(module, "springer_graded_char", lambda nu: (
+            flipped if Partition(nu) == mu else original(nu)))
+
+
+def flip_census_count(monkeypatch, cfg, j, rho):
+    """Negate one count of the census of cfg's j-th shifted coset at the
+    cycle type rho; the cached table itself stays as it was."""
+    original = weyl.coset_census
+
+    def census(c, i):
+        table = original(c, i)
+        if (c, i) != (cfg, j):
+            return table
+        table = {key: Counter(value) for key, value in table.items()}
+        profile = next(iter(table[rho]))
+        table[rho][profile] = -table[rho][profile]
+        return table
+    monkeypatch.setattr(weyl, "coset_census", census)
+
+
+@pytest.mark.parametrize("cfg", [
+    standard_block_config(2, 2), standard_block_config(2, 3),
+    standard_block_config(1, 3, fixed_size=2),
+    standard_block_config(1, 4, fixed_size=2), l_regular_config(5, 2, 3),
+], ids=_config_echo)
+def test_roots_of_unity_fails_like_fraction_route_on_a_flip(monkeypatch, cfg):
+    # a Green coefficient of the identity class, then one count of the
+    # last shifted coset
+    with monkeypatch.context() as patch:
+        flip_green_coefficient(patch, cfg.merged_type(),
+                               Partition((1,) * cfg.n), cfg.e)
+        bad, _ = fraction_roots_of_unity(cfg)
+        # with e = 2 the one primitive exponent leaves every value fixed
+        galois = [index for _, index, _, _ in bad if isinstance(index, tuple)]
+        assert bad and (galois or cfg.e == 2)
+        assert check_roots_of_unity(cfg).counterexamples == bad
+    j = cfg.e - 1
+    with monkeypatch.context() as patch:
+        flip_census_count(patch, cfg, j, next(iter(weyl.coset_census(cfg, j))))
+        bad, _ = fraction_roots_of_unity(cfg)
+        assert bad and check_roots_of_unity(cfg).counterexamples == bad
+
+
+@pytest.mark.parametrize("m,e,rho", [(2, 2, (4,)), (2, 3, (6,)),
+                                     (3, 2, (2, 2, 2))])
+def test_closed_form_fails_like_fraction_route_on_a_flip(monkeypatch,
+                                                        m, e, rho):
+    flip_census_count(monkeypatch, standard_block_config(m, e), 1,
+                      Partition(rho))
+    bad, _ = fraction_closed_form(m, e)
+    report = check_closed_form(m, e)
+    assert bad and report.status == "fail"
+    assert report.counterexamples == bad
+
+
+def test_config_checks_walk_no_coset(monkeypatch, capsys):
     # every coset-side quantity is tallied from class sizes, so with the
-    # element walkers disabled every check but ungraded-induction runs
+    # element walkers disabled every check but ungraded-induction runs;
+    # the root-of-unity and closed-form checks, and eval with blocks,
+    # also build no class representative and call no coset_count when
+    # they pass
     def refuse(*args):
         raise AssertionError("a group was enumerated")
+
+    def refuse_element(*args):
+        raise AssertionError("a class was read through one element")
 
     for module in (weyl, verify):
         for name in ("coset_elements", "levi_elements", "young_subgroup"):
@@ -366,22 +504,27 @@ def test_config_checks_walk_no_coset(monkeypatch):
     general = list(CONFIGS.values())
     regular = [CONFIGS["regular twist, block (2,)"],
                CONFIGS["regular twist, block (1,1)"]]
-    reports = ([check_roots_of_unity(cfg) for cfg in one_row]
-               + [check_mod_e_induction(cfg) for cfg in one_row]
+    reports = ([check_mod_e_induction(cfg) for cfg in one_row]
                + [check_twisted_induction(cfg) for cfg in general]
                + [check_component_dims(cfg) for cfg in general]
-               + [check_component_induction(cfg) for cfg in regular]
-               + [check_closed_form(m, e) for m, e in ((2, 2), (3, 2), (2, 3))])
+               + [check_component_induction(cfg) for cfg in regular])
+    for module in (weyl, verify):
+        for name in ("class_representative", "coset_count"):
+            monkeypatch.setattr(module, name, refuse_element)
+    reports += ([check_roots_of_unity(cfg) for cfg in one_row]
+                + [check_closed_form(m, e) for m, e in ((2, 2), (3, 2), (2, 3))])
     assert all(report.passed for report in reports)
+    assert main(["eval", "--mu", "2,2,1", "--e", "2", "--nu", "2"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
 
 
 def test_trace_poly_refuses_elements_outside_the_extension():
     # (1 2) permutes the three one-letter blocks, so it has an orbit
     # profile, but it lies outside the cyclic group the twist generates
     ext = extend_block_character(standard_block_config(1, 3))
-    assert ext.trace_poly(ext.config.a).coeffs == (1,)
+    assert trace_poly(ext, ext.config.a).coeffs == (1,)
     with pytest.raises(ValueError, match="outside the extended subgroup"):
-        ext.trace_poly(from_cycles(3, (1, 2)))
+        trace_poly(ext, from_cycles(3, (1, 2)))
 
 
 def test_ungraded_induction_rows():
