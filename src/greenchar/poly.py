@@ -424,7 +424,13 @@ class Cyclotomic:
 
 
 def eval_at_root(p: IntPolynomial, e: int, j: int) -> Cyclotomic:
-    """p evaluated at the j-th power of the distinguished primitive e-th root.
+    """p evaluated at the j-th power of the distinguished primitive e-th root."""
+    return Cyclotomic(e, root_values(p, e, (j,))[0])
+
+
+def root_values(p: IntPolynomial, e: int, exponents) -> list:
+    """The coordinates of p at the j-th power of the distinguished
+    primitive e-th root, for each j in exponents.
 
     The root satisfies x^e = 1, so the coefficient of q^k lands on the
     power x^(jk mod e): the coefficients are summed into e integer
@@ -433,24 +439,11 @@ def eval_at_root(p: IntPolynomial, e: int, j: int) -> Cyclotomic:
     """
     if e < 1:
         raise ValueError("conductor must be positive")
-    buckets = [0] * e
-    for k, c in enumerate(p.coeffs):
-        buckets[(j * k) % e] += c
-    return Cyclotomic(e, _reduce(e, buckets))
-
-
-def root_values(p: IntPolynomial, e: int, exponents) -> list:
-    """The coordinates of eval_at_root(p, e, j) for each j in exponents:
-    the coefficients are folded mod e once (x^e = 1 at every power of the
-    root), then each j moves bucket r to jr mod e and reduces mod Phi_e."""
-    folded = [0] * e
-    for k, c in enumerate(p.coeffs):
-        folded[k % e] += c
     values = []
     for j in exponents:
         buckets = [0] * e
-        for r, c in enumerate(folded):
-            buckets[(j * r) % e] += c
+        for k, c in enumerate(p.coeffs):
+            buckets[(j * k) % e] += c
         values.append(tuple(_reduce(e, buckets)))
     return values
 

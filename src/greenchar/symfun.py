@@ -107,6 +107,10 @@ class Partition(tuple):
             out *= part ** mult * factorial(mult)
         return out
 
+    def sign(self) -> int:
+        """Sign character of S_n on this cycle type."""
+        return (-1) ** (self.size - len(self))
+
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int):
@@ -375,6 +379,9 @@ class GradedCharacter:
 
     def __getitem__(self, rho) -> IntPolynomial:
         return self.values[Partition(rho)]
+
+    def items(self):
+        return [(rho, self.values[rho]) for rho in partitions_of(self.n)]
 
     def __eq__(self, other):
         return (isinstance(other, GradedCharacter)

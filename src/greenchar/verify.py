@@ -28,7 +28,6 @@ from .weyl import (
     block_restriction,
     class_representative,
     coset_census,
-    coset_count,
     eigenspace,
     embed_component_element,
     from_cycles,
@@ -187,9 +186,8 @@ def check_component_dims(cfg: InductionConfig) -> VerificationReport:
 
 def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
     """Green polynomial values at each power of the root against exact
-    coset counts (compared as integers by CosetCounts), plus invariance
-    under the choice of primitive root (coordinate tuples compared); the
-    report's strings are built for a failure only."""
+    coset counts, compared as integers by CosetCounts, plus invariance
+    under the choice of primitive root (coordinate tuples compared)."""
     t0 = time.perf_counter()
     _require_regular_blocks(cfg)
     validate_config(cfg)
@@ -203,12 +201,13 @@ def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
         values = root_values(g[rho], e, range(e))
         for j, (value, scaled) in enumerate(zip(values, counts.scaled(rho))):
             if not counts.agrees(value, scaled):
-                bad.append((tuple(rho), j, str(eval_at_root(g[rho], e, j)),
-                            str(coset_count(class_representative(rho), cfg, j))))
+                bad.append((tuple(rho), j, str(Cyclotomic(e, value)),
+                            counts.text(scaled)))
             for t in primitive:
-                if values[(t * j) % e] != value:
-                    bad.append((tuple(rho), (j, t), str(eval_at_root(g[rho], e, j)),
-                                str(eval_at_root(g[rho], e, (t * j) % e))))
+                other = values[(t * j) % e]
+                if other != value:
+                    bad.append((tuple(rho), (j, t), str(Cyclotomic(e, value)),
+                                str(Cyclotomic(e, other))))
     return _finish("roots-of-unity", _config_echo(cfg), bad, t0,
                    f"merged type {tuple(mu)}")
 
@@ -322,8 +321,7 @@ def check_closed_form(m: int, e: int) -> VerificationReport:
         scaled, = counts.scaled(rho)
         parts_val = closed_form_coset_count(m, e, rho, "parts")
         if not counts.agrees((parts_val,), scaled):
-            bad.append((tuple(rho), 1, parts_val,
-                        str(coset_count(class_representative(rho), cfg, 1))))
+            bad.append((tuple(rho), 1, parts_val, counts.text(scaled)))
         if not counts.agrees(
                 (closed_form_coset_count(m, e, rho, "multiplicity"),), scaled):
             off.append(tuple(rho))

@@ -663,8 +663,7 @@ class CosetCounts:
 
     def text(self, scaled: int) -> str:
         """That count as coset_count prints it."""
-        whole, rest = divmod(scaled, self.order)
-        return str(Fraction(scaled, self.order) if rest else whole)
+        return str(Fraction(scaled, self.order))
 
 
 def block_shift_element(blocks, e: int) -> WeylElt:

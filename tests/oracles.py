@@ -347,18 +347,6 @@ def assembled_green_table(mu) -> GradedCharacter:
 # methods the library dropped because only the tests called them
 
 
-def cycle_sign(rho) -> int:
-    """Sign character of S_n on the cycle type rho."""
-    rho = Partition(rho)
-    return (-1) ** (rho.size - len(rho))
-
-
-def graded_items(g: GradedCharacter):
-    """(cycle type, polynomial) pairs of a graded character, in the order
-    of partitions_of."""
-    return [(rho, g.values[rho]) for rho in partitions_of(g.n)]
-
-
 def monomial(n: int, c: int = 1) -> IntPolynomial:
     """c q^n."""
     return IntPolynomial((0,) * n + (c,))

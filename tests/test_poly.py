@@ -18,8 +18,7 @@ from greenchar.poly import (
 )
 
 from greenchar.symfun import springer_graded_char
-from oracles import (galois, graded_items, long_division_residue, rank,
-                     reverse, shift)
+from oracles import galois, long_division_residue, rank, reverse, shift
 from test_acceptance import one_row_configs
 
 small_coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=6)
@@ -322,7 +321,7 @@ def test_eval_at_root_stays_integral_on_criterion_1():
     # every Green polynomial of criterion 1 at every root of its conductor
     seen = 0
     for cfg in one_row_configs():
-        for _, poly in graded_items(springer_graded_char(cfg.merged_type())):
+        for _, poly in springer_graded_char(cfg.merged_type()).items():
             for j in range(cfg.e):
                 z = eval_at_root(poly, cfg.e, j)
                 assert all(type(c) is int for c in z.coords), (cfg, poly, j)

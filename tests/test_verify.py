@@ -510,7 +510,8 @@ def test_config_checks_walk_no_coset(monkeypatch, capsys):
                + [check_component_induction(cfg) for cfg in regular])
     for module in (weyl, verify):
         for name in ("class_representative", "coset_count"):
-            monkeypatch.setattr(module, name, refuse_element)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse_element)
     reports += ([check_roots_of_unity(cfg) for cfg in one_row]
                 + [check_closed_form(m, e) for m, e in ((2, 2), (3, 2), (2, 3))])
     assert all(report.passed for report in reports)
