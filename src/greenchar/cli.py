@@ -14,8 +14,9 @@ dispatched work passed, 1 a check failed, 2 the request was invalid.
 Every request runs in a fresh interpreter, so this module imports no
 other greenchar module at load time; each subcommand imports what it
 uses.  green, and eval without --nu, load symfun and poly only.  eval
-with --nu, regular and config-validate add rootsys and weyl.  Only
-verify loads verify.
+with --nu and config-validate add weyl, which decides a block
+configuration on letters; regular adds rootsys and weyl.  verify loads
+verify and weyl, and rootsys only for regular-catalog.
 """
 
 import argparse
@@ -26,6 +27,11 @@ from functools import partial
 
 DEFAULT_BOUND = 10
 BOUND_ENV = "GREENCHAR_BOUND"
+
+# the largest order eval takes: its values cost about e^2 per class, and
+# the largest request within the default letter cap, mu = (1^10) at
+# e = 200, answers in about a second
+EVAL_MAX_E = 200
 
 # the keys of verify.ALL_CHECKS in its order, spelled out so that parsing a
 # request does not import verify
@@ -281,6 +287,8 @@ def cmd_eval(args) -> int:
     n = mu.size
     e = args.e
     require_letters_within_bound(n, args)
+    if e > EVAL_MAX_E:
+        raise ValueError(f"e = {e} exceeds the eval cap {EVAL_MAX_E}")
     exponents = [args.j % e] if args.j is not None else list(range(e))
     counts = None
     if args.nu:
@@ -449,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="values at roots of unity, with "
                                          "coset counts when --nu is given")
     p_eval.add_argument("--mu", type=partition_arg, required=True)
-    p_eval.add_argument("--e", type=positive_int, required=True)
+    p_eval.add_argument("--e", type=positive_int, required=True,
+                        help=f"order of the root of unity, at most "
+                             f"{EVAL_MAX_E}")
     p_eval.add_argument("--j", type=int)
     p_eval.add_argument("--nu", type=block_type_arg, action="append",
                         help="rotating block type; repeat for several "

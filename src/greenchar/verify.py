@@ -42,7 +42,6 @@ from .weyl import (
     validate_config,
     young_subgroup,
 )
-from .rootsys import build_root_system, levi_config
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +376,7 @@ def check_regular_catalog(family: str | None = None,
 
     family (in either case) and rank restrict the run to one slice of
     the catalog; a slice with no case in it is refused."""
+    from .rootsys import build_root_system, levi_config
     t0 = time.perf_counter()
     if family is not None:
         family = family.upper()

@@ -29,8 +29,11 @@ from itertools import chain, permutations, product
 from math import factorial, lcm, prod
 
 from .poly import Cyclotomic, _echelon, kernel_basis
-from .rootsys import LeviConfig, RootSystem, build_root_system, levi_config
 from .symfun import Partition, partitions_of
+
+# rootsys is imported only where a root system is built, so a block
+# configuration of the general linear group loads none; the RootSystem
+# and LeviConfig annotations below are never evaluated
 
 DEFAULT_BOUND = 10 ** 7
 
@@ -421,6 +424,7 @@ def reflection_word(rs: RootSystem, w: WeylElt):
 
 def _match_component(parent: RootSystem, nodes, letter: str, rank: int):
     """Order the component's labels so they mirror the model numbering."""
+    from .rootsys import build_root_system
     model = build_root_system(letter, rank)
     nodes = list(nodes)
     order = []
@@ -457,6 +461,7 @@ def embed_component_element(parent: RootSystem, component, model_elt: WeylElt) -
     the element is rewritten as a word in the model's simple reflections
     and replayed on the matching parent labels.
     """
+    from .rootsys import build_root_system
     letter, rank, nodes = component
     order = _match_component(parent, nodes, letter, rank)
     model = build_root_system(letter, rank)
@@ -507,18 +512,6 @@ class InductionConfig(namedtuple("InductionConfig", "n e blocks block_types a"))
     @classmethod
     def _make(cls, fields):
         return cls(*fields)  # so that _replace checks its result too
-
-    def pi_L(self):
-        labels = []
-        for block in self.blocks:
-            labels.extend(range(block[0], block[-1]))
-        return tuple(labels)
-
-    def root_system(self) -> RootSystem:
-        return build_root_system("A", self.n - 1)
-
-    def levi(self) -> LeviConfig:
-        return levi_config(self.root_system(), self.pi_L())
 
     def merged_type(self) -> Partition:
         parts = [p for jtype in self.block_types for p in jtype]
@@ -725,6 +718,22 @@ def l_regular_config(n: int, m: int, e: int, nu: Partition | None = None,
         a=pad(regular_element("A", free - 1, e, variant), n))
 
 
+def _first_trapped_root(cfg: InductionConfig, covered):
+    """Simple-root coordinates of the first crossing root e_i - e_j with
+    neither i nor j in covered, in the order of the roots of A_{n-1}
+    (sorted coordinates); None when the other letters lie in one block.
+    Only a failing config lists its trapped roots."""
+    block_of = {letter: bi for bi, block in enumerate(cfg.blocks)
+                for letter in block}
+    rest = [letter for letter in block_of if letter not in covered]
+    if len({block_of[i] for i in rest}) <= 1:
+        return None
+    # e_i - e_j is +-(alpha_lo + ... + alpha_(hi-1)), signed as i < j
+    return min(tuple((1 if i < j else -1) if min(i, j) <= k < max(i, j)
+                     else 0 for k in range(1, cfg.n))
+               for i in rest for j in rest if block_of[i] != block_of[j])
+
+
 def validate_config(cfg: InductionConfig) -> str:
     """Classify the configuration, or explain why it is inadmissible.
 
@@ -733,6 +742,21 @@ def validate_config(cfg: InductionConfig) -> str:
     hyperplane, and "block-cyclic" when the blocks themselves rotate in
     families of e with no crossing root orthogonal to all of them.
     An identity twist (e = 1) validates as "ungraded".
+
+    Everything is decided on letters; no root system is built.  The
+    crossing roots are the e_i - e_j with i and j in different blocks,
+    and alpha_i is orthogonal to every block root exactly when letters
+    i and i + 1 are one-letter blocks.  Then:
+
+    - a crossing root is orthogonal to a rotating block B exactly when
+      B holds neither i nor j, or has one letter;
+    - the zeta_e-eigenspace of the twist has one vector per cycle
+      c_0 -> ... -> c_{L-1} with e | L, v[c_t] = zeta^-t.  The twist
+      has order e, so such a cycle has length e and its entries differ:
+      the eigenspace lies on the hyperplane of e_i - e_j exactly when
+      neither i nor j lies on an e-cycle.
+
+    A failure names the first such root in the order of A_{n-1}.
     """
     order = cfg.a.order()
     if order != cfg.e:
@@ -745,29 +769,29 @@ def validate_config(cfg: InductionConfig) -> str:
         raise InvalidConfigError(
             "twisting element does not permute the blocks, so it fails "
             "to normalize the block subgroup")
-    levi = cfg.levi()
-    if levi.pi_prime:
+    lone = {block[0] for block in cfg.blocks if len(block) == 1}
+    # the letters spanned by the simple roots orthogonal to the blocks
+    allowed = {letter for i in lone if i + 1 in lone for letter in (i, i + 1)}
+    if allowed:
         # candidate for the regular-eigenvector shape
         big = [b for b in cfg.blocks if len(b) > 1]
         if len(big) > 1:
             raise InvalidConfigError(
                 "more than one nonabelian block factor; the fixed Levi "
                 "must be simple modulo its center")
-        allowed = set()
-        for label in levi.pi_prime:
-            allowed.update((label, label + 1))
         moved = cfg.a.support()
         if not moved <= allowed:
             raise InvalidConfigError(
                 "twisting element moves letters outside the span of the "
                 "simple roots orthogonal to the blocks")
-        beta = next(trapping_roots(levi.parent, eigenspace(cfg.a, cfg.e, 1),
-                                   levi.crossing_roots()), None)
+        beta = _first_trapped_root(cfg, {
+            letter for letters, _ in _walk(cfg.a.perm)
+            if len(letters) == cfg.e for letter in letters})
         if beta is not None:
             raise InvalidConfigError(
                 "twisting element is not admissible: its eigenspace "
                 "lies inside the hyperplane of the crossing root "
-                f"{levi.parent.coords(beta)} (simple-root coordinates)")
+                f"{beta} (simple-root coordinates)")
         return "l-regular"
     # candidate for the rotating-blocks shape
     rotating = []
@@ -788,11 +812,11 @@ def validate_config(cfg: InductionConfig) -> str:
                 f"blocks rotate in an orbit of length {len(orbit)}, not e = {cfg.e}")
     if not rotating:
         raise InvalidConfigError("no block rotates; the twist does nothing")
-    family_blocks = [cfg.blocks[bi] for bi in rotating]
-    for beta in levi.crossing_roots():
-        if all(len({beta[letter - 1] for letter in block}) == 1
-               for block in family_blocks):
-            raise InvalidConfigError(
-                f"crossing root {levi.parent.coords(beta)} (simple-root "
-                "coordinates) is orthogonal to every rotating block")
+    beta = _first_trapped_root(cfg, {
+        letter for bi in rotating if len(cfg.blocks[bi]) > 1
+        for letter in cfg.blocks[bi]})
+    if beta is not None:
+        raise InvalidConfigError(
+            f"crossing root {beta} (simple-root coordinates) is orthogonal "
+            "to every rotating block")
     return "block-cyclic"

@@ -24,7 +24,9 @@ reversal and shift of polynomials, orbit profiles and the trace
 polynomial of one element) live on here as functions.
 The root-of-unity and closed-form checks as they ran in Fractions, one
 class representative and one coset count per class, check the integer
-comparison that replaced them.
+comparison that replaced them.  validate_config as it ran on the root
+system A_{n-1}, with the Levi of the blocks, its crossing roots and the
+eigenspace of the twist, checks the letter rules that replaced it.
 """
 
 from collections import Counter
@@ -49,6 +51,7 @@ from greenchar.rootsys import (
     _close_under_reflections,
     _exceptional_cartan,
     build_root_system,
+    levi_config,
 )
 from greenchar.symfun import (
     GradedCharacter,
@@ -63,6 +66,7 @@ from greenchar.verify import ExtendedGradedCharacter
 from greenchar.weyl import (
     DEFAULT_BOUND,
     InductionConfig,
+    InvalidConfigError,
     SubgroupTable,
     WeylElt,
     _matvec,
@@ -72,9 +76,11 @@ from greenchar.weyl import (
     class_representative,
     coset_count,
     coset_elements,
+    eigenspace,
     levi_elements,
     orbits,
     standard_block_config,
+    trapping_roots,
     validate_config,
     young_subgroup,
 )
@@ -753,3 +759,86 @@ def fraction_closed_form(m: int, e: int):
         if closed_form_coset_count(m, e, rho, "multiplicity") != count:
             off.append(tuple(rho))
     return bad, off
+
+
+# ---------------------------------------------------------------------------
+# validate_config on the root system A_{n-1}
+
+
+def config_pi_L(cfg: InductionConfig):
+    """The simple roots alpha_i with letters i and i + 1 in one block."""
+    labels = []
+    for block in cfg.blocks:
+        labels.extend(range(block[0], block[-1]))
+    return tuple(labels)
+
+
+def config_levi(cfg: InductionConfig) -> LeviConfig:
+    return levi_config(build_root_system("A", cfg.n - 1), config_pi_L(cfg))
+
+
+def rootsys_validate_config(cfg: InductionConfig) -> str:
+    """validate_config as it ran on the root system: Pi' from the Gram
+    form, the eigenspace of the twist paired with every crossing root,
+    and each crossing root tested on the letters of the rotating
+    blocks, in the order of the roots."""
+    order = cfg.a.order()
+    if order != cfg.e:
+        raise InvalidConfigError(
+            f"twisting element has order {order}, expected e = {cfg.e}")
+    if cfg.e == 1:
+        return "ungraded"
+    sigma = block_permutation(cfg.blocks, cfg.a)
+    if sigma is None:
+        raise InvalidConfigError(
+            "twisting element does not permute the blocks, so it fails "
+            "to normalize the block subgroup")
+    levi = config_levi(cfg)
+    if levi.pi_prime:
+        big = [b for b in cfg.blocks if len(b) > 1]
+        if len(big) > 1:
+            raise InvalidConfigError(
+                "more than one nonabelian block factor; the fixed Levi "
+                "must be simple modulo its center")
+        allowed = set()
+        for label in levi.pi_prime:
+            allowed.update((label, label + 1))
+        moved = cfg.a.support()
+        if not moved <= allowed:
+            raise InvalidConfigError(
+                "twisting element moves letters outside the span of the "
+                "simple roots orthogonal to the blocks")
+        beta = next(trapping_roots(levi.parent, eigenspace(cfg.a, cfg.e, 1),
+                                   levi.crossing_roots()), None)
+        if beta is not None:
+            raise InvalidConfigError(
+                "twisting element is not admissible: its eigenspace "
+                "lies inside the hyperplane of the crossing root "
+                f"{levi.parent.coords(beta)} (simple-root coordinates)")
+        return "l-regular"
+    rotating = []
+    for orbit in orbits(sigma):
+        if len(orbit) == 1:
+            bi = orbit[0]
+            if any(cfg.a.perm[letter - 1] != letter for letter in cfg.blocks[bi]):
+                raise InvalidConfigError(
+                    "twisting element acts inside a block it fixes")
+        elif len(orbit) == cfg.e:
+            types = {cfg.block_types[bi] for bi in orbit}
+            if len(types) != 1:
+                raise InvalidConfigError(
+                    "blocks in one cyclic orbit carry different Jordan types")
+            rotating.extend(orbit)
+        else:
+            raise InvalidConfigError(
+                f"blocks rotate in an orbit of length {len(orbit)}, not e = {cfg.e}")
+    if not rotating:
+        raise InvalidConfigError("no block rotates; the twist does nothing")
+    family_blocks = [cfg.blocks[bi] for bi in rotating]
+    for beta in levi.crossing_roots():
+        if all(len({beta[letter - 1] for letter in block}) == 1
+               for block in family_blocks):
+            raise InvalidConfigError(
+                f"crossing root {levi.parent.coords(beta)} (simple-root "
+                "coordinates) is orthogonal to every rotating block")
+    return "block-cyclic"

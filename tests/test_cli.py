@@ -173,6 +173,25 @@ def test_eval_one_row_blocks_still_count(capsys):
     assert "MISMATCH" not in out
 
 
+def test_eval_refuses_an_order_above_the_cap_before_any_work(capsys):
+    from greenchar.poly import _power_residues
+    def lookups():
+        info = _power_residues.cache_info()
+        return info.hits + info.misses
+
+    cap = cli.EVAL_MAX_E
+    before = lookups()
+    code, out, err = run_cli(capsys, "eval", "--mu", "1", "--e", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: e = {cap + 1} exceeds the eval cap {cap}\n"
+    # refused before any value is reduced by the table of power residues
+    assert lookups() == before
+    code, out, _ = run_cli(capsys, "eval", "--mu", "2,2", "--e", str(cap),
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["j"] == list(range(cap))
+
+
 @pytest.mark.parametrize("argv,flag", [
     (("eval", "--mu", "2,2", "--e", "2", "--n", "2"), "--n"),
     (("green", "--mu", "2,2", "--bo", "3"), "--bo"),
@@ -802,16 +821,26 @@ LOADED = ("import contextlib, io, sys\n"
           "                    if m.startswith('greenchar.')))")
 
 ARITHMETIC = ["greenchar.cli", "greenchar.poly", "greenchar.symfun"]
+# a block configuration is decided on letters, with no root system
+CONFIG = sorted(ARITHMETIC + ["greenchar.weyl"])
+CHECKS_OF_A = sorted(CONFIG + ["greenchar.verify"])
 
 
 @pytest.mark.parametrize("argv,loaded", [
     (("green", "--mu", "4,3,2,1", "--format", "csv"), ARITHMETIC),
     (("green", "--mu", "2,2", "--format", "text"), ARITHMETIC),
     (("eval", "--mu", "3,2,1", "--e", "3", "--format", "json"), ARITHMETIC),
-    (("eval", "--mu", "2,2", "--e", "2", "--nu", "2"), None),
+    (("eval", "--mu", "2,2", "--e", "2", "--nu", "2"), CONFIG),
+    (("config-validate", "--mu", "2,2", "--nu", "2", "--e", "2"), CONFIG),
+    (("config-validate", "--n", "5", "--nu", "2", "--e", "3"), CONFIG),
+    (("verify", "--check", "all", "--mu", "2,2,1", "--nu", "2", "--e", "2"),
+     CHECKS_OF_A),
+    (("verify", "--check", "all", "--n", "5", "--nu", "2", "--e", "3"),
+     CHECKS_OF_A),
     (("regular", "--family", "B", "--rank", "3", "--e", "3", "--pi-L", "1",
-      "--format", "csv"), None),
-    (("config-validate", "--mu", "2,2", "--nu", "2", "--e", "2"), None),
+      "--format", "csv"), sorted(CONFIG + ["greenchar.rootsys"])),
+    (("verify", "--check", "regular-catalog", "--family", "G"),
+     sorted(CHECKS_OF_A + ["greenchar.rootsys"])),
 ])
 def test_cli_requests_load_only_what_they_use(argv, loaded):
     proc = subprocess.run([sys.executable, "-S", "-c", LOADED, *argv],
@@ -819,9 +848,19 @@ def test_cli_requests_load_only_what_they_use(argv, loaded):
     assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stdout.split()
     assert code == "0"
-    if loaded is not None:
-        assert modules == loaded
-    assert "greenchar.verify" not in modules
+    assert modules == loaded
+
+
+def test_verify_import_loads_no_root_system():
+    # a sweep child imports verify and runs type-A checks only
+    code = ("import greenchar.verify, sys; "
+            "print(*sorted(m for m in sys.modules if m.startswith('greenchar')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["greenchar", "greenchar.poly",
+                                   "greenchar.symfun", "greenchar.verify",
+                                   "greenchar.weyl"]
 
 
 def test_cli_import_loads_no_other_greenchar_module():

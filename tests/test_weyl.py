@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from greenchar import verify
@@ -47,8 +47,8 @@ from greenchar.weyl import (
 
 from oracles import (DEGREES, apply, coset_character, coset_exponent,
                      coset_reps, enumerate_group, enumerated_census,
-                     extended_subgroup, matrix_eigenspace, signed_cycle_type,
-                     weyl_order)
+                     extended_subgroup, matrix_eigenspace,
+                     rootsys_validate_config, signed_cycle_type, weyl_order)
 from oracles import rank as matrix_rank
 from test_acceptance import (one_row_configs, regular_twist_configs,
                              rotating_block_configs)
@@ -598,6 +598,21 @@ class TestConfigs:
             "the hyperplane of the crossing root (0, 0, -1, -1) "
             "(simple-root coordinates)")
 
+    def test_twist_without_an_e_cycle_has_no_eigenvector(self):
+        # (1 2)(3 4 5) has order 6 but no 6-cycle: its zeta_6-eigenspace
+        # is zero, so it lies on every hyperplane, the first crossing
+        # root e_7 - e_1 included
+        cfg = InductionConfig(
+            n=7, e=6, blocks=runs([1] * 5 + [2]),
+            block_types=(Partition((1,)),) * 5 + (Partition((2,)),),
+            a=from_cycles(7, (1, 2), (3, 4, 5)))
+        with pytest.raises(InvalidConfigError) as info:
+            validate_config(cfg)
+        assert str(info.value) == (
+            "twisting element is not admissible: its eigenspace lies inside "
+            "the hyperplane of the crossing root (-1, -1, -1, -1, -1, -1) "
+            "(simple-root coordinates)")
+
     def test_order_mismatch_is_rejected(self):
         cfg = InductionConfig(
             n=4, e=2, blocks=((1,), (2,), (3,), (4,)),
@@ -828,6 +843,102 @@ def block_permuting_configs(draw, max_letters=7):
                   for block in blocks)
     return InductionConfig(n=n, e=a.order(), blocks=blocks,
                            block_types=types, a=a)
+
+
+@st.composite
+def twisted_layouts(draw):
+    """Blocks of one to three letters on at most 9 letters, in any
+    order, each with any Jordan type, and a twist that cycles the blocks
+    of each size; a block goes onto its image letter for letter or by
+    any bijection.  The twist is sometimes any permutation of the
+    letters instead, and e sometimes apart from its order, so that
+    every refusal can be reached."""
+    sizes = []
+    for size in draw(st.lists(st.integers(1, 3), min_size=1, max_size=9)):
+        if sum(sizes) + size <= 9:
+            sizes.append(size)
+    blocks = runs(sizes)
+    n = sum(sizes)
+    targets = list(range(len(blocks)))
+    for m in set(sizes):
+        same = [bi for bi, block in enumerate(blocks) if len(block) == m]
+        drawn = draw(st.permutations(same))
+        for bi, image in zip(same, drawn[1:] + drawn[:1]):
+            targets[bi] = image
+    aligned = draw(st.booleans())
+    perm = [0] * n
+    for block, target in zip(blocks, targets):
+        images = blocks[target] if aligned else \
+            draw(st.permutations(blocks[target]))
+        for letter, image in zip(block, images):
+            perm[letter - 1] = image
+    if not draw(st.integers(0, 3)):
+        perm = draw(st.permutations(range(1, n + 1)))
+    a = WeylElt(perm=perm)
+    e = a.order() if draw(st.integers(0, 3)) else draw(st.integers(1, 8))
+    types = tuple(draw(st.sampled_from(partitions_of(len(block))))
+                  for block in blocks)
+    return InductionConfig(n=n, e=e, blocks=blocks, block_types=types, a=a)
+
+
+def acceptance_shapes(max_n):
+    """The shapes of the acceptance generators on at most max_n letters:
+    e blocks of every size and Jordan type rotating after an optional
+    fixed block of every size and type, and one block of every type
+    beside the catalog twist of every admissible order, both variants."""
+    for m in range(1, max_n + 1):
+        for e in range(1, max_n // m + 1):
+            for k in range(max_n - m * e + 1):
+                for nu, tau in product(partitions_of(m),
+                                       partitions_of(k) if k else [None]):
+                    yield standard_block_config(m, e, nu, fixed_size=k,
+                                                fixed_type=tau)
+    for n in range(2, max_n + 1):
+        for m, e, variant in product(range(1, n), range(1, n + 1), "ab"):
+            try:
+                regular_element("A", (n if m == 1 else n - m) - 1, e, variant)
+            except ValueError:
+                continue
+            for nu in partitions_of(m):
+                yield l_regular_config(n, m, e, nu, variant)
+
+
+def validation_verdict(validate, cfg):
+    """The shape, or the type and text of the refusal."""
+    try:
+        return validate(cfg)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestValidationOnLetters:
+    """validate_config decides on letters what the root system A_{n-1}
+    decided: the same shape, or the same refusal word for word."""
+
+    def test_acceptance_shapes_up_to_nine_letters(self):
+        configs = list(acceptance_shapes(9))
+        verdicts = [validation_verdict(validate_config, cfg) for cfg in configs]
+        assert verdicts == [validation_verdict(rootsys_validate_config, cfg)
+                            for cfg in configs]
+        assert len(configs) > 1800
+        # every shape is reached, and so is a trapped eigenspace
+        assert {v for v in verdicts if isinstance(v, str)} == \
+            {"ungraded", "l-regular", "block-cyclic"}
+        assert any("not admissible" in v[1] for v in verdicts
+                   if not isinstance(v, str))
+
+    # a one-letter family rotating beside a two-letter one: every root
+    # is constant on a one-letter block, so e_4 - e_1 is orthogonal to
+    # all four rotating blocks
+    @example(InductionConfig(
+        n=6, e=2, blocks=((1,), (2, 3), (4,), (5, 6)),
+        block_types=(Partition((1,)), Partition((2,))) * 2,
+        a=from_cycles(6, (1, 4), (2, 5), (3, 6))))
+    @settings(max_examples=400, deadline=None)
+    @given(twisted_layouts())
+    def test_random_layouts_and_twists(self, cfg):
+        assert validation_verdict(validate_config, cfg) == \
+            validation_verdict(rootsys_validate_config, cfg)
 
 
 class TestCosetCensus:
