@@ -852,7 +852,10 @@ def twisted_layouts(draw):
     of each size; a block goes onto its image letter for letter or by
     any bijection.  The twist is sometimes any permutation of the
     letters instead, and e sometimes apart from its order, so that
-    every refusal can be reached."""
+    every refusal can be reached.  Unlike block_permuting_configs, sizes
+    interleave: one-letter blocks that are not adjacent rotate beside
+    larger ones, the case where a one-letter block counts as constant
+    on every root."""
     sizes = []
     for size in draw(st.lists(st.integers(1, 3), min_size=1, max_size=9)):
         if sum(sizes) + size <= 9:
