@@ -185,8 +185,7 @@ class IntPolynomial:
 
     def mod_sum(self, e: int, k: int) -> int:
         """Sum of the coefficients in degrees congruent to k mod e."""
-        k %= e
-        return sum(c for i, c in enumerate(self.coeffs) if i % e == k)
+        return sum(self.coeffs[k % e::e])
 
     def __repr__(self):
         return f"IntPolynomial({render_terms(self.coeffs, 'q')!r})"

@@ -3,18 +3,23 @@
 Each check assembles both sides of one identity with exact arithmetic
 and returns a structured report.  The left sides come from Green
 polynomials of the merged Jordan type; the right sides from coset
-counts, graded traces and induced residue characters, all read off
-weyl.coset_census (tallied from class sizes, no coset walked), or, for
-the ungraded identity alone, from Frobenius induction over the
-enumerated block subgroup.
+counts, graded traces and induced residue characters, all read off the
+census of each shifted coset (tallied from class sizes, no coset
+walked, one table per orbit shape), or, for the ungraded identity
+alone, from Frobenius induction over the enumerated block subgroup.
+The root-of-unity, closed-form and residue checks compare on integers:
+a value scaled by the subgroup order against z_rho times the census
+side, with no Fraction and no field element made unless a
+counterexample is written.
 """
 
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from .poly import Cyclotomic, IntPolynomial, eval_at_root, root_values
+from .poly import Cyclotomic, IntPolynomial, _reduce, eval_at_root, root_values
 from .symfun import Partition, partitions_of, springer_graded_char
 from .symfun import closed_form_coset_count
 from .weyl import (
@@ -23,20 +28,20 @@ from .weyl import (
     SubgroupTable,
     WeylElt,
     _config_echo,
-    _normalize_scalar,
     _require_regular_blocks,
     block_restriction,
     class_representative,
-    coset_census,
     eigenspace,
     embed_component_element,
     from_cycles,
     induced_character,
     is_L_regular,
     levi_order,
+    orbit_shape,
     pad,
     regular_element,
     runs,
+    shape_census,
     standard_block_config,
     trapping_roots,
     validate_config,
@@ -57,26 +62,35 @@ class ExtendedGradedCharacter:
     i = 0 layer restricts to the ordinary product character of the block
     subgroup.  coset_sums[i] maps each cycle type to the sum of the
     trace polynomials over the elements of that type in the i-th
-    shifted coset, one term per orbit profile of its census.
+    shifted coset, read from the table of its orbit shape (shape_sums),
+    which exponents and configurations of one shape share.
     """
 
     def __init__(self, config: InductionConfig):
         self.config = config
-        self._block_chars = {jtype: springer_graded_char(jtype)
-                             for jtype in set(config.block_types)}
-        self.coset_sums = [
-            {ctype: sum((self._assemble(profile) * count
-                         for profile, count in by_profile.items()),
-                        IntPolynomial())
-             for ctype, by_profile in coset_census(config, i).items()}
-            for i in range(config.e)]
+        self.coset_sums = [shape_sums(orbit_shape(config, i))
+                           for i in range(config.e)]
 
-    def _assemble(self, profile) -> IntPolynomial:
-        poly = IntPolynomial((1,))
-        for length, inner_type, jtype in profile:
-            factor = self._block_chars[jtype][inner_type]
-            poly = poly * factor.compose_power(length)
-        return poly
+
+@lru_cache(maxsize=None)
+def shape_sums(shape) -> dict:
+    """Each cycle type's sum of trace polynomials over a coset of the
+    given orbit shape, one term per orbit profile of its census.  The
+    table is cached and shared; no caller may change it."""
+    return {ctype: sum((_assemble(profile) * count
+                        for profile, count in by_profile.items()),
+                       IntPolynomial())
+            for ctype, by_profile in shape_census(shape).items()}
+
+
+def _assemble(profile) -> IntPolynomial:
+    """The trace polynomial of an element with this orbit profile: the
+    product over its orbits of the block character of the return map's
+    type, with q replaced by q^(orbit length)."""
+    poly = IntPolynomial((1,))
+    for length, inner_type, jtype in profile:
+        poly = poly * springer_graded_char(jtype)[inner_type].compose_power(length)
+    return poly
 
 
 def extend_block_character(cfg: InductionConfig) -> ExtendedGradedCharacter:
@@ -211,39 +225,52 @@ def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
                    f"merged type {tuple(mu)}")
 
 
-def _induced_residues(ext: ExtendedGradedCharacter) -> dict:
-    """Induced class function of zeta^(-k i) times the graded trace at
-    zeta^i on the i-th shifted coset, keyed by (cycle type, k): the
-    coefficient of q^n in coset_sums[i] lands in bucket i (n - k) mod e,
-    and the buckets are reduced mod Phi_e once and scaled by z/(e |L|)."""
-    cfg, e = ext.config, ext.config.e
-    order = e * levi_order(cfg)
-    values = {}
-    for rho in partitions_of(cfg.n):
-        weight = Fraction(rho.centralizer_order(), order)
-        for k in range(e):
-            buckets = [0] * e
-            for i, sums in enumerate(ext.coset_sums):
-                for n, c in enumerate(sums.get(rho, IntPolynomial()).coeffs):
-                    buckets[(i * (n - k)) % e] += c
-            values[rho, k] = _normalize_scalar(
-                Cyclotomic.from_poly(e, buckets) * weight)
-    return values
+def _induced_text(e: int, coords, z: int, order: int) -> str:
+    """The induced value z/order times the element with these coordinates,
+    written as an int, a Fraction or a Cyclotomic, whichever it is."""
+    if not any(coords[1:]):
+        return str(Fraction(z * coords[0], order))
+    return str(Cyclotomic(e, [Fraction(z * c, order) for c in coords]))
 
 
 def _check_residue_induction(check: str, cfg: InductionConfig, t0: float,
                              detail: str = "") -> VerificationReport:
     """Each residue slice of the merged graded character against the
-    induced residue character of the validated configuration."""
+    induced residue character of the validated configuration, compared
+    on integers.
+
+    The induced value at (rho, k) is z_rho/(e |L|) times the sum over i
+    of zeta^(-k i) times coset_sums[i] at zeta^i: the coefficients of
+    coset_sums[i] in degrees congruent to r mod e land in bucket
+    i (r - k) mod e, and the buckets reduce mod Phi_e to integer
+    coordinates c.  The slice s agrees when c vanishes beyond c_0 and
+    e |L| s = z_rho c_0, the rule of CosetCounts; nothing is divided."""
+    e = cfg.e
     mu = cfg.merged_type()
     g = springer_graded_char(mu)
-    rhs = _induced_residues(ExtendedGradedCharacter(cfg))
+    sums = ExtendedGradedCharacter(cfg).coset_sums
+    order = e * levi_order(cfg)
+    none = IntPolynomial()
+
+    def fold(p):
+        return [p.mod_sum(e, r) for r in range(e)]
+
+    # per class: z_rho, the slices of g_rho and the folded coset sums
+    rows = [(rho, rho.centralizer_order(), fold(g[rho]),
+             [fold(s.get(rho, none)) for s in sums])
+            for rho in partitions_of(cfg.n)]
     bad = []
-    for k in range(cfg.e):
-        for rho in partitions_of(cfg.n):
-            lhs = g[rho].mod_sum(cfg.e, k)
-            if lhs != rhs[rho, k]:
-                bad.append((tuple(rho), k, lhs, str(rhs[rho, k])))
+    for k in range(e):
+        for rho, z, slices, folded in rows:
+            buckets = [0] * e
+            for i, by_residue in enumerate(folded):
+                for r, c in enumerate(by_residue):
+                    if c:
+                        buckets[(i * (r - k)) % e] += c
+            coords = _reduce(e, buckets)
+            if any(coords[1:]) or order * slices[k] != z * coords[0]:
+                bad.append((tuple(rho), k, slices[k],
+                            _induced_text(e, coords, z, order)))
     return _finish(check, _config_echo(cfg), bad, t0,
                    f"{detail}merged type {tuple(mu)}")
 

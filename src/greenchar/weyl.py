@@ -589,6 +589,17 @@ def levi_order(cfg: InductionConfig) -> int:
     return prod(factorial(len(block)) for block in cfg.blocks)
 
 
+def orbit_shape(cfg: InductionConfig, j: int):
+    """How the j-th shifted coset moves the blocks, as far as its census
+    can tell: the sorted (orbit length, block size, block type) of each
+    orbit of sigma^j, the type being that of the orbit's first block."""
+    sigma = block_permutation(cfg.blocks, cfg.a ** (j % cfg.e))
+    if sigma is None:
+        raise ValueError("element does not permute the blocks")
+    return tuple(sorted((len(orbit), len(cfg.blocks[orbit[0]]),
+                         cfg.block_types[orbit[0]]) for orbit in orbits(sigma)))
+
+
 @lru_cache(maxsize=None)
 def coset_census(cfg: InductionConfig, j: int):
     """The j-th shifted coset a^j W_L tallied from class sizes, walking
@@ -602,16 +613,19 @@ def coset_census(cfg: InductionConfig, j: int):
     of the block is the return map of m!^(L-1) choices, and each type
     lambda of m arises m!^(L-1) m!/z_lambda times and adds L*lambda to
     the cycle type of z (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.7).  Orbits choose independently.  Counts, graded
-    traces and induced residue characters are all read off this cached
-    table, which every caller shares and none may change."""
-    sigma = block_permutation(cfg.blocks, cfg.a ** (j % cfg.e))
-    if sigma is None:
-        raise ValueError("element does not permute the blocks")
+    Polynomials, I.7).  Orbits choose independently, so the table
+    depends on the orbit shape alone, and exponents and configurations
+    of one shape share one table.  Counts, graded traces and induced
+    residue characters are all read off it; every caller shares it and
+    none may change it."""
+    return shape_census(orbit_shape(cfg, j))
+
+
+@lru_cache(maxsize=None)
+def shape_census(shape):
+    """The census of a coset of the given orbit shape (see coset_census)."""
     choices = []
-    for orbit in orbits(sigma):
-        length, m = len(orbit), len(cfg.blocks[orbit[0]])
-        jtype = cfg.block_types[orbit[0]]
+    for length, m, jtype in shape:
         # m!^(L-1) choices per return map, m!/z_lambda maps of type lambda
         choices.append([((length, lam, jtype),
                          factorial(m) ** length // lam.centralizer_order())

@@ -23,8 +23,9 @@ partition, sign character, items of a graded character, monomials,
 reversal and shift of polynomials, orbit profiles and the trace
 polynomial of one element) live on here as functions.
 The root-of-unity and closed-form checks as they ran in Fractions, one
-class representative and one coset count per class, check the integer
-comparison that replaced them.  validate_config as it ran on the root
+class representative and one coset count per class, and the induced
+residue characters as field elements scaled by Fractions, check the
+integer comparisons that replaced them.  validate_config as it ran on the root
 system A_{n-1}, with the Levi of the blocks, its crossing roots and the
 eigenspace of the twist, checks the letter rules that replaced it.
 """
@@ -35,7 +36,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd
 
-from greenchar import symfun
+from greenchar import symfun, verify
 from greenchar.poly import (
     Cyclotomic,
     IntPolynomial,
@@ -62,7 +63,7 @@ from greenchar.symfun import (
     kostka_foulkes,
     partitions_of,
 )
-from greenchar.verify import ExtendedGradedCharacter
+from greenchar.verify import ExtendedGradedCharacter, _assemble
 from greenchar.weyl import (
     DEFAULT_BOUND,
     InductionConfig,
@@ -70,6 +71,7 @@ from greenchar.weyl import (
     SubgroupTable,
     WeylElt,
     _matvec,
+    _normalize_scalar,
     _require_regular_blocks,
     block_permutation,
     block_restriction,
@@ -78,6 +80,7 @@ from greenchar.weyl import (
     coset_elements,
     eigenspace,
     levi_elements,
+    levi_order,
     orbits,
     standard_block_config,
     trapping_roots,
@@ -396,7 +399,7 @@ def trace_poly(ext: ExtendedGradedCharacter, z: WeylElt) -> IntPolynomial:
     cfg = ext.config
     if not any(z in coset_elements(cfg, i) for i in range(cfg.e)):
         raise ValueError("element lies outside the extended subgroup")
-    return ext._assemble(orbit_profile(cfg, z))
+    return _assemble(orbit_profile(cfg, z))
 
 
 def conjugate(lam) -> Partition:
@@ -759,6 +762,64 @@ def fraction_closed_form(m: int, e: int):
         if closed_form_coset_count(m, e, rho, "multiplicity") != count:
             off.append(tuple(rho))
     return bad, off
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route of the mod-e and component induction checks
+
+
+def induced_residues(ext: ExtendedGradedCharacter) -> dict:
+    """Induced class function of zeta^(-k i) times the graded trace at
+    zeta^i on the i-th shifted coset, keyed by (cycle type, k): the
+    coefficient of q^n in coset_sums[i] lands in bucket i (n - k) mod e,
+    and the buckets are reduced mod Phi_e once and scaled by z/(e |L|)."""
+    cfg, e = ext.config, ext.config.e
+    order = e * levi_order(cfg)
+    values = {}
+    for rho in partitions_of(cfg.n):
+        weight = Fraction(rho.centralizer_order(), order)
+        for k in range(e):
+            buckets = [0] * e
+            for i, sums in enumerate(ext.coset_sums):
+                for n, c in enumerate(sums.get(rho, IntPolynomial()).coeffs):
+                    buckets[(i * (n - k)) % e] += c
+            values[rho, k] = _normalize_scalar(
+                Cyclotomic.from_poly(e, buckets) * weight)
+    return values
+
+
+def fraction_residue_induction(cfg: InductionConfig, detail: str = ""):
+    """The counterexamples and notes the mod-e and component induction
+    checks reported when they compared each residue slice with the
+    induced value as a field element scaled by the Fraction z/(e |L|).
+    The Green table is read through the symfun module and the coset
+    sums through the verify module, so a test can replace either."""
+    mu = cfg.merged_type()
+    g = symfun.springer_graded_char(mu)
+    rhs = induced_residues(verify.ExtendedGradedCharacter(cfg))
+    bad = []
+    for k in range(cfg.e):
+        for rho in partitions_of(cfg.n):
+            lhs = g[rho].mod_sum(cfg.e, k)
+            if lhs != rhs[rho, k]:
+                bad.append((tuple(rho), k, lhs, str(rhs[rho, k])))
+    return bad, f"{detail}merged type {tuple(mu)}"
+
+
+def fraction_mod_e_induction(cfg: InductionConfig):
+    _require_regular_blocks(cfg)
+    validate_config(cfg)
+    return fraction_residue_induction(cfg)
+
+
+def fraction_component_induction(cfg: InductionConfig):
+    tag = validate_config(cfg)
+    if tag != "l-regular":
+        raise ValueError(f"check needs the regular-eigenvector shape, got {tag}")
+    if cfg.a.support() & set(cfg.blocks[-1]):
+        raise ValueError("twist must fix the distinguished block")
+    return fraction_residue_induction(
+        cfg, f"block type {tuple(cfg.block_types[-1])}, ")
 
 
 # ---------------------------------------------------------------------------

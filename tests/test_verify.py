@@ -9,6 +9,7 @@ small configurations.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -44,7 +45,6 @@ from greenchar.verify import (
     ALL_CHECKS,
     _classical_tail_cases,
     _config_echo,
-    _induced_residues,
     check_closed_form,
     check_component_dims,
     check_component_induction,
@@ -63,12 +63,19 @@ from oracles import (
     coset_exponent,
     extended_subgroup,
     fraction_closed_form,
+    fraction_component_induction,
+    fraction_mod_e_induction,
     fraction_roots_of_unity,
+    induced_residues as _induced_residues,
     model_twisted_trace,
     orbit_profile,
     trace_poly,
 )
-from test_acceptance import one_row_configs, regular_twist_configs
+from test_acceptance import (
+    one_row_configs,
+    regular_twist_configs,
+    rotating_block_configs,
+)
 
 
 def two_blocks(nu):
@@ -481,39 +488,140 @@ def test_closed_form_fails_like_fraction_route_on_a_flip(monkeypatch,
     assert report.counterexamples == bad
 
 
+# ---------------------------------------------------------------------------
+# the integer residue comparison against its Fraction route
+
+
+RESIDUE_ROUTES = [(check_mod_e_induction, fraction_mod_e_induction),
+                  (check_component_induction, fraction_component_induction)]
+ACCEPTANCE_CONFIGS = list(dict.fromkeys(chain(
+    one_row_configs(), rotating_block_configs(), regular_twist_configs())))
+
+
+@pytest.mark.parametrize("cfg", ACCEPTANCE_CONFIGS, ids=_config_echo)
+def test_residue_checks_match_fraction_route(cfg):
+    # each check either runs on the config or refuses it, as its
+    # Fraction route does, with the same text
+    for check, route in RESIDUE_ROUTES:
+        assert outcome(lambda c: reported(check(c)), cfg) == \
+            outcome(route, cfg), check.__name__
+
+
+@st.composite
+def residue_shapes(draw):
+    """Rotating families of any block type after an optional fixed block,
+    or one block of any type beside a catalog twist, on at most 9
+    letters; some are inadmissible for one check or both."""
+    e = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, max(1, 9 // e)))
+        fixed = draw(st.integers(0, max(0, 9 - m * e)))
+        return standard_block_config(
+            m, e, draw(st.sampled_from(partitions_of(m))), fixed_size=fixed,
+            fixed_type=draw(st.sampled_from(partitions_of(fixed)))
+            if fixed else None)
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(1, n - 1))
+    try:
+        return l_regular_config(n, m, e, draw(st.sampled_from(partitions_of(m))),
+                                variant=draw(st.sampled_from("ab")))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=residue_shapes())
+def test_residue_checks_match_fraction_route_on_drawn_shapes(cfg):
+    for check, route in RESIDUE_ROUTES:
+        assert outcome(lambda c: reported(check(c)), cfg) == \
+            outcome(route, cfg), check.__name__
+
+
+def flip_coset_sum(monkeypatch, cfg, i):
+    """Negate the top coefficient of one cycle type's sum over cfg's i-th
+    shifted coset alone.  The table of its orbit shape is shared with
+    the Galois-conjugate exponents, and stays as it was: a flip there
+    would keep every induced value rational."""
+    class Flipped(verify.ExtendedGradedCharacter):
+        def __init__(self, config):
+            super().__init__(config)
+            if config != cfg:
+                return
+            sums = dict(self.coset_sums[i])
+            rho = next(rho for rho, poly in sums.items() if poly)
+            coeffs = list(sums[rho].coeffs)
+            coeffs[-1] = -coeffs[-1]
+            sums[rho] = IntPolynomial(coeffs)
+            self.coset_sums = list(self.coset_sums)
+            self.coset_sums[i] = sums
+    monkeypatch.setattr(verify, "ExtendedGradedCharacter", Flipped)
+
+
+@pytest.mark.parametrize("check,cfg", [
+    (check_mod_e_induction, standard_block_config(2, 2)),
+    (check_mod_e_induction, standard_block_config(2, 3)),
+    (check_mod_e_induction, standard_block_config(1, 4, fixed_size=2)),
+    (check_mod_e_induction, l_regular_config(5, 2, 3)),
+    (check_component_induction, l_regular_config(5, 2, 3, Partition((1, 1)))),
+    (check_component_induction, l_regular_config(7, 3, 2, Partition((2, 1)))),
+], ids=lambda x: getattr(x, "__name__", None) or _config_echo(x))
+def test_residue_checks_fail_like_fraction_route_on_a_flip(monkeypatch, check,
+                                                          cfg):
+    # a Green coefficient of the identity class, then one coefficient of
+    # the last shifted coset's sums
+    route = dict(RESIDUE_ROUTES)[check]
+    with monkeypatch.context() as patch:
+        flip_green_coefficient(patch, cfg.merged_type(),
+                               Partition((1,) * cfg.n), cfg.e)
+        bad, _ = route(cfg)
+        assert bad and check(cfg).counterexamples == bad
+    with monkeypatch.context() as patch:
+        flip_coset_sum(patch, cfg, cfg.e - 1)
+        bad, _ = route(cfg)
+        assert bad and check(cfg).counterexamples == bad
+
+
 def test_config_checks_walk_no_coset(monkeypatch, capsys):
     # every coset-side quantity is tallied from class sizes, so with the
     # element walkers disabled every check but ungraded-induction runs;
-    # the root-of-unity and closed-form checks, and eval with blocks,
-    # also build no class representative and call no coset_count when
-    # they pass
+    # the root-of-unity, closed-form and residue checks, and eval with
+    # blocks, also build no class representative and call no coset_count
+    # when they pass, and the residue checks make no field element and
+    # no Fraction either
     def refuse(*args):
         raise AssertionError("a group was enumerated")
 
     def refuse_element(*args):
         raise AssertionError("a class was read through one element")
 
+    def refuse_number(*args):
+        raise AssertionError("a passing residue check left the integers")
+
     for module in (weyl, verify):
         for name in ("coset_elements", "levi_elements", "young_subgroup"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    weyl.coset_census.cache_clear()
+    for cached in (weyl.coset_census, weyl.shape_census, verify.shape_sums):
+        cached.cache_clear()
     one_row = [CONFIGS[tag] for tag in (
         "two trivial blocks", "regular twist, block (2,)",
         "fixed pair and rotating pair", "fixed letter and rotating pair")]
     general = list(CONFIGS.values())
     regular = [CONFIGS["regular twist, block (2,)"],
                CONFIGS["regular twist, block (1,1)"]]
-    reports = ([check_mod_e_induction(cfg) for cfg in one_row]
-               + [check_twisted_induction(cfg) for cfg in general]
-               + [check_component_dims(cfg) for cfg in general]
-               + [check_component_induction(cfg) for cfg in regular])
+    reports = ([check_twisted_induction(cfg) for cfg in general]
+               + [check_component_dims(cfg) for cfg in general])
     for module in (weyl, verify):
         for name in ("class_representative", "coset_count"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse_element)
     reports += ([check_roots_of_unity(cfg) for cfg in one_row]
                 + [check_closed_form(m, e) for m, e in ((2, 2), (3, 2), (2, 3))])
+    with monkeypatch.context() as patch:
+        for name in ("Cyclotomic", "Fraction"):
+            patch.setattr(verify, name, refuse_number)
+        reports += ([check_mod_e_induction(cfg) for cfg in one_row]
+                    + [check_component_induction(cfg) for cfg in regular])
     assert all(report.passed for report in reports)
     assert main(["eval", "--mu", "2,2,1", "--e", "2", "--nu", "2"]) == 0
     assert "MISMATCH" not in capsys.readouterr().out

@@ -36,6 +36,7 @@ from greenchar.weyl import (
     l_regular_config,
     levi_elements,
     levi_order,
+    orbit_shape,
     reflection_word,
     regular_element,
     runs,
@@ -963,6 +964,33 @@ class TestCosetCensus:
         assume(levi_order(cfg) * cfg.e <= 30_000)
         for j in range(cfg.e):
             assert coset_census(cfg, j) == enumerated_census(cfg, j), j
+
+    def test_exponents_and_configs_of_one_orbit_shape_share_a_table(self):
+        # each nonzero exponent of the 5-cycle moves the five one-letter
+        # blocks in one orbit
+        cfg = standard_block_config(1, 5)
+        assert len({id(coset_census(cfg, j)) for j in range(1, 5)}) == 1
+        # three rotating letters beside a fixed pair, the pair first or last
+        first = standard_block_config(1, 3, fixed_size=2)
+        last = l_regular_config(5, 2, 3)
+        assert first != last
+        shape = ((1, 2, Partition((2,))), (3, 1, Partition((1,))))
+        assert orbit_shape(first, 1) == orbit_shape(last, 2) == shape
+        assert coset_census(first, 1) is coset_census(last, 2)
+        assert coset_census(first, 2) is coset_census(last, 1)
+        assert verify.ExtendedGradedCharacter(first).coset_sums[1] is \
+            verify.ExtendedGradedCharacter(last).coset_sums[2]
+
+    def test_a_rotating_block_type_gets_its_own_table(self):
+        plain = standard_block_config(2, 2)
+        split = standard_block_config(2, 2, Partition((1, 1)))
+        plain_sums = verify.ExtendedGradedCharacter(plain).coset_sums
+        split_sums = verify.ExtendedGradedCharacter(split).coset_sums
+        for j in range(2):
+            assert orbit_shape(plain, j) != orbit_shape(split, j)
+            assert coset_census(plain, j) is not coset_census(split, j)
+            assert coset_census(plain, j) != coset_census(split, j)
+            assert plain_sums[j] != split_sums[j]
 
     def test_refuses_a_twist_that_splits_a_block(self):
         a = from_cycles(3, (1, 3))
