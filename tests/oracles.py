@@ -25,9 +25,10 @@ polynomial of one element) live on here as functions.
 The root-of-unity and closed-form checks as they ran in Fractions, one
 class representative and one coset count per class, and the induced
 residue characters as field elements scaled by Fractions, check the
-integer comparisons that replaced them.  validate_config as it ran on the root
-system A_{n-1}, with the Levi of the blocks, its crossing roots and the
-eigenspace of the twist, checks the letter rules that replaced it.
+integer comparisons that replaced them.  validate_config as it ran on
+the root system A_{n-1}, with the Levi of the blocks, its crossing
+roots and the eigenspace of the twist, checks the letter rules that
+replaced it.
 """
 
 from collections import Counter
