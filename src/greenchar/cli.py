@@ -142,8 +142,9 @@ def fixed_block_type(mu, nus, e: int):
         for part in nu:
             remaining[part] -= e
     if any(v < 0 for v in remaining.values()):
+        times = "once" if e == 1 else f"{e} times"
         raise InvalidConfigError(
-            f"types {[tuple(nu) for nu in nus]} taken {e} times each do not "
+            f"types {[tuple(nu) for nu in nus]} taken {times} each do not "
             f"fit inside mu={tuple(mu)}")
     parts = tuple(sorted(remaining.elements(), reverse=True))
     return Partition(parts) if parts else None
@@ -157,8 +158,7 @@ def build_block_config(args):
     it, each --nu gives a family of e rotating blocks, preceded by one
     fixed block holding whatever --mu leaves over.
     """
-    from .weyl import (InductionConfig, InvalidConfigError,
-                       block_shift_element, l_regular_config, runs,
+    from .weyl import (InvalidConfigError, l_regular_config, rotating_config,
                        validate_config)
     e = getattr(args, "e", None)
     if e is None:
@@ -173,22 +173,14 @@ def build_block_config(args):
         variant = getattr(args, "variant", None)
         cfg = l_regular_config(n_flag, nus[0].size, e, nu=nus[0],
                                variant="a" if variant is None else variant)
-        validate_config(cfg)
-        return cfg
-    if not nus:
+    elif not nus:
         raise InvalidConfigError(
             "need --nu (one per rotating family), or --n to place the "
             "twist on free letters")
-    fixed = None
-    mu_flag = getattr(args, "mu", None)
-    if mu_flag is not None:
-        fixed = fixed_block_type(mu_flag, nus, e)
-    types = ([fixed] if fixed is not None else []) + [
-        nu for nu in nus for _ in range(e)]
-    blocks = runs(t.size for t in types)
-    cfg = InductionConfig(n=sum(t.size for t in types), e=e, blocks=blocks,
-                          block_types=tuple(types),
-                          a=block_shift_element(blocks, e))
+    else:
+        mu_flag = getattr(args, "mu", None)
+        fixed = None if mu_flag is None else fixed_block_type(mu_flag, nus, e)
+        cfg = rotating_config(e, nus, fixed)
     validate_config(cfg)
     return cfg
 

@@ -40,7 +40,7 @@ from .weyl import (
     orbit_shape,
     pad,
     regular_element,
-    runs,
+    rotating_config,
     shape_census,
     standard_block_config,
     trapping_roots,
@@ -302,11 +302,10 @@ def check_ungraded_induction(n: int, block_types) -> VerificationReport:
     """With no twist at all, the character of the full fiber cohomology
     at q = 1 is induced from the product of the block characters."""
     t0 = time.perf_counter()
-    types = [Partition(t) for t in block_types]
-    blocks = runs(t.size for t in types)
-    if sum(t.size for t in types) != n:
+    cfg = rotating_config(1, [Partition(t) for t in block_types])
+    if cfg.n != n:
         raise ValueError("block types must fill all the letters")
-    mu = Partition(tuple(sorted((p for t in types for p in t), reverse=True)))
+    blocks, types, mu = cfg.blocks, cfg.block_types, cfg.merged_type()
     g = springer_graded_char(mu)
     table = SubgroupTable(young_subgroup(blocks))
     block_chars = [springer_graded_char(t) for t in types]

@@ -312,16 +312,17 @@ def regular_element(family: str, rank: int, e: int, variant: str = "a") -> WeylE
     permutation; the divisibility conditions are exactly the admissible
     ones, and violations raise with the failed condition spelled out.
     """
-    family = family.upper()
+    name = family.upper()
     variant = variant.lower()
     _need(e >= 1, f"order e must be positive, got {e}")
-    family = "B" if family == "C" else family
+    # type C shares type B's signed permutations, so it reads B's row
+    family = "B" if name == "C" else name
     _need(family in _CATALOG, f"no catalog for family {family!r}")
-    _need(variant in _CATALOG[family], f"type {family} has variants "
+    _need(variant in _CATALOG[family], f"type {name} has variants "
           f"{_VARIANT_NAMES[family]}, got {variant!r}")
     parity, k, s = _CATALOG[family][variant]
     n = rank + 1 if family == "A" else rank
-    needs = f"type {family} variant {variant} needs"
+    needs = f"type {name} variant {variant} needs"
     _need(parity is None or e % 2 == parity,
           f"{needs} {'odd' if parity else 'even'} e, got e={e}")
     _need((k * n - s) % e == 0, f"{needs} e | {k * n - s}, got e={e}")
@@ -673,48 +674,35 @@ class CosetCounts:
         return str(Fraction(scaled, self.order))
 
 
-def block_shift_element(blocks, e: int) -> WeylElt:
-    """Canonical cyclic twist for a block layout: consecutive runs of e
-    equal-size blocks rotate, an optional leading block stays fixed."""
-    blocks = tuple(tuple(b) for b in blocks)
-    n = sum(len(b) for b in blocks)
-
-    def assemble(start):
-        perm = list(range(1, n + 1))
-        p = start
-        while p < len(blocks):
-            run = blocks[p:p + e]
-            if len(run) < e or len({len(b) for b in run}) != 1:
-                return None
-            for t in range(e):
-                src, dst = run[t], run[(t + 1) % e]
-                for k, letter in enumerate(src):
-                    perm[letter - 1] = dst[k]
-            p += e
-        return WeylElt(perm=tuple(perm))
-
-    result = assemble(0)
-    if result is None and len(blocks) > 1:
-        result = assemble(1)
-    if result is None:
-        raise InvalidConfigError(
-            f"cannot rotate {len(blocks)} blocks in runs of {e}")
-    return result
+def rotating_config(e: int, types, fixed: Partition | None = None) -> InductionConfig:
+    """An optional fixed block of type fixed, then e consecutive blocks of
+    each type in types, in order.  The twist sends letter k of each block
+    in a family to letter k of the next block, and the last block back to
+    the first; at e = 1 it is the identity, the ungraded configuration."""
+    if e < 1:
+        raise InvalidConfigError(f"order e must be positive, got e={e}")
+    lead = () if fixed is None else (fixed,)
+    block_types = lead + tuple(nu for nu in types for _ in range(e))
+    blocks = runs(t.size for t in block_types)
+    cycles = (cycle for f in range(len(lead), len(blocks), e)
+              for cycle in zip(*blocks[f:f + e]))
+    n = sum(map(len, blocks))
+    return InductionConfig(n=n, e=e, blocks=blocks, block_types=block_types,
+                           a=from_cycles(n, *cycles))
 
 
 def standard_block_config(m: int, e: int, nu: Partition | None = None,
                           fixed_size: int = 0,
                           fixed_type: Partition | None = None) -> InductionConfig:
-    """e equal blocks of size m, optionally after one fixed block."""
-    sizes, types = [m] * e, [nu if nu is not None else Partition((m,))] * e
-    if fixed_size:
-        sizes.insert(0, fixed_size)
-        types.insert(0, fixed_type if fixed_type is not None
-                     else Partition((fixed_size,)))
-    blocks = runs(sizes)
-    return InductionConfig(n=sum(sizes), e=e, blocks=blocks,
-                           block_types=tuple(types),
-                           a=block_shift_element(blocks, e))
+    """e blocks of size m and type nu (one row by default), after a fixed
+    block of fixed_size letters and type fixed_type when fixed_size > 0."""
+    nu = nu if nu is not None else Partition((m,))
+    fixed = (fixed_type if fixed_type is not None
+             else Partition((fixed_size,))) if fixed_size else None
+    for jtype, size in ((fixed, fixed_size), (nu, m)):
+        if jtype is not None and jtype.size != size:
+            raise ValueError(f"Jordan type {jtype} does not fill a block of {size}")
+    return rotating_config(e, [nu], fixed)
 
 
 def l_regular_config(n: int, m: int, e: int, nu: Partition | None = None,
@@ -723,7 +711,8 @@ def l_regular_config(n: int, m: int, e: int, nu: Partition | None = None,
     the complementary symmetric group supplies the twist (of the whole
     group when the block is a single letter)."""
     if not 1 <= m <= n - 1:
-        raise ValueError(f"need 1 <= m <= {n - 1}, got m={m}")
+        raise ValueError(f"the distinguished block holds m={m} of n={n} "
+                         f"letters; it needs 1 <= m <= n - 1 = {n - 1}")
     free = n if m == 1 else n - m
     return InductionConfig(
         n=n, e=e, blocks=runs([1] * (n - m) + [m]),

@@ -28,7 +28,9 @@ residue characters as field elements scaled by Fractions, check the
 integer comparisons that replaced them.  validate_config as it ran on
 the root system A_{n-1}, with the Levi of the blocks, its crossing
 roots and the eigenspace of the twist, checks the letter rules that
-replaced it.
+replaced it.  The twist of a rotating layout worked out from its
+finished blocks, trying whether a fixed block leads, checks the builder
+that lays the blocks out knowing it.
 """
 
 from collections import Counter
@@ -904,3 +906,36 @@ def rootsys_validate_config(cfg: InductionConfig) -> str:
                 f"crossing root {levi.parent.coords(beta)} (simple-root "
                 "coordinates) is orthogonal to every rotating block")
     return "block-cyclic"
+
+
+# ---------------------------------------------------------------------------
+# the rotating layout worked out from finished blocks
+
+
+def block_shift_element(blocks, e: int) -> WeylElt:
+    """Canonical cyclic twist for a block layout: consecutive runs of e
+    equal-size blocks rotate, an optional leading block stays fixed."""
+    blocks = tuple(tuple(b) for b in blocks)
+    n = sum(len(b) for b in blocks)
+
+    def assemble(start):
+        perm = list(range(1, n + 1))
+        p = start
+        while p < len(blocks):
+            run = blocks[p:p + e]
+            if len(run) < e or len({len(b) for b in run}) != 1:
+                return None
+            for t in range(e):
+                src, dst = run[t], run[(t + 1) % e]
+                for k, letter in enumerate(src):
+                    perm[letter - 1] = dst[k]
+            p += e
+        return WeylElt(perm=tuple(perm))
+
+    result = assemble(0)
+    if result is None and len(blocks) > 1:
+        result = assemble(1)
+    if result is None:
+        raise InvalidConfigError(
+            f"cannot rotate {len(blocks)} blocks in runs of {e}")
+    return result

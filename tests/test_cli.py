@@ -551,6 +551,33 @@ def test_config_validate_rejects(capsys):
     assert "do not fit" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("config-validate", "--n", "1", "--nu", "1", "--e", "1"),
+     "the distinguished block holds m=1 of n=1 letters; it needs "
+     "1 <= m <= n - 1 = 0"),
+    (("verify", "--check", "all", "--n", "3", "--nu", "3", "--e", "2"),
+     "the distinguished block holds m=3 of n=3 letters; it needs "
+     "1 <= m <= n - 1 = 2"),
+    (("config-validate", "--mu", "2", "--nu", "3", "--e", "1"),
+     "types [(3,)] taken once each do not fit inside mu=(2,)"),
+    (("config-validate", "--mu", "2,2", "--nu", "1,1", "--e", "2"),
+     "types [(1, 1)] taken 2 times each do not fit inside mu=(2, 2)"),
+])
+def test_config_refusals_say_what_does_not_fit(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("regular", "--family", "C", "--rank", "3", "--e", "2"),
+     "type C variant a needs odd e, got e=2"),
+    (("regular", "--family", "c", "--rank", "3", "--e", "3", "--variant", "z"),
+     "type C has variants a and b, got 'z'"),
+])
+def test_catalog_refusals_name_the_family_given(capsys, argv, message):
+    # type C reads type B's catalog row, but is refused under its own name
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # the order, letter-count and rank flags
 

@@ -30,7 +30,6 @@ from greenchar.weyl import (
     InvalidConfigError,
     WeylElt,
     block_restriction,
-    block_shift_element,
     coset_count,
     coset_elements,
     from_cycles,
@@ -59,6 +58,7 @@ from greenchar.verify import (
 )
 
 from oracles import (
+    block_shift_element,
     coset_character,
     coset_exponent,
     extended_subgroup,

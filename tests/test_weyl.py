@@ -5,10 +5,12 @@ the asserts, exhaustive naive loops run inside the tests themselves,
 and classical degree counts for eigenspace dimensions.
 """
 
+import importlib.util
 import math
 import os
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,7 +25,6 @@ from greenchar.weyl import (
     InvalidConfigError,
     SubgroupTable,
     WeylElt,
-    block_shift_element,
     coset_census,
     coset_count,
     coset_elements,
@@ -39,6 +40,7 @@ from greenchar.weyl import (
     orbit_shape,
     reflection_word,
     regular_element,
+    rotating_config,
     runs,
     standard_block_config,
     trapping_roots,
@@ -46,9 +48,9 @@ from greenchar.weyl import (
     young_subgroup,
 )
 
-from oracles import (DEGREES, apply, coset_character, coset_exponent,
-                     coset_reps, enumerate_group, enumerated_census,
-                     extended_subgroup, matrix_eigenspace,
+from oracles import (DEGREES, apply, block_shift_element, coset_character,
+                     coset_exponent, coset_reps, enumerate_group,
+                     enumerated_census, extended_subgroup, matrix_eigenspace,
                      rootsys_validate_config, signed_cycle_type, weyl_order)
 from oracles import rank as matrix_rank
 from test_acceptance import (one_row_configs, regular_twist_configs,
@@ -725,6 +727,112 @@ def _block_layouts(n):
                 blocks.append(tuple(range(start, letter + 1)))
                 start = letter + 1
         yield tuple(blocks)
+
+
+def load_workloads():
+    """The benchmark's pools, read from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def guessed_layout(e, types, fixed=None):
+    """The rotating layout assembled as before the builder: consecutive
+    runs, and the twist worked out from the finished blocks."""
+    block_types = ((fixed,) if fixed is not None else ()) + tuple(
+        nu for nu in types for _ in range(e))
+    blocks = runs(t.size for t in block_types)
+    return InductionConfig(n=sum(map(len, blocks)), e=e, blocks=blocks,
+                           block_types=block_types,
+                           a=block_shift_element(blocks, e))
+
+
+def rotating_layouts(max_n=12, max_e=6, max_families=3):
+    """(e, types, fixed) for every family count up to max_families, every
+    family size and fixed-block size with n <= max_n; the types cycle
+    through the partitions of each size, so families of one size may
+    carry different types."""
+    for e in range(1, max_e + 1):
+        for k in range(1, max_families + 1):
+            for sizes in product(range(1, max_n // e + 1), repeat=k):
+                for f in range(max_n - e * sum(sizes) + 1):
+                    types = tuple(partitions_of(m)[i % len(partitions_of(m))]
+                                  for i, m in enumerate(sizes))
+                    yield e, types, partitions_of(f)[-1] if f else None
+
+
+class TestRotatingConfig:
+    def test_equals_the_guessed_layout_on_every_small_layout(self):
+        tried = 0
+        for e, types, fixed in rotating_layouts():
+            cfg = rotating_config(e, types, fixed)
+            expected = guessed_layout(e, types, fixed)
+            # every field, the twist by its permutation
+            assert cfg == expected, (e, types, fixed)
+            assert cfg.a.perm == expected.a.perm
+            tried += 1
+        assert tried == 1313
+
+    def test_benchmark_pools_build_the_guessed_layout(self):
+        workloads = load_workloads()
+
+        def part(p):
+            return Partition(p) if p is not None else None
+
+        specs = [spec for spec in workloads.one_row_configs()
+                 + workloads.general_type_configs() if spec[0] == "std"]
+        assert len(specs) == 39 + 39
+        for _, m, e, nu, fixed_size, fixed_type in specs:
+            cfg = standard_block_config(m, e, part(nu), fixed_size,
+                                        part(fixed_type))
+            fixed = None
+            if fixed_size:
+                fixed = part(fixed_type) or Partition((fixed_size,))
+            assert cfg == guessed_layout(e, (part(nu) or Partition((m,)),),
+                                         fixed)
+
+    def test_a_single_block_family_is_ungraded(self):
+        cfg = rotating_config(1, (Partition((2, 1)), Partition((2,))))
+        assert cfg.blocks == ((1, 2, 3), (4, 5))
+        assert cfg.a.is_identity()
+        assert validate_config(cfg) == "ungraded"
+
+    def test_twist_examples(self):
+        two = Partition((2,))
+        assert rotating_config(2, (two,)).a.perm == (3, 4, 1, 2)
+        assert rotating_config(2, (two,), two).a.perm == (1, 2, 5, 6, 3, 4)
+        assert rotating_config(3, (Partition((1,)), two)).a.perm == \
+            (2, 3, 1, 6, 7, 8, 9, 4, 5)
+
+    @pytest.mark.parametrize("e", [0, -2])
+    def test_nonpositive_order_is_refused(self, e):
+        with pytest.raises(InvalidConfigError) as info:
+            rotating_config(e, (Partition((2,)),))
+        assert str(info.value) == f"order e must be positive, got e={e}"
+
+    def test_mismatched_block_sizes_are_refused(self):
+        with pytest.raises(ValueError,
+                           match=r"Jordan type \(3,\) does not fill a block of 2"):
+            standard_block_config(2, 2, Partition((3,)))
+        with pytest.raises(ValueError,
+                           match=r"Jordan type \(1,\) does not fill a block of 2"):
+            standard_block_config(1, 2, fixed_size=2,
+                                  fixed_type=Partition((1,)))
+
+    def test_ungraded_induction_config_strings_are_unchanged(self):
+        multisets = [(n, types) for n in range(2, 8)
+                     for types in load_workloads().block_type_multisets(n)]
+        assert len(multisets) == 219
+        for n, types in multisets:
+            sizes = [sum(t) for t in types]
+            report = verify.check_ungraded_induction(n, types)
+            assert report.config == (
+                f"n={n} blocks={runs(sizes)} "
+                f"types={tuple(tuple(t) for t in types)}")
+            assert validate_config(rotating_config(
+                1, [Partition(t) for t in types])) == "ungraded"
 
 
 class TestYoungSubgroup:
