@@ -9,13 +9,13 @@ it, and IntPolynomial.divmod_exact is the only long division.
 
 A field element keeps its coordinates as Python ints while they are
 integral.  Reduction mod Phi_e reads one cached table per conductor,
-the integer coordinates of x^k for k < e: Phi_e is monic, so the table
-is integral, and x^e = 1, so any coefficient list folds mod e and then
-reduces by integer multiply-adds.  Fractions arise only where a value
-really is rational: inverses (one rational elimination) and products
-with rational weights.  All values are immutable after construction
-and safe to share between threads; nothing in this module ever touches
-a float.
+the integer coordinates of x^k for k < e, each row kept as its nonzero
+entries: Phi_e is monic, so the table is integral, and x^e = 1, so any
+coefficient list folds mod e and then reduces by integer multiply-adds.
+Fractions arise only where a value really is rational: inverses (one
+rational elimination) and products with rational weights.  All values
+are immutable after construction and safe to share between threads;
+nothing in this module ever touches a float.
 """
 
 from __future__ import annotations
@@ -209,7 +209,8 @@ def euler_phi(e: int) -> int:
 
 @lru_cache(maxsize=None)
 def _power_residues(e: int):
-    """Integer coordinates of x^k mod Phi_e in the power basis, k < e.
+    """phi(e) and the integer coordinates of x^k mod Phi_e in the power
+    basis, k < e, each row kept as its nonzero (index, coordinate) pairs.
 
     Phi_e is monic of degree phi: x^(k+1) is x^k shifted up one place,
     with its top coordinate t folded back as t * x^phi = -t * (Phi_e - x^phi).
@@ -221,14 +222,14 @@ def _power_residues(e: int):
         top = row[-1]
         row = tuple(r - top * c for r, c in zip((0,) + row[:-1], phi_cs))
         rows.append(row)
-    return tuple(rows)
+    return len(phi_cs), tuple(tuple((i, r) for i, r in enumerate(row) if r)
+                              for row in rows)
 
 
 def _reduce(e: int, coeffs) -> list:
     """Coordinates of sum(coeffs[k] x^k) mod Phi_e: fold the exponents
     mod e (x^e = 1), then add each folded bucket times its power residue."""
-    table = _power_residues(e)
-    phi = len(table[0])
+    phi, table = _power_residues(e)
     if len(coeffs) > e:
         buckets = [0] * e
         for k, c in enumerate(coeffs):
@@ -238,9 +239,8 @@ def _reduce(e: int, coeffs) -> list:
     out += [0] * (phi - len(out))
     for b, row in zip(coeffs[phi:], table[phi:]):
         if b:
-            for i, r in enumerate(row):
-                if r:
-                    out[i] += b * r
+            for i, r in row:
+                out[i] += b * r
     return out
 
 
@@ -434,15 +434,26 @@ def root_values(p: IntPolynomial, e: int, exponents) -> list:
     The root satisfies x^e = 1, so the coefficient of q^k lands on the
     power x^(jk mod e): the coefficients are summed into e integer
     buckets and reduced mod Phi_e once, instead of one field
-    multiplication per coefficient as in Horner's rule.
+    multiplication per coefficient as in Horner's rule.  For several
+    exponents the coefficients are first summed by residue mod e, once,
+    and each nonzero residue sum r lands on x^(jr mod e).
     """
     if e < 1:
         raise ValueError("conductor must be positive")
-    values = []
-    for j in exponents:
+    exponents = tuple(exponents)
+    if len(exponents) == 1:
+        j, = exponents
         buckets = [0] * e
         for k, c in enumerate(p.coeffs):
             buckets[(j * k) % e] += c
+        return [tuple(_reduce(e, buckets))]
+    cs = p.coeffs
+    sums = [(r, s) for r in range(e) if (s := sum(cs[r::e]))]
+    values = []
+    for j in exponents:
+        buckets = [0] * e
+        for r, s in sums:
+            buckets[(j * r) % e] += s
         values.append(tuple(_reduce(e, buckets)))
     return values
 

@@ -590,11 +590,28 @@ def levi_order(cfg: InductionConfig) -> int:
     return prod(factorial(len(block)) for block in cfg.blocks)
 
 
+@lru_cache(maxsize=None)
+def _twist_blocks(cfg: InductionConfig):
+    """sigma, how the twist permutes the blocks; None when it splits one."""
+    return block_permutation(cfg.blocks, cfg.a)
+
+
 def orbit_shape(cfg: InductionConfig, j: int):
     """How the j-th shifted coset moves the blocks, as far as its census
     can tell: the sorted (orbit length, block size, block type) of each
-    orbit of sigma^j, the type being that of the orbit's first block."""
-    sigma = block_permutation(cfg.blocks, cfg.a ** (j % cfg.e))
+    orbit of sigma^j, the type being that of the orbit's first block.
+    sigma^j is composed on block indices; only a twist that splits a
+    block, some power of which may still permute them, is raised to the
+    j-th power itself."""
+    k = j % cfg.e
+    sigma = _twist_blocks(cfg)
+    if sigma is None:
+        sigma = block_permutation(cfg.blocks, cfg.a ** k)
+    else:
+        power = range(len(sigma))
+        for _ in range(k):
+            power = [sigma[b] for b in power]
+        sigma = power
     if sigma is None:
         raise ValueError("element does not permute the blocks")
     return tuple(sorted((len(orbit), len(cfg.blocks[orbit[0]]),
@@ -767,7 +784,7 @@ def validate_config(cfg: InductionConfig) -> str:
             f"twisting element has order {order}, expected e = {cfg.e}")
     if cfg.e == 1:
         return "ungraded"
-    sigma = block_permutation(cfg.blocks, cfg.a)
+    sigma = _twist_blocks(cfg)
     if sigma is None:
         raise InvalidConfigError(
             "twisting element does not permute the blocks, so it fails "

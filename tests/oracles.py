@@ -30,7 +30,11 @@ the root system A_{n-1}, with the Levi of the blocks, its crossing
 roots and the eigenspace of the twist, checks the letter rules that
 replaced it.  The twist of a rotating layout worked out from its
 finished blocks, trying whether a fixed block leads, checks the builder
-that lays the blocks out knowing it.
+that lays the blocks out knowing it.  Orbit shapes read off a^j built
+as a group element at every exponent, root values bucketed afresh per
+exponent, and reduction along the dense power-residue rows check the
+block-index powers, the residue fold and the sparse rows that replaced
+them.
 """
 
 from collections import Counter
@@ -396,6 +400,16 @@ def orbit_profile(cfg: InductionConfig, z: WeylElt):
     return tuple(sorted(profile))
 
 
+def power_orbit_shape(cfg: InductionConfig, j: int):
+    """weyl.orbit_shape as it built a^j as a group element, then a fresh
+    letter-to-block map for it, at every exponent."""
+    sigma = block_permutation(cfg.blocks, cfg.a ** (j % cfg.e))
+    if sigma is None:
+        raise ValueError("element does not permute the blocks")
+    return tuple(sorted((len(orbit), len(cfg.blocks[orbit[0]]),
+                         cfg.block_types[orbit[0]]) for orbit in orbits(sigma)))
+
+
 def trace_poly(ext: ExtendedGradedCharacter, z: WeylElt) -> IntPolynomial:
     """The graded trace polynomial of one element of the twisted block
     subgroup, assembled from its own orbit profile."""
@@ -473,6 +487,51 @@ def long_division_residue(e: int, coeffs) -> tuple:
                 rem[top - phi + i] -= c * p
     rem = rem[:phi]
     return tuple(rem + [Fraction(0)] * (phi - len(rem)))
+
+
+@lru_cache(maxsize=None)
+def dense_power_residues(e: int):
+    """The integer coordinates of x^k mod Phi_e for k < e, each row all
+    phi(e) of them, zeros included."""
+    phi_cs = cyclotomic_poly(e).coeffs[:-1]
+    row = (1,) + (0,) * (len(phi_cs) - 1)
+    rows = [row]
+    for _ in range(e - 1):
+        top = row[-1]
+        row = tuple(r - top * c for r, c in zip((0,) + row[:-1], phi_cs))
+        rows.append(row)
+    return tuple(rows)
+
+
+def dense_reduce(e: int, coeffs) -> list:
+    """poly._reduce as it walked the dense power-residue rows."""
+    table = dense_power_residues(e)
+    phi = len(table[0])
+    if len(coeffs) > e:
+        buckets = [0] * e
+        for k, c in enumerate(coeffs):
+            buckets[k % e] += c
+        coeffs = buckets
+    out = list(coeffs[:phi])
+    out += [0] * (phi - len(out))
+    for b, row in zip(coeffs[phi:], table[phi:]):
+        if b:
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += b * r
+    return out
+
+
+def per_exponent_root_values(p: IntPolynomial, e: int, exponents) -> list:
+    """poly.root_values as it filled e buckets from every coefficient
+    anew for each exponent, reduced by the dense rows."""
+    values = []
+    for j in exponents:
+        buckets = [0] * e
+        for k, c in enumerate(p.coeffs):
+            buckets[(j * k) % e] += c
+        values.append(tuple(dense_reduce(e, buckets)))
+    return values
 
 
 def matrix_eigenspace(a: WeylElt, e: int, j: int = 1):

@@ -10,15 +10,20 @@ from hypothesis import strategies as st
 from greenchar.poly import (
     Cyclotomic,
     IntPolynomial,
+    _power_residues,
+    _reduce,
     cyclotomic_poly,
     euler_phi,
     eval_at_root,
     kernel_basis,
     render_terms,
+    root_values,
 )
 
-from greenchar.symfun import springer_graded_char
-from oracles import galois, long_division_residue, rank, reverse, shift
+from greenchar.symfun import partitions_of, springer_graded_char
+from oracles import (dense_power_residues, dense_reduce, galois,
+                     long_division_residue, per_exponent_root_values, rank,
+                     reverse, shift)
 from test_acceptance import one_row_configs
 
 small_coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=6)
@@ -137,6 +142,65 @@ def test_eval_at_root_fold_matches_horner(coeffs, e):
     p = IntPolynomial(coeffs)
     for j in range(e):
         assert eval_at_root(p, e, j) == p(Cyclotomic.zeta(e, j))
+
+
+# conductors up to the eval cap, small ones more often, where the
+# coefficients wrap round e and the residue fold has work to do
+conductors = st.integers(min_value=1, max_value=12) | \
+    st.integers(min_value=1, max_value=200)
+# sparse integer polynomials, so that some residue sums vanish
+sparse_polys = st.lists(
+    st.integers(-3, 3) | st.just(0) | st.integers(-10**6, 10**6),
+    max_size=60).map(IntPolynomial)
+
+
+@given(sparse_polys, conductors, st.data())
+@settings(max_examples=200, deadline=None)
+def test_root_values_equal_the_per_exponent_buckets(p, e, data):
+    several = data.draw(st.lists(st.integers(-2 * e, 3 * e), min_size=2,
+                                 max_size=8))
+    assert root_values(p, e, several) == \
+        per_exponent_root_values(p, e, several)
+    j = several[0]
+    assert root_values(p, e, (j,)) == per_exponent_root_values(p, e, (j,))
+    assert root_values(p, e, range(e)) == \
+        per_exponent_root_values(p, e, range(e))
+    assert root_values(p, e, iter(several)) == root_values(p, e, several)
+    assert root_values(p, e, ()) == []
+
+
+def test_root_values_equal_the_per_exponent_buckets_on_the_pool_tables():
+    # every merged type and order of the roots_sweep, trace_sweep and
+    # induction_sweep pools, at j = 0..2e, one exponent and all at once
+    from test_weyl import pool_configs
+    pairs = {(cfg.merged_type(), cfg.e) for cfg in pool_configs()}
+    for mu, e in sorted(pairs):
+        g = springer_graded_char(mu)
+        exponents = range(2 * e + 1)
+        for rho in partitions_of(mu.size):
+            expected = per_exponent_root_values(g[rho], e, exponents)
+            assert root_values(g[rho], e, exponents) == expected, (mu, e, rho)
+            assert [root_values(g[rho], e, (j,))[0] for j in exponents] \
+                == expected, (mu, e, rho)
+
+
+def test_sparse_power_residues_are_the_dense_rows():
+    for e in list(range(1, 61)) + [199, 200]:
+        phi, rows = _power_residues(e)
+        assert phi == euler_phi(e)
+        assert [dict(row) for row in rows] == [
+            {i: r for i, r in enumerate(row) if r}
+            for row in dense_power_residues(e)]
+        assert all(r for row in rows for _, r in row)
+
+
+@given(conductors, st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduce_equals_the_dense_rows(e, data):
+    coeffs = data.draw(st.lists(
+        st.integers(-10**6, 10**6) | st.fractions(max_denominator=12),
+        max_size=2 * e + 5))
+    assert _reduce(e, coeffs) == dense_reduce(e, coeffs)
 
 
 def test_eval_at_root_needs_a_positive_conductor():

@@ -587,9 +587,13 @@ def test_config_checks_walk_no_coset(monkeypatch, capsys):
     # the root-of-unity, closed-form and residue checks, and eval with
     # blocks, also build no class representative and call no coset_count
     # when they pass, and the residue checks make no field element and
-    # no Fraction either
+    # no Fraction either; no check raises the twist to a power, since
+    # orbit shapes compose how it permutes the blocks
     def refuse(*args):
         raise AssertionError("a group was enumerated")
+
+    def refuse_power(*args):
+        raise AssertionError("the twist was raised to a power")
 
     def refuse_element(*args):
         raise AssertionError("a class was read through one element")
@@ -601,6 +605,7 @@ def test_config_checks_walk_no_coset(monkeypatch, capsys):
         for name in ("coset_elements", "levi_elements", "young_subgroup"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(weyl.WeylElt, "__pow__", refuse_power)
     for cached in (weyl.coset_census, weyl.shape_census, verify.shape_sums):
         cached.cache_clear()
     one_row = [CONFIGS[tag] for tag in (

@@ -51,7 +51,8 @@ from greenchar.weyl import (
 from oracles import (DEGREES, apply, block_shift_element, coset_character,
                      coset_exponent, coset_reps, enumerate_group,
                      enumerated_census, extended_subgroup, matrix_eigenspace,
-                     rootsys_validate_config, signed_cycle_type, weyl_order)
+                     power_orbit_shape, rootsys_validate_config,
+                     signed_cycle_type, weyl_order)
 from oracles import rank as matrix_rank
 from test_acceptance import (one_row_configs, regular_twist_configs,
                              rotating_block_configs)
@@ -1108,6 +1109,125 @@ class TestCosetCensus:
         assert coset_census(cfg, 0) == enumerated_census(cfg, 0)
         with pytest.raises(ValueError, match="does not permute the blocks"):
             coset_census(cfg, 1)
+
+
+def pool_configs():
+    """Every config of the roots_sweep, trace_sweep and induction_sweep
+    pools, built as the sweeps build them: the one-row and general-type
+    specs, then the e = 1 layout of each ungraded block-type multiset."""
+    workloads = load_workloads()
+
+    def part(p):
+        return Partition(p) if p is not None else None
+
+    configs = []
+    for spec in workloads.one_row_configs() + workloads.general_type_configs():
+        if spec[0] == "std":
+            _, m, e, nu, fixed_size, fixed_type = spec
+            configs.append(standard_block_config(m, e, part(nu), fixed_size,
+                                                 part(fixed_type)))
+        else:
+            _, n, m, e, nu, variant = spec
+            configs.append(l_regular_config(n, m, e, part(nu), variant))
+    for n in range(2, 8):
+        configs.extend(rotating_config(1, [Partition(t) for t in types])
+                       for types in workloads.block_type_multisets(n))
+    return configs
+
+
+def shape_or_refusal(route, cfg, j):
+    try:
+        return route(cfg, j)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def rotating_layouts_drawn(draw):
+    """rotating_config on one to three families of one to three letters,
+    any Jordan types, with or without a fixed block, on at most 12
+    letters."""
+    e = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    types = [draw(st.sampled_from(partitions_of(m))) for m in sizes]
+    f = draw(st.integers(0, 3))
+    assume(f + e * sum(sizes) <= 12)
+    fixed = draw(st.sampled_from(partitions_of(f))) if f else None
+    return rotating_config(e, types, fixed)
+
+
+@st.composite
+def l_regular_layouts(draw):
+    """l_regular_config on at most 10 letters, any admissible order and
+    distinguished block type, in the variant the trace_sweep pool uses."""
+    n = draw(st.integers(3, 10))
+    m = draw(st.integers(1, n - 2))
+    e = draw(st.sampled_from([d for d in range(2, n - m + 1)
+                              if (n - m) % d == 0]))
+    nu = draw(st.sampled_from(partitions_of(m)))
+    return l_regular_config(n, m, e, nu, "b" if m == 1 else "a")
+
+
+@st.composite
+def splitting_twists(draw):
+    """Consecutive blocks on at most 8 letters, at least one of two or
+    more letters, under any permutation of the letters and any e; most
+    such twists split a block, while some power of them may not."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    sizes = [s for i, s in enumerate(sizes) if sum(sizes[:i + 1]) <= 8]
+    assume(max(sizes) > 1)
+    blocks = runs(sizes)
+    n = sum(sizes)
+    a = WeylElt(perm=draw(st.permutations(range(1, n + 1))))
+    types = tuple(draw(st.sampled_from(partitions_of(len(block))))
+                  for block in blocks)
+    return InductionConfig(n=n, e=draw(st.integers(1, 8)), blocks=blocks,
+                           block_types=types, a=a)
+
+
+class TestOrbitShape:
+    # orbit_shape composes sigma on block indices; power_orbit_shape
+    # builds a^j and maps its letters to blocks at every exponent
+
+    def test_equals_the_power_route_on_every_pool_config(self):
+        configs = pool_configs()
+        assert len(configs) == 39 + 86 + 219
+        for cfg in configs:
+            for j in range(2 * cfg.e + 1):
+                assert orbit_shape(cfg, j) == power_orbit_shape(cfg, j), \
+                    (cfg, j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rotating_layouts_drawn() | l_regular_layouts(), st.data())
+    def test_equals_the_power_route_on_random_layouts(self, cfg, data):
+        for j in range(2 * cfg.e + 1):
+            assert orbit_shape(cfg, j) == power_orbit_shape(cfg, j), j
+        j = data.draw(st.integers(-3 * cfg.e, 3 * cfg.e))
+        assert orbit_shape(cfg, j) == power_orbit_shape(cfg, j)
+
+    # blocks (1,2),(3,4) under the 4-cycle (1 2 3 4): a and a^3 split
+    # the first block, while a^2 = (1 3)(2 4) swaps the two
+    @example(InductionConfig(n=4, e=4, blocks=runs([2, 2]),
+                             block_types=(Partition((2,)),) * 2,
+                             a=from_cycles(4, (1, 2, 3, 4))))
+    @settings(max_examples=200, deadline=None)
+    @given(splitting_twists())
+    def test_equals_the_power_route_on_twists_that_split_a_block(self, cfg):
+        for j in range(2 * cfg.e + 1):
+            assert shape_or_refusal(orbit_shape, cfg, j) == \
+                shape_or_refusal(power_orbit_shape, cfg, j), j
+
+    def test_a_power_of_a_splitting_twist_may_permute_the_blocks(self):
+        cfg = InductionConfig(n=4, e=4, blocks=runs([2, 2]),
+                              block_types=(Partition((2,)),) * 2,
+                              a=from_cycles(4, (1, 2, 3, 4)))
+        two = Partition((2,))
+        assert orbit_shape(cfg, 0) == ((1, 2, two), (1, 2, two))
+        assert orbit_shape(cfg, 2) == orbit_shape(cfg, 6) == ((2, 2, two),)
+        for j in (1, 3, 5):
+            with pytest.raises(ValueError,
+                               match="^element does not permute the blocks$"):
+                orbit_shape(cfg, j)
 
 
 def _cycles_for(rho):
