@@ -424,7 +424,18 @@ class Cyclotomic:
 
 def eval_at_root(p: IntPolynomial, e: int, j: int) -> Cyclotomic:
     """p evaluated at the j-th power of the distinguished primitive e-th root."""
-    return Cyclotomic(e, root_values(p, e, (j,))[0])
+    return Cyclotomic(e, _root_value(p, e, j))
+
+
+def _root_value(p: IntPolynomial, e: int, j: int) -> list:
+    """The coordinates of p at the j-th power of the root, in one pass
+    over the coefficients: the coefficient of q^k lands on x^(jk mod e)."""
+    if e < 1:
+        raise ValueError("conductor must be positive")
+    buckets = [0] * e
+    for k, c in enumerate(p.coeffs):
+        buckets[(j * k) % e] += c
+    return _reduce(e, buckets)
 
 
 def root_values(p: IntPolynomial, e: int, exponents) -> list:
@@ -438,15 +449,11 @@ def root_values(p: IntPolynomial, e: int, exponents) -> list:
     exponents the coefficients are first summed by residue mod e, once,
     and each nonzero residue sum r lands on x^(jr mod e).
     """
-    if e < 1:
-        raise ValueError("conductor must be positive")
     exponents = tuple(exponents)
     if len(exponents) == 1:
-        j, = exponents
-        buckets = [0] * e
-        for k, c in enumerate(p.coeffs):
-            buckets[(j * k) % e] += c
-        return [tuple(_reduce(e, buckets))]
+        return [tuple(_root_value(p, e, exponents[0]))]
+    if e < 1:
+        raise ValueError("conductor must be positive")
     cs = p.coeffs
     sums = [(r, s) for r in range(e) if (s := sum(cs[r::e]))]
     values = []

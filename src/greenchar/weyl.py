@@ -606,16 +606,15 @@ def orbit_shape(cfg: InductionConfig, j: int):
     k = j % cfg.e
     sigma = _twist_blocks(cfg)
     if sigma is None:
-        sigma = block_permutation(cfg.blocks, cfg.a ** k)
+        power = block_permutation(cfg.blocks, cfg.a ** k)
+        if power is None:
+            raise ValueError("element does not permute the blocks")
     else:
         power = range(len(sigma))
         for _ in range(k):
             power = [sigma[b] for b in power]
-        sigma = power
-    if sigma is None:
-        raise ValueError("element does not permute the blocks")
     return tuple(sorted((len(orbit), len(cfg.blocks[orbit[0]]),
-                         cfg.block_types[orbit[0]]) for orbit in orbits(sigma)))
+                         cfg.block_types[orbit[0]]) for orbit in orbits(power)))
 
 
 @lru_cache(maxsize=None)

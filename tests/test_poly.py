@@ -25,6 +25,7 @@ from oracles import (dense_power_residues, dense_reduce, galois,
                      long_division_residue, per_exponent_root_values, rank,
                      reverse, shift)
 from test_acceptance import one_row_configs
+from test_weyl import pool_configs
 
 small_coeffs = st.lists(st.integers(min_value=-6, max_value=6), max_size=6)
 
@@ -172,7 +173,6 @@ def test_root_values_equal_the_per_exponent_buckets(p, e, data):
 def test_root_values_equal_the_per_exponent_buckets_on_the_pool_tables():
     # every merged type and order of the roots_sweep, trace_sweep and
     # induction_sweep pools, at j = 0..2e, one exponent and all at once
-    from test_weyl import pool_configs
     pairs = {(cfg.merged_type(), cfg.e) for cfg in pool_configs()}
     for mu, e in sorted(pairs):
         g = springer_graded_char(mu)
