@@ -1205,11 +1205,6 @@ class TestOrbitShape:
         j = data.draw(st.integers(-3 * cfg.e, 3 * cfg.e))
         assert orbit_shape(cfg, j) == power_orbit_shape(cfg, j)
 
-    # blocks (1,2),(3,4) under the 4-cycle (1 2 3 4): a and a^3 split
-    # the first block, while a^2 = (1 3)(2 4) swaps the two
-    @example(InductionConfig(n=4, e=4, blocks=runs([2, 2]),
-                             block_types=(Partition((2,)),) * 2,
-                             a=from_cycles(4, (1, 2, 3, 4))))
     @settings(max_examples=200, deadline=None)
     @given(splitting_twists())
     def test_equals_the_power_route_on_twists_that_split_a_block(self, cfg):
@@ -1218,6 +1213,8 @@ class TestOrbitShape:
                 shape_or_refusal(power_orbit_shape, cfg, j), j
 
     def test_a_power_of_a_splitting_twist_may_permute_the_blocks(self):
+        # blocks (1,2),(3,4) under the 4-cycle (1 2 3 4): a and a^3 split
+        # the first block, while a^2 = (1 3)(2 4) swaps the two
         cfg = InductionConfig(n=4, e=4, blocks=runs([2, 2]),
                               block_types=(Partition((2,)),) * 2,
                               a=from_cycles(4, (1, 2, 3, 4)))
