@@ -445,17 +445,14 @@ def root_values(p: IntPolynomial, e: int, exponents) -> list:
     The root satisfies x^e = 1, so the coefficient of q^k lands on the
     power x^(jk mod e): the coefficients are summed into e integer
     buckets and reduced mod Phi_e once, instead of one field
-    multiplication per coefficient as in Horner's rule.  For several
-    exponents the coefficients are first summed by residue mod e, once,
-    and each nonzero residue sum r lands on x^(jr mod e).
+    multiplication per coefficient as in Horner's rule.  The coefficients
+    are first summed by residue mod e, once for all the exponents, and
+    each nonzero residue sum r lands on x^(jr mod e).
     """
-    exponents = tuple(exponents)
-    if len(exponents) == 1:
-        return [tuple(_root_value(p, e, exponents[0]))]
     if e < 1:
         raise ValueError("conductor must be positive")
     cs = p.coeffs
-    sums = [(r, s) for r in range(e) if (s := sum(cs[r::e]))]
+    sums = [(r, s) for r in range(min(e, len(cs))) if (s := sum(cs[r::e]))]
     values = []
     for j in exponents:
         buckets = [0] * e

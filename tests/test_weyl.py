@@ -8,6 +8,7 @@ and classical degree counts for eigenspace dimensions.
 import importlib.util
 import math
 import os
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -730,13 +731,53 @@ def _block_layouts(n):
         yield tuple(blocks)
 
 
-def load_workloads():
-    """The benchmark's pools, read from perfbench/workloads.py."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """A module of the benchmark, read from perfbench/<name>.py with that
+    directory on the import path, as the benchmark's scripts run."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+def pool_inputs():
+    """(spec, args) for each distinct item spec of the roots_sweep,
+    trace_sweep and induction_sweep pools, in pool order, with args as the
+    sweep builds them (perfbench/sweep.py build_args)."""
+    workloads = load_perfbench("workloads")
+    build_args = load_perfbench("sweep").build_args
+    inputs = {}
+    for workload in ("roots_sweep", "trace_sweep", "induction_sweep"):
+        for group in workloads.pool(workload):
+            for item in group:
+                key = repr(item["args"])
+                if key not in inputs:
+                    inputs[key] = (item["args"],
+                                   build_args(item["check"], item["args"]))
+    return list(inputs.values())
+
+
+def pool_configs():
+    """Every config of the roots_sweep, trace_sweep and induction_sweep
+    pools: the one-row and general-type configs, then the e = 1 layout
+    that check_ungraded_induction gives each ungraded block-type
+    multiset."""
+    configs = []
+    for spec, args in pool_inputs():
+        if isinstance(spec[0], str):
+            configs.append(args[0])
+        else:
+            _, types = args
+            configs.append(rotating_config(1, [Partition(t) for t in types]))
+    return configs
 
 
 def guessed_layout(e, types, fixed=None):
@@ -777,17 +818,13 @@ class TestRotatingConfig:
         assert tried == 1313
 
     def test_benchmark_pools_build_the_guessed_layout(self):
-        workloads = load_workloads()
-
         def part(p):
             return Partition(p) if p is not None else None
 
-        specs = [spec for spec in workloads.one_row_configs()
-                 + workloads.general_type_configs() if spec[0] == "std"]
-        assert len(specs) == 39 + 39
-        for _, m, e, nu, fixed_size, fixed_type in specs:
-            cfg = standard_block_config(m, e, part(nu), fixed_size,
-                                        part(fixed_type))
+        inputs = [(spec, args) for spec, args in pool_inputs()
+                  if spec[0] == "std"]
+        assert len(inputs) == 39 + 39
+        for (_, m, e, nu, fixed_size, fixed_type), (cfg,) in inputs:
             fixed = None
             if fixed_size:
                 fixed = part(fixed_type) or Partition((fixed_size,))
@@ -824,7 +861,7 @@ class TestRotatingConfig:
 
     def test_ungraded_induction_config_strings_are_unchanged(self):
         multisets = [(n, types) for n in range(2, 8)
-                     for types in load_workloads().block_type_multisets(n)]
+                     for types in load_perfbench("workloads").block_type_multisets(n)]
         assert len(multisets) == 219
         for n, types in multisets:
             sizes = [sum(t) for t in types]
@@ -1109,30 +1146,6 @@ class TestCosetCensus:
         assert coset_census(cfg, 0) == enumerated_census(cfg, 0)
         with pytest.raises(ValueError, match="does not permute the blocks"):
             coset_census(cfg, 1)
-
-
-def pool_configs():
-    """Every config of the roots_sweep, trace_sweep and induction_sweep
-    pools, built as the sweeps build them: the one-row and general-type
-    specs, then the e = 1 layout of each ungraded block-type multiset."""
-    workloads = load_workloads()
-
-    def part(p):
-        return Partition(p) if p is not None else None
-
-    configs = []
-    for spec in workloads.one_row_configs() + workloads.general_type_configs():
-        if spec[0] == "std":
-            _, m, e, nu, fixed_size, fixed_type = spec
-            configs.append(standard_block_config(m, e, part(nu), fixed_size,
-                                                 part(fixed_type)))
-        else:
-            _, n, m, e, nu, variant = spec
-            configs.append(l_regular_config(n, m, e, part(nu), variant))
-    for n in range(2, 8):
-        configs.extend(rotating_config(1, [Partition(t) for t in types])
-                       for types in workloads.block_type_multisets(n))
-    return configs
 
 
 def shape_or_refusal(route, cfg, j):
