@@ -16,11 +16,11 @@ other greenchar module at load time; each subcommand imports what it
 uses.  green, and eval without --nu, load symfun and poly only.  eval
 with --nu and config-validate add weyl, which decides a block
 configuration on letters; regular adds rootsys and weyl.  verify loads
-verify and weyl, and rootsys only for regular-catalog.
+verify and weyl, and rootsys only for regular-catalog.  json is
+imported only where json is written.
 """
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
@@ -201,6 +201,7 @@ def part_text(rho) -> str:
 
 
 def canonical_json(payload) -> str:
+    import json
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -371,6 +372,7 @@ def run_checks(args):
 
 
 def cmd_verify(args) -> int:
+    import json
     reports = run_checks(args)
     payload = [report_payload(r) for r in reports]
     columns = ["check", "status", "witnesses", "elapsed_ms", "notes"]

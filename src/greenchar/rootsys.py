@@ -9,9 +9,10 @@ basis with the symmetrized Cartan form as inner product.
 
 Coordinates are plain integers: every simple root, root vector and
 Gram entry is an int, except F4's two half-norms 1/2, the only place a
-denominator is real.  Reflection matrices divide by the root's norm
-and so hold Fractions; an int and an equal Fraction compare and hash
-alike, so root membership does not care.
+denominator is real.  Reflection matrices divide exactly by the root's
+norm and so hold ints too.  A Dynkin component is named by its number
+of roots at its rank, from the table that checks every root system
+built here, the norms of its simple roots breaking the ties.
 
 Simple roots are labeled 1..rank.  For E6/E7/E8 the labels follow the
 convention where the branch node alpha_3 hangs off alpha_4 of the chain
@@ -24,15 +25,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-def _expected_root_count(family: str, rank: int) -> int:
-    if family == "A":
+def _expected_root_count(family: str, rank: int):
+    """Number of roots of the type at that rank (Bourbaki, Lie Groups and
+    Lie Algebras VI, Plates I-IX), None when the type has no such rank."""
+    if family == "A" and rank >= 1:
         return rank * (rank + 1)
-    if family in ("B", "C"):
+    if family in ("B", "C") and rank >= 2:
         return 2 * rank * rank
-    if family == "D":
+    if family == "D" and rank >= 3:
         return 2 * rank * (rank - 1)
     return {("E", 6): 72, ("E", 7): 126, ("E", 8): 240,
-            ("F", 4): 48, ("G", 2): 12}[(family, rank)]
+            ("F", 4): 48, ("G", 2): 12}.get((family, rank))
 
 
 def _classical_simple_roots(family: str, rank: int):
@@ -100,6 +103,14 @@ def _close_under_reflections(cartan):
     return tuple(sorted(seen))
 
 
+def _exact(num, den) -> int:
+    """num / den, which must be an integer."""
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"{num} is not a multiple of {den}")
+    return quotient
+
+
 def _ambient(simple_roots, coords):
     vec = [0] * len(simple_roots[0])
     for c, alpha in zip(coords, simple_roots):
@@ -129,7 +140,7 @@ class RootSystem:
         return f"{self.family}{self.rank}"
 
     def inner(self, u, v):
-        """Symmetric pairing of two ambient vectors; scalars may be Cyclotomic."""
+        """Symmetric pairing of two ambient vectors."""
         total = 0
         for i, ui in enumerate(u):
             if not ui:
@@ -149,14 +160,15 @@ class RootSystem:
         return _ambient(self.simple_roots, coords)
 
     def reflection_matrix(self, alpha):
-        """Matrix (tuple of rows) of the reflection through alpha, on the ambient space."""
+        """Matrix (tuple of rows) of the reflection through alpha, on the
+        ambient space: column c is e_c - (2<e_c, alpha>/<alpha, alpha>) alpha,
+        the quotient exact for a root; any other vector raises
+        ArithmeticError."""
         norm = self.inner(alpha, alpha)
-        cols = []
-        for c in range(self.dim):
-            basis = tuple(1 if k == c else 0 for k in range(self.dim))
-            coef = Fraction(2 * self.inner(basis, alpha), 1) / norm
-            cols.append(tuple(basis[r] - coef * alpha[r] for r in range(self.dim)))
-        return tuple(tuple(cols[c][r] for c in range(self.dim)) for r in range(self.dim))
+        coefs = [_exact(2 * sum(g * a for g, a in zip(col, alpha)), norm)
+                 for col in self.gram]
+        return tuple(tuple(int(r == c) - coefs[c] * a for c in range(self.dim))
+                     for r, a in enumerate(alpha))
 
     def simple_reflection(self, label: int):
         return self.reflection_matrix(self.simple_roots[label - 1])
@@ -165,13 +177,7 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
     family = family.upper()
-    valid = (family == "A" and rank >= 1) or \
-            (family in ("B", "C") and rank >= 2) or \
-            (family == "D" and rank >= 3) or \
-            (family == "E" and rank in (6, 7, 8)) or \
-            (family == "F" and rank == 4) or \
-            (family == "G" and rank == 2)
-    if not valid:
+    if _expected_root_count(family, rank) is None:
         raise ValueError(f"no root system of type {family}{rank}")
 
     if family in ("A", "B", "C", "D"):
@@ -181,16 +187,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         def dot(u, v):
             return sum(a * b for a, b in zip(u, v))
 
-        cartan = []
-        for i in range(rank):
-            row = []
-            for j in range(rank):
-                num = 2 * dot(simples[i], simples[j])
-                den = dot(simples[i], simples[i])
-                assert num % den == 0
-                row.append(num // den)
-            cartan.append(tuple(row))
-        cartan = tuple(cartan)
+        cartan = tuple(tuple(_exact(2 * dot(si, sj), dot(si, si))
+                             for sj in simples) for si in simples)
         simple_vecs = tuple(simples)
     else:
         cartan_rows, d = _exceptional_cartan(family, rank)
@@ -215,56 +213,24 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         roots=ambient_roots, root_set=frozenset(ambient_roots))
 
 
-def _component_arms(nodes, adj, branch):
-    arms = []
-    for nxt in adj[branch]:
-        length = 1
-        prev, cur = branch, nxt
-        while True:
-            ahead = [k for k in adj[cur] if k != prev]
-            if not ahead:
-                break
-            prev, cur = cur, ahead[0]
-            length += 1
-        arms.append(length)
-    return sorted(arms)
-
-
 def _classify_component(nodes, cartan, norms):
-    """Dynkin type of one connected subdiagram, as (letter, rank, nodes)."""
+    """Dynkin type of one connected subdiagram, as (letter, rank, nodes).
+
+    The type is the one with as many roots at this rank as the
+    subdiagram's Cartan matrix closes to.  A simply-laced diagram is A,
+    D or E (A3 = D3 is A).  B_r has one short simple root and C_r has
+    r - 1, so B is the type with one, and B2 = C2 is B."""
     nodes = tuple(sorted(nodes))
-    adj = {i: [j for j in nodes if j != i and cartan[i - 1][j - 1] != 0] for i in nodes}
-    bonds = {}
-    for i in nodes:
-        for j in adj[i]:
-            if i < j:
-                bonds[(i, j)] = cartan[i - 1][j - 1] * cartan[j - 1][i - 1]
-    if any(m == 3 for m in bonds.values()):
-        return ("G", 2, nodes)
-    doubles = [p for p, m in bonds.items() if m == 2]
-    if doubles:
-        assert len(doubles) == 1
-        i, j = doubles[0]
-        if len(nodes) == 2:
-            return ("B", 2, nodes)
-        if len(adj[i]) == 2 and len(adj[j]) == 2 and len(nodes) == 4:
-            return ("F", 4, nodes)
-        end = i if len(adj[i]) == 1 else j
-        other = j if end == i else i
-        letter = "B" if norms[end - 1] < norms[other - 1] else "C"
-        return (letter, len(nodes), nodes)
-    degs = {i: len(adj[i]) for i in nodes}
-    if not nodes:
-        raise ValueError("empty component")
-    if max(degs.values(), default=0) <= 2:
-        return ("A", len(nodes), nodes)
-    branch = [i for i in nodes if degs[i] == 3]
-    assert len(branch) == 1, "unrecognized diagram"
-    arms = _component_arms(nodes, adj, branch[0])
-    if arms[0] == 1 and arms[1] == 1:
-        return ("D", len(nodes), nodes)
-    assert arms[0] == 1 and arms[1] == 2 and arms[2] in (2, 3, 4)
-    return ("E", len(nodes), nodes)
+    rank = len(nodes)
+    count = len(_close_under_reflections(
+        [[cartan[i - 1][j - 1] for j in nodes] for i in nodes]))
+    lengths = [norms[i - 1] for i in nodes]
+    short = sum(n < max(lengths) for n in lengths)
+    letter = next(f for f in ("BCFG" if short else "ADE")
+                  if _expected_root_count(f, rank) == count)
+    if letter == "B" and short > 1:
+        letter = "C"
+    return (letter, rank, nodes)
 
 
 class LeviConfig:
@@ -302,23 +268,16 @@ def levi_config(rs: RootSystem, pi_L) -> LeviConfig:
                for j in pi_L))
     phi_Lp = tuple(c for c in rs.root_coords if support(c) <= set(pi_prime))
 
-    norms = [rs.inner(s, s) for s in rs.simple_roots]
-    remaining = set(pi_prime)
+    # a root's support is connected, and each component's highest root
+    # has the whole component as support: the largest supports are the
+    # components
     comps = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in remaining - comp:
-                if rs.cartan[i - 1][j - 1] != 0:
-                    comp.add(j)
-                    frontier.append(j)
-        remaining -= comp
-        comps.append(_classify_component(comp, rs.cartan, norms))
-    comps.sort()
-
+    for sup in sorted({frozenset(support(c)) for c in phi_Lp}, key=len,
+                      reverse=True):
+        if not any(sup <= comp for comp in comps):
+            comps.append(sup)
+    norms = [rs.inner(s, s) for s in rs.simple_roots]
     return LeviConfig(parent=rs, pi_L=pi_L, pi_prime=pi_prime,
                       phi_L_coords=phi_L, phi_Lprime_coords=phi_Lp,
-                      components=tuple(comps))
+                      components=tuple(sorted(_classify_component(
+                          comp, rs.cartan, norms) for comp in comps)))

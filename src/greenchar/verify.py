@@ -17,7 +17,7 @@ import math
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .poly import Cyclotomic, IntPolynomial, _reduce, eval_at_root, root_values
 from .symfun import Partition, partitions_of, springer_graded_char
@@ -33,7 +33,6 @@ from .weyl import (
     class_representative,
     eigenspace,
     embed_component_element,
-    from_cycles,
     induced_character,
     is_L_regular,
     levi_order,
@@ -421,10 +420,17 @@ def check_regular_catalog(family: str | None = None,
         tried += 1
         if not is_L_regular(a, e, lv):
             bad.append((f"{fam}{rk} pi_L={pi_L}", e, False, True))
-    model_regulars = {
-        1: [(WeylElt(perm=(2, 1)), 2)],
-        2: [(from_cycles(3, (1, 2, 3)), 3), (from_cycles(3, (1, 2)), 2)],
-    }
+
+    def model_regulars(rk):
+        """The catalog twists of A_rk of each order e from 2 to rk + 1,
+        with e; G2 and F4 leave only type A components beside a Levi."""
+        for e, variant in product(range(2, rk + 2), "ab"):
+            try:
+                twist = regular_element("A", rk, e, variant)
+            except ValueError:  # the catalog has no such twist
+                continue
+            yield twist, e
+
     swept = []
     for fam, rk in [fr for fr in (("G", 2), ("F", 4)) if wanted(*fr)]:
         rs = build_root_system(fam, rk)
@@ -435,7 +441,7 @@ def check_regular_catalog(family: str | None = None,
                      f"{components} components swept")
         for lv in levis:
             for comp in lv.components:
-                for model_elt, e in model_regulars.get(comp[1], []):
+                for model_elt, e in model_regulars(comp[1]):
                     a = embed_component_element(rs, comp, model_elt)
                     tried += 1
                     if is_L_regular(a, e, lv):

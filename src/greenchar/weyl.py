@@ -3,7 +3,7 @@
 Classical elements are signed one-line permutations: entry i of the
 tuple is w(i), with a minus sign when the i-th coordinate vector is
 sent to minus a coordinate vector.  Type A elements carry no signs.
-Exceptional elements are plain rational matrices on the ambient space
+Exceptional elements are plain integer matrices on the ambient space
 of their root system.  Both forms compose with ``@`` and the
 convention is (u @ v)(x) = u(v(x)), so conjugation x^-1 w x applies x
 first.
@@ -27,8 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
 from math import factorial, lcm, prod
+from operator import mul
 
-from .poly import Cyclotomic, _echelon, kernel_basis
+from .poly import Cyclotomic, kernel_basis
 from .symfun import Partition, partitions_of
 
 # rootsys is imported only where a root system is built, so a block
@@ -38,8 +39,7 @@ from .symfun import Partition, partitions_of
 DEFAULT_BOUND = 10 ** 7
 
 def _identity_matrix(n: int):
-    return tuple(tuple(Fraction(1 if r == c else 0) for c in range(n))
-                 for r in range(n))
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
 
 def _matmul(a, b):
@@ -76,9 +76,9 @@ class WeylElt:
     def matrix(self):
         if self._mat is None:
             n = len(self.perm)
-            rows = [[Fraction(0)] * n for _ in range(n)]
+            rows = [[0] * n for _ in range(n)]
             for i, v in enumerate(self.perm):
-                rows[abs(v) - 1][i] = Fraction(1 if v > 0 else -1)
+                rows[abs(v) - 1][i] = 1 if v > 0 else -1
             self._mat = tuple(tuple(r) for r in rows)
         return self._mat
 
@@ -97,11 +97,7 @@ class WeylElt:
             for i, v in enumerate(self.perm, start=1):
                 inv[abs(v) - 1] = i if v > 0 else -i
             return WeylElt(perm=tuple(inv))
-        # the reduced echelon form of [M | I] is [I | M^-1]
-        n = self.n
-        m, _, _ = _echelon([row + ident for row, ident in
-                            zip(self.matrix, _identity_matrix(n))])
-        return WeylElt(mat=[row[n:] for row in m])
+        return self ** (self.order() - 1)
 
     def __pow__(self, k: int) -> "WeylElt":
         if k < 0:
@@ -372,14 +368,13 @@ def trapping_roots(rs: RootSystem, basis, roots):
     A vector over Q(zeta) is the sum of zeta^k times rational vectors,
     and 1, zeta, ... are independent over Q, so it pairs to zero with a
     rational root exactly when each rational part does: the test runs
-    in rational arithmetic, one form per part."""
-    units = [[int(r == c) for c in range(rs.dim)] for r in range(rs.dim)]
+    in rational arithmetic, one form per part, read off the Gram columns."""
     forms = []
     for v in basis:
         coords = [x.coords if isinstance(x, Cyclotomic) else (x,) for x in v]
         for k in range(max(map(len, coords))):
             part = [c[k] if k < len(c) else 0 for c in coords]
-            forms.append([rs.inner(part, unit) for unit in units])
+            forms.append([sum(map(mul, part, col)) for col in rs.gram])
     return (beta for beta in roots
             if not any(sum(f[i] * b for i, b in enumerate(beta) if b)
                        for f in forms))

@@ -13,7 +13,10 @@ by elimination and reduction mod Phi_e by long division live here too:
 only the tests use them.  So do charge, the Kostka-Foulkes polynomials
 summed over semistandard tableaux by charge, and the Murnaghan-Nakayama
 recursion on validated partitions: the routes the library took before
-its Lusztig-Shoji solve and its beta-set characters.  Root systems
+its Lusztig-Shoji solve and its beta-set characters.  The Dynkin
+classifier that walked bonds, degrees and arms, and the inverse of a
+matrix element by elimination, check the root counts and the powers
+that replaced them.  Root systems
 built in Fraction arithmetic throughout check the integer coordinates
 of the library.  The class weights, norms and Green tables as
 polynomials check the packed integers of the Lusztig-Shoji solve, and a
@@ -468,6 +471,60 @@ def pi_prime_type(lv: LeviConfig) -> str:
     return "+".join(f"{letter}{rank}" for letter, rank, _ in lv.components)
 
 
+def _component_arms(nodes, adj, branch):
+    arms = []
+    for nxt in adj[branch]:
+        length = 1
+        prev, cur = branch, nxt
+        while True:
+            ahead = [k for k in adj[cur] if k != prev]
+            if not ahead:
+                break
+            prev, cur = cur, ahead[0]
+            length += 1
+        arms.append(length)
+    return sorted(arms)
+
+
+def bond_classify_component(nodes, cartan, norms):
+    """Dynkin type of one connected subdiagram, as (letter, rank, nodes),
+    from its bonds, node degrees and arm lengths: the route
+    rootsys._classify_component took before it counted roots."""
+    nodes = tuple(sorted(nodes))
+    adj = {i: [j for j in nodes if j != i and cartan[i - 1][j - 1] != 0] for i in nodes}
+    bonds = {}
+    for i in nodes:
+        for j in adj[i]:
+            if i < j:
+                bonds[(i, j)] = cartan[i - 1][j - 1] * cartan[j - 1][i - 1]
+    if any(m == 3 for m in bonds.values()):
+        return ("G", 2, nodes)
+    doubles = [p for p, m in bonds.items() if m == 2]
+    if doubles:
+        assert len(doubles) == 1
+        i, j = doubles[0]
+        if len(nodes) == 2:
+            return ("B", 2, nodes)
+        if len(adj[i]) == 2 and len(adj[j]) == 2 and len(nodes) == 4:
+            return ("F", 4, nodes)
+        end = i if len(adj[i]) == 1 else j
+        other = j if end == i else i
+        letter = "B" if norms[end - 1] < norms[other - 1] else "C"
+        return (letter, len(nodes), nodes)
+    degs = {i: len(adj[i]) for i in nodes}
+    if not nodes:
+        raise ValueError("empty component")
+    if max(degs.values(), default=0) <= 2:
+        return ("A", len(nodes), nodes)
+    branch = [i for i in nodes if degs[i] == 3]
+    assert len(branch) == 1, "unrecognized diagram"
+    arms = _component_arms(nodes, adj, branch[0])
+    if arms[0] == 1 and arms[1] == 1:
+        return ("D", len(nodes), nodes)
+    assert arms[0] == 1 and arms[1] == 2 and arms[2] in (2, 3, 4)
+    return ("E", len(nodes), nodes)
+
+
 def rank(rows) -> int:
     _, pivots, _ = _echelon(rows)
     return len(pivots)
@@ -541,6 +598,16 @@ def matrix_eigenspace(a: WeylElt, e: int, j: int = 1):
     m = a.matrix
     return kernel_basis([[x - zeta if r == c else x for c, x in enumerate(row)]
                          for r, row in enumerate(m)])
+
+
+def elimination_inverse(a: WeylElt) -> WeylElt:
+    """The inverse of a matrix element read off the reduced echelon form
+    of [M | I], which is [I | M^-1]: the route WeylElt.inverse took
+    before it raised the element to its order less one."""
+    n = a.n
+    m, _, _ = _echelon([tuple(row) + tuple(int(r == c) for c in range(n))
+                        for r, row in enumerate(a.matrix)])
+    return WeylElt(mat=[row[n:] for row in m])
 
 
 # ---------------------------------------------------------------------------

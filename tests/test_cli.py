@@ -838,6 +838,16 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_parser_leaves_out_json():
+    # json is loaded only to write json; every request sets up this way
+    code = ("import greenchar.cli, sys; greenchar.cli.build_parser(); "
+            "print('json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # a request prints only its own report; the child then lists the greenchar
 # modules it loaded
 LOADED = ("import contextlib, io, sys\n"

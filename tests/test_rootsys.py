@@ -1,12 +1,15 @@
 """Root system construction, closure invariants, Levi configurations."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from greenchar.rootsys import build_root_system, levi_config
+from greenchar.rootsys import (_classify_component, build_root_system,
+                               levi_config)
 
-from oracles import fraction_root_system, pi_prime_type
+from oracles import (bond_classify_component, fraction_root_system,
+                     pi_prime_type)
 
 SYSTEMS = [
     ("A", 1, 2), ("A", 3, 12), ("A", 5, 30),
@@ -165,3 +168,69 @@ def test_reflection_matrix_is_involution():
         double = [[sum(m[r][k] * m[k][c] for k in range(4)) for c in range(4)]
                   for r in range(4)]
         assert double == [[1 if r == c else 0 for c in range(4)] for r in range(4)]
+
+
+def connected_subdiagrams(rs):
+    """Every connected set of simple-root labels, sorted."""
+    out = []
+    for mask in range(1, 2 ** rs.rank):
+        nodes = [i for i in range(1, rs.rank + 1) if mask >> (i - 1) & 1]
+        reached, frontier = {nodes[0]}, [nodes[0]]
+        while frontier:
+            i = frontier.pop()
+            for j in nodes:
+                if j not in reached and rs.cartan[i - 1][j - 1]:
+                    reached.add(j)
+                    frontier.append(j)
+        if len(reached) == len(nodes):
+            out.append(tuple(nodes))
+    return out
+
+
+def test_subdiagram_census():
+    assert sum(len(connected_subdiagrams(build_root_system(*fr)))
+               for fr in all_test_systems()) == 605
+
+
+@pytest.mark.parametrize("family,rank", all_test_systems())
+def test_root_count_classifier_matches_the_bond_walker(family, rank):
+    rs = build_root_system(family, rank)
+    norms = [rs.inner(s, s) for s in rs.simple_roots]
+    for nodes in connected_subdiagrams(rs):
+        assert _classify_component(nodes, rs.cartan, norms) == \
+            bond_classify_component(nodes, rs.cartan, norms), nodes
+
+
+@pytest.mark.parametrize("family,rank", all_test_systems())
+def test_levi_components_are_the_connected_pieces_of_pi_prime(family, rank):
+    rs = build_root_system(family, rank)
+    connected = set(connected_subdiagrams(rs))
+    labels = range(1, rank + 1)
+    for size in range(3):
+        for pi_L in combinations(labels, size):
+            lv = levi_config(rs, pi_L)
+            pieces = [nodes for _, _, nodes in lv.components]
+            assert sorted(i for p in pieces for i in p) == list(lv.pi_prime)
+            assert all(p in connected for p in pieces)
+            assert not any(rs.cartan[i - 1][j - 1]
+                           for a, b in combinations(pieces, 2)
+                           for i in a for j in b)
+
+
+@pytest.mark.parametrize("family,rank", all_test_systems())
+def test_reflection_matrices_hold_ints(family, rank):
+    rs = build_root_system(family, rank)
+    for alpha in rs.roots:
+        m = rs.reflection_matrix(alpha)
+        assert all(type(x) is int for row in m for x in row)
+        assert apply_mat(m, alpha) == tuple(-a for a in alpha)
+
+
+@pytest.mark.parametrize("family,rank,vector", [
+    ("A", 2, (1, 1, 1)), ("B", 2, (1, 2)), ("F", 4, (0, 0, 0, 2)),
+    ("G", 2, (1, 2))])
+def test_reflection_matrix_refuses_a_non_root(family, rank, vector):
+    rs = build_root_system(family, rank)
+    assert vector not in rs.root_set
+    with pytest.raises(ArithmeticError):
+        rs.reflection_matrix(vector)

@@ -50,8 +50,9 @@ from greenchar.weyl import (
 )
 
 from oracles import (DEGREES, apply, block_shift_element, coset_character,
-                     coset_exponent, coset_reps, enumerate_group,
-                     enumerated_census, extended_subgroup, matrix_eigenspace,
+                     coset_exponent, coset_reps, elimination_inverse,
+                     enumerate_group, enumerated_census, extended_subgroup,
+                     matrix_eigenspace,
                      power_orbit_shape, rootsys_validate_config,
                      signed_cycle_type, weyl_order)
 from oracles import rank as matrix_rank
@@ -1372,3 +1373,37 @@ def test_kernels_of_the_catalog_twists_are_in_normal_form(monkeypatch):
         for v, f in zip(basis, free):
             assert [v[g] for g in free] == [int(g == f) for g in free]
             assert apply(a, v) == tuple(zeta * x for x in v)
+
+
+def test_catalog_twists_are_integer_matrices_inverted_as_powers(monkeypatch):
+    # every twist check_regular_catalog embeds (the F4 sweep and the three
+    # E6/E7 spots) has int entries, and so has its inverse, which equals
+    # the inverse by elimination
+    embedded = []
+
+    def embed(*args):
+        embedded.append(embed_component_element(*args))
+        return embedded[-1]
+
+    monkeypatch.setattr(verify, "embed_component_element", embed)
+    verify.check_regular_catalog()
+    assert len(embedded) == 11
+    for a in embedded:
+        inv = a.inverse()
+        assert inv == elimination_inverse(a)
+        for m in (a.matrix, inv.matrix):
+            assert all(type(x) is int for row in m for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("E", 6), ("F", 4), ("G", 2)]).flatmap(
+    lambda fr: st.tuples(st.just(fr), st.lists(st.integers(1, fr[1]),
+                                               min_size=1, max_size=16))))
+def test_power_inverse_matches_elimination_on_words(case):
+    (family, rank), word = case
+    rs = build_root_system(family, rank)
+    a = WeylElt(mat=rs.simple_reflection(word[0]))
+    for i in word[1:]:
+        a = a @ WeylElt(mat=rs.simple_reflection(i))
+    assert a.inverse() == elimination_inverse(a)
+    assert (a @ a.inverse()).is_identity()
