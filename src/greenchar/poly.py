@@ -32,11 +32,12 @@ def render_terms(coeffs, var: str) -> str:
     for k, c in enumerate(coeffs):
         if not c:
             continue
+        size = abs(c)
         if k == 0:
-            term = str(abs(c))
+            term = str(size)
         else:
             power = var if k == 1 else f"{var}^{k}"
-            term = power if abs(c) == 1 else f"{abs(c)}{power}"
+            term = power if size == 1 else f"{size}{power}"
         if not out:
             out.append(("-" if c < 0 else "") + term)
         else:

@@ -10,7 +10,11 @@ alone, from Frobenius induction over the enumerated block subgroup.
 The root-of-unity, closed-form and residue checks compare on integers:
 a value scaled by the subgroup order against z_rho times the census
 side, with no Fraction and no field element made unless a
-counterexample is written.
+counterexample is written.  Twisted induction still compares in
+Q(zeta_e), but reads each class by its cycle type: the Green values
+and the weight z_rho/|L| once per class, each coset sum once per twist
+exponent, and one field element times the weight per trace; no class
+representative is built.
 """
 
 import math
@@ -30,7 +34,6 @@ from .weyl import (
     _config_echo,
     _require_regular_blocks,
     block_restriction,
-    class_representative,
     eigenspace,
     embed_component_element,
     induced_character,
@@ -153,20 +156,32 @@ def _primitive_exponents(e: int):
 def check_twisted_induction(cfg: InductionConfig) -> VerificationReport:
     """Pair traces on the induced graded module against the graded
     character of the merged type, for every class, twist exponent, and
-    primitive root."""
+    primitive root.
+
+    Each class is read by its cycle type rho: its Green values at every
+    power of the root and its weight z_rho/|L| once, then per twist
+    exponent i the i-th coset sum at the powers (j i) mod e for the
+    primitive j in one call; the trace is that value times the weight,
+    compared with the Green value in the field."""
     t0 = time.perf_counter()
     ext = extend_block_character(cfg)
     mu = cfg.merged_type()
     g = springer_graded_char(mu)
+    e = cfg.e
+    order = levi_order(cfg)
+    primitive = _primitive_exponents(e)
+    none = IntPolynomial()
     bad = []
     tried = 0
     for rho in partitions_of(cfg.n):
-        w = class_representative(rho)
-        poly = g[rho]
-        for i in range(cfg.e):
-            for j in _primitive_exponents(cfg.e):
-                lhs = twisted_induction_trace(ext, w, i, j)
-                rhs = eval_at_root(poly, cfg.e, (j * i) % cfg.e)
+        green = root_values(g[rho], e, range(e))
+        weight = Fraction(rho.centralizer_order(), order)
+        for i, sums in enumerate(ext.coset_sums):
+            powers = [(j * i) % e for j in primitive]
+            induced = root_values(sums.get(rho, none), e, powers)
+            for j, k, coords in zip(primitive, powers, induced):
+                lhs = Cyclotomic(e, coords) * weight
+                rhs = Cyclotomic(e, green[k])
                 tried += 1
                 if lhs != rhs:
                     bad.append((tuple(rho), (i, j), str(lhs), str(rhs)))

@@ -527,13 +527,6 @@ def _require_regular_blocks(cfg: InductionConfig):
                 f"{tuple(jtype)}")
 
 
-def class_representative(rho) -> WeylElt:
-    """A permutation with the given cycle type, cycles on consecutive
-    letters in decreasing part order."""
-    rho = Partition(rho)
-    return from_cycles(rho.size, *runs(rho))
-
-
 def young_subgroup(blocks):
     """The product of the symmetric groups on consecutive runs of
     letters covering 1..n, in lexicographic order of the permutations:

@@ -8,7 +8,7 @@ matrix model of the induced module gives pair traces by multiplying
 actual matrices, knowing nothing about Green polynomials.  All three
 are slow on purpose and serve only to check the census route of the
 library.  Whole-group enumeration, the classical fundamental degrees,
-class sizes, the coinvariant graded character, matrix rank, eigenspaces
+class representatives and sizes, the coinvariant graded character, matrix rank, eigenspaces
 by elimination and reduction mod Phi_e by long division live here too:
 only the tests use them.  So do charge, the Kostka-Foulkes polynomials
 summed over semistandard tableaux by charge, and the Murnaghan-Nakayama
@@ -37,7 +37,9 @@ that lays the blocks out knowing it.  Orbit shapes read off a^j built
 as a group element at every exponent, root values bucketed afresh per
 exponent, and reduction along the dense power-residue rows check the
 block-index powers, the residue fold and the sparse rows that replaced
-them.
+them.  The twisted induction check as it ran through one class
+representative and one pair of root evaluations per trace checks the
+loop that reads each class by its cycle type and evaluates it once.
 """
 
 from collections import Counter
@@ -85,13 +87,14 @@ from greenchar.weyl import (
     _require_regular_blocks,
     block_permutation,
     block_restriction,
-    class_representative,
     coset_count,
     coset_elements,
     eigenspace,
+    from_cycles,
     levi_elements,
     levi_order,
     orbits,
+    runs,
     standard_block_config,
     trapping_roots,
     validate_config,
@@ -193,6 +196,13 @@ def fraction_root_system(family: str, rank: int) -> dict:
                                  for r in range(dim)))
     return {"simple_roots": simples, "gram": gram, "root_coords": coords,
             "roots": roots, "reflections": tuple(reflections)}
+
+
+def class_representative(rho) -> WeylElt:
+    """A permutation with the given cycle type, cycles on consecutive
+    letters in decreasing part order."""
+    rho = Partition(rho)
+    return from_cycles(rho.size, *runs(rho))
 
 
 def class_size(rho) -> int:
@@ -891,6 +901,38 @@ def fraction_closed_form(m: int, e: int):
         if closed_form_coset_count(m, e, rho, "multiplicity") != count:
             off.append(tuple(rho))
     return bad, off
+
+
+# ---------------------------------------------------------------------------
+# the twisted induction check read through one class representative
+
+
+def representative_twisted_induction(cfg: InductionConfig):
+    """The status, config, counterexamples and notes check_twisted_induction
+    reported when it built one class representative per class and, for
+    every trace, walked it back to its cycle type in
+    twisted_induction_trace, divided by |L| afresh and evaluated both
+    polynomials by eval_at_root.  The Green table is read through the
+    symfun module and the coset sums through the verify module, so a
+    test can replace either."""
+    ext = verify.extend_block_character(cfg)
+    mu = cfg.merged_type()
+    g = symfun.springer_graded_char(mu)
+    primitive = [j for j in range(1, cfg.e) if gcd(j, cfg.e) == 1] or [0]
+    bad = []
+    tried = 0
+    for rho in partitions_of(cfg.n):
+        w = class_representative(rho)
+        poly = g[rho]
+        for i in range(cfg.e):
+            for j in primitive:
+                lhs = verify.twisted_induction_trace(ext, w, i, j)
+                rhs = eval_at_root(poly, cfg.e, (j * i) % cfg.e)
+                tried += 1
+                if lhs != rhs:
+                    bad.append((tuple(rho), (i, j), str(lhs), str(rhs)))
+    return ("fail" if bad else "pass", verify._config_echo(cfg), bad,
+            f"merged type {tuple(mu)}; {tried} traces compared")
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,13 @@ from greenchar.verify import (
     check_roots_of_unity,
     check_twisted_induction,
     check_ungraded_induction,
-    class_representative,
     extend_block_character,
     twisted_induction_trace,
 )
 
 from oracles import (
     block_shift_element,
+    class_representative,
     coset_character,
     coset_exponent,
     extended_subgroup,
@@ -69,6 +69,7 @@ from oracles import (
     induced_residues as _induced_residues,
     model_twisted_trace,
     orbit_profile,
+    representative_twisted_induction,
     trace_poly,
 )
 from test_acceptance import (
@@ -76,6 +77,7 @@ from test_acceptance import (
     regular_twist_configs,
     rotating_block_configs,
 )
+from test_weyl import load_perfbench
 
 
 def two_blocks(nu):
@@ -581,14 +583,69 @@ def test_residue_checks_fail_like_fraction_route_on_a_flip(monkeypatch, check,
         assert bad and check(cfg).counterexamples == bad
 
 
+# ---------------------------------------------------------------------------
+# the twisted induction check against its per-representative route
+
+
+def trace_sweep_configs():
+    """The configs of the benchmark's trace_sweep pool, built as its
+    sweep builds them."""
+    build_args = load_perfbench("sweep").build_args
+    return [build_args(item["check"], item["args"])[0]
+            for group in load_perfbench("workloads").pool("trace_sweep")
+            for item in group]
+
+
+def twisted_outcome(cfg):
+    report = check_twisted_induction(cfg)
+    return report.status, report.config, report.counterexamples, report.notes
+
+
+@pytest.mark.parametrize("cfg", trace_sweep_configs(), ids=_config_echo)
+def test_twisted_induction_matches_representative_route(cfg):
+    assert twisted_outcome(cfg) == representative_twisted_induction(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=residue_shapes())
+def test_twisted_induction_matches_representative_route_on_drawn_shapes(cfg):
+    assert outcome(twisted_outcome, cfg) == \
+        outcome(representative_twisted_induction, cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    standard_block_config(2, 2), standard_block_config(2, 3),
+    standard_block_config(1, 4, fixed_size=2), l_regular_config(5, 2, 3),
+    l_regular_config(5, 2, 3, Partition((1, 1))),
+    standard_block_config(2, 2, Partition((1, 1)), fixed_size=1),
+], ids=_config_echo)
+def test_twisted_induction_fails_like_representative_route_on_a_flip(
+        monkeypatch, cfg):
+    # a Green coefficient of the identity class, then one coefficient of
+    # the last shifted coset's sums
+    with monkeypatch.context() as patch:
+        flip_green_coefficient(patch, cfg.merged_type(),
+                               Partition((1,) * cfg.n), cfg.e)
+        expected = representative_twisted_induction(cfg)
+        assert expected[0] == "fail"
+        assert twisted_outcome(cfg) == expected
+    with monkeypatch.context() as patch:
+        flip_coset_sum(patch, cfg, cfg.e - 1)
+        expected = representative_twisted_induction(cfg)
+        assert expected[0] == "fail"
+        assert twisted_outcome(cfg) == expected
+
+
 def test_config_checks_walk_no_coset(monkeypatch, capsys):
     # every coset-side quantity is tallied from class sizes, so with the
     # element walkers disabled every check but ungraded-induction runs;
-    # the root-of-unity, closed-form and residue checks, and eval with
-    # blocks, also build no class representative and call no coset_count
-    # when they pass, and the residue checks make no field element and
-    # no Fraction either; no check raises the twist to a power, since
-    # orbit shapes compose how it permutes the blocks
+    # the config checks and eval with blocks also build no class
+    # representative, read no cycle type off an element and call no
+    # coset_count when they pass, twisted induction reads each class by
+    # its cycle type without twisted_induction_trace or eval_at_root,
+    # and the residue checks make no field element and no Fraction
+    # either; no check raises the twist to a power, since orbit shapes
+    # compose how it permutes the blocks
     def refuse(*args):
         raise AssertionError("a group was enumerated")
 
@@ -614,14 +671,17 @@ def test_config_checks_walk_no_coset(monkeypatch, capsys):
     general = list(CONFIGS.values())
     regular = [CONFIGS["regular twist, block (2,)"],
                CONFIGS["regular twist, block (1,1)"]]
-    reports = ([check_twisted_induction(cfg) for cfg in general]
-               + [check_component_dims(cfg) for cfg in general])
     for module in (weyl, verify):
         for name in ("class_representative", "coset_count"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse_element)
-    reports += ([check_roots_of_unity(cfg) for cfg in one_row]
-                + [check_closed_form(m, e) for m, e in ((2, 2), (3, 2), (2, 3))])
+    monkeypatch.setattr(weyl.WeylElt, "cycle_type", refuse_element)
+    for name in ("twisted_induction_trace", "eval_at_root"):
+        monkeypatch.setattr(verify, name, refuse_element)
+    reports = ([check_twisted_induction(cfg) for cfg in general]
+               + [check_component_dims(cfg) for cfg in general]
+               + [check_roots_of_unity(cfg) for cfg in one_row]
+               + [check_closed_form(m, e) for m, e in ((2, 2), (3, 2), (2, 3))])
     with monkeypatch.context() as patch:
         for name in ("Cyclotomic", "Fraction"):
             patch.setattr(verify, name, refuse_number)
