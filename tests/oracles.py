@@ -8,9 +8,9 @@ matrix model of the induced module gives pair traces by multiplying
 actual matrices, knowing nothing about Green polynomials.  All three
 are slow on purpose and serve only to check the census route of the
 library.  Whole-group enumeration, the classical fundamental degrees,
-class representatives and sizes, the coinvariant graded character, matrix rank, eigenspaces
-by elimination and reduction mod Phi_e by long division live here too:
-only the tests use them.  So do charge, the Kostka-Foulkes polynomials
+class representatives and sizes, the coinvariant graded character,
+matrix rank, eigenspaces by elimination and reduction mod Phi_e by long
+division live here too: only the tests use them.  So do charge, the Kostka-Foulkes polynomials
 summed over semistandard tableaux by charge, and the Murnaghan-Nakayama
 recursion on validated partitions: the routes the library took before
 its Lusztig-Shoji solve and its beta-set characters.  The Dynkin
