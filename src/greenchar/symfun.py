@@ -112,6 +112,12 @@ class Partition(tuple):
         return (-1) ** (self.size - len(self))
 
 
+def trusted_partition(parts) -> Partition:
+    """The Partition of parts the caller knows to be positive and weakly
+    decreasing, built without the checks of Partition()."""
+    return tuple.__new__(Partition, parts)
+
+
 @lru_cache(maxsize=None)
 def partitions_of(n: int):
     """All partitions of n in reverse lexicographic order, (n) first."""

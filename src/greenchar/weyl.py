@@ -22,7 +22,7 @@ condition that failed.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, product
@@ -30,7 +30,7 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .poly import Cyclotomic, kernel_basis
-from .symfun import Partition, partitions_of
+from .symfun import Partition, partitions_of, trusted_partition
 
 # rootsys is imported only where a root system is built, so a block
 # configuration of the general linear group loads none; the RootSystem
@@ -122,10 +122,8 @@ class WeylElt:
         assert self.perm is not None, "cycle data needs the permutation form"
         return _walk(self.perm)
 
-    # cycle lengths are positive and sorted here, so the Partition is
-    # built without its validating constructor
     def cycle_type(self) -> Partition:
-        return tuple.__new__(Partition, sorted(
+        return trusted_partition(sorted(
             (len(c) for c, _ in _walk(self.perm)), reverse=True))
 
     def order(self) -> int:
@@ -510,8 +508,8 @@ class InductionConfig(namedtuple("InductionConfig", "n e blocks block_types a"))
         return cls(*fields)  # so that _replace checks its result too
 
     def merged_type(self) -> Partition:
-        parts = [p for jtype in self.block_types for p in jtype]
-        return Partition(tuple(sorted(parts, reverse=True)))
+        return trusted_partition(sorted(
+            chain.from_iterable(self.block_types), reverse=True))
 
 
 def _config_echo(cfg: InductionConfig) -> str:
@@ -620,7 +618,9 @@ def coset_census(cfg: InductionConfig, j: int):
     the cycle type of z (Macdonald, Symmetric Functions and Hall
     Polynomials, I.7).  Orbits choose independently, so the table
     depends on the orbit shape alone, and exponents and configurations
-    of one shape share one table.  Counts, graded traces and induced
+    of one shape share one table.  The table is a plain dict of plain
+    dicts, and its keys are built from sorted parts without Partition's
+    checks (trusted_partition).  Counts, graded traces and induced
     residue characters are all read off it; every caller shares it and
     none may change it."""
     return shape_census(orbit_shape(cfg, j))
@@ -628,19 +628,26 @@ def coset_census(cfg: InductionConfig, j: int):
 
 @lru_cache(maxsize=None)
 def shape_census(shape):
-    """The census of a coset of the given orbit shape (see coset_census)."""
+    """The census of a coset of the given orbit shape (see coset_census).
+
+    Each orbit's choices carry their scaled parts L*lambda and their
+    weight m!^L/z_lambda, so a pick only sorts its parts into a key,
+    built without Partition's checks, and multiplies its weights."""
     choices = []
     for length, m, jtype in shape:
         # m!^(L-1) choices per return map, m!/z_lambda maps of type lambda
-        choices.append([((length, lam, jtype),
-                         factorial(m) ** length // lam.centralizer_order())
+        ways = factorial(m) ** length
+        choices.append([((length, lam, jtype), [length * part for part in lam],
+                         ways // lam.centralizer_order())
                         for lam in partitions_of(m)])
     census = {}
     for picks in product(*choices):
-        parts = [length * part for (length, lam, _), _ in picks for part in lam]
-        profile = tuple(sorted(entry for entry, _ in picks))
-        census.setdefault(Partition(sorted(parts, reverse=True)), Counter())[
-            profile] += prod(n for _, n in picks)
+        rho = trusted_partition(sorted(
+            chain.from_iterable(scaled for _, scaled, _ in picks), reverse=True))
+        profile = tuple(sorted(entry for entry, _, _ in picks))
+        count = prod(n for _, _, n in picks)
+        by_profile = census.setdefault(rho, {})
+        by_profile[profile] = by_profile.get(profile, 0) + count
     return census
 
 
@@ -657,17 +664,19 @@ class CosetCounts:
 
     The count of class rho at the j-th shift is z_rho * m / |L|, m being
     the census matches of type rho there, so a value is compared with it
-    as |L| * value == z_rho * m, and nothing is divided."""
+    as |L| * value == z_rho * m, and nothing is divided.  z_rho * m is
+    formed once per census entry when the counts are built."""
 
     def __init__(self, cfg: InductionConfig, exponents):
         self.order = levi_order(cfg)
-        self.matches = [{rho: sum(by_profile.values()) for rho, by_profile
-                         in coset_census(cfg, j).items()} for j in exponents]
+        self.by_exponent = [
+            {rho: rho.centralizer_order() * sum(by_profile.values())
+             for rho, by_profile in coset_census(cfg, j).items()}
+            for j in exponents]
 
     def scaled(self, rho: Partition) -> list:
         """z_rho * m at each exponent, in the order given."""
-        z = rho.centralizer_order()
-        return [z * matches.get(rho, 0) for matches in self.matches]
+        return [scaled.get(rho, 0) for scaled in self.by_exponent]
 
     def agrees(self, coords, scaled: int) -> bool:
         """Whether the value with these coordinates is that count."""

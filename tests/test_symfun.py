@@ -1,11 +1,11 @@
 """Partitions, charge, Kostka-Foulkes, characters, graded characters."""
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -452,68 +452,85 @@ def test_graded_character_requires_full_domain():
 # functions over power sums, orthogonalize in the inner product with
 # <p_rho, p_rho> = z_rho * prod_i 1/(1 - q^(rho_i)), and read off the
 # change of basis to the resulting unitriangular orthogonal family.
+# Each entry is a polynomial in q of degree n(mu) - n(lam), so the
+# orthogonalization runs in exact Fractions at integer points q = t >= 2
+# and the polynomial is interpolated through one point more than its
+# degree needs: an entry of higher degree, or not a polynomial at all,
+# comes back with a coefficient beyond the bound or a non-integer one.
 
 
-def schur_gram_matrix(n, q):
-    """<s_a, s_b> in the q-deformed power-sum inner product, via the
-    character table."""
+def kostka_values_at(n, t):
+    """<s_lam, b_mu> / <b_mu, b_mu> for all pairs at q = t, b_mu being
+    the Gram-Schmidt family of the Schur functions in that product."""
     parts = list(partitions_of(n))
-    gram = {}
-    for a in parts:
-        for b in parts:
-            total = 0
-            for rho in parts:
-                den = rho.centralizer_order()
-                for part in rho:
-                    den = den * (1 - q ** part)
-                total += sympy.Rational(char_sn(a, rho) * char_sn(b, rho)) / den
-            gram[(a, b)] = sympy.cancel(total)
-    return gram
-
-
-def kostka_by_orthogonalization(n):
-    """Kostka-Foulkes polynomials for all pairs at size n, computed by
-    Gram-Schmidt instead of charge."""
-    q = sympy.Symbol("q")
-    parts = list(partitions_of(n))
-    gram = schur_gram_matrix(n, q)
+    weight = {rho: Fraction(1, rho.centralizer_order()
+                            * prod(1 - t ** part for part in rho))
+              for rho in parts}
+    gram = {(a, b): sum(char_sn(a, rho) * char_sn(b, rho) * weight[rho]
+                        for rho in parts)
+            for a in parts for b in parts}
 
     def ip(u, v):
-        total = 0
-        for a, ca in u.items():
-            for b, cb in v.items():
-                total += ca * cb * gram[(a, b)]
-        return sympy.cancel(total)
+        return sum(ca * cb * gram[(a, b)]
+                   for a, ca in u.items() for b, cb in v.items())
 
     # dominance-smallest first, so each new vector only picks up
     # corrections from strictly smaller partitions
     basis = {}
     norms = {}
     for mu in reversed(parts):
-        vec = {mu: sympy.Integer(1)}
+        vec = {mu: Fraction(1)}
         for nu, prev in basis.items():
-            coeff = sympy.cancel(ip({mu: sympy.Integer(1)}, prev) / norms[nu])
-            if coeff == 0:
-                continue
+            coeff = ip({mu: 1}, prev) / norms[nu]
             for b, cb in prev.items():
-                vec[b] = sympy.cancel(vec.get(b, 0) - coeff * cb)
-        basis[mu] = {b: c for b, c in vec.items() if c != 0}
+                vec[b] = vec.get(b, 0) - coeff * cb
+        basis[mu] = vec
         norms[mu] = ip(vec, vec)
+    return {(lam, mu): ip({lam: 1}, basis[mu]) / norms[mu]
+            for lam in parts for mu in parts}
 
+
+def interpolate(points):
+    """Coefficients, constant first, of the polynomial of degree below
+    len(points) through the (x, y) points, by Lagrange's formula."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [1]
+        denominator = 1
+        for k, (xk, _) in enumerate(points):
+            if k != i:
+                # multiply by (x - xk)
+                basis = [lo - xk * hi for lo, hi in zip([0] + basis, basis + [0])]
+                denominator *= xi - xk
+        for d, c in enumerate(basis):
+            coeffs[d] += yi * c / denominator
+    return coeffs
+
+
+def kostka_by_orthogonalization(n):
+    """Kostka-Foulkes polynomials for all pairs at size n, computed by
+    Gram-Schmidt instead of charge, as coefficient tuples constant first
+    (Fractions where a coefficient is not an integer)."""
+    parts = list(partitions_of(n))
+    bound = {(lam, mu): max(mu.n_stat - lam.n_stat, 0)
+             for lam in parts for mu in parts}
+    ts = range(2, max(bound.values()) + 4)
+    values = {t: kostka_values_at(n, t) for t in ts}
     q_poly = {}
-    for lam in parts:
-        for mu in parts:
-            val = sympy.cancel(ip({lam: sympy.Integer(1)}, basis[mu]) / norms[mu])
-            poly = sympy.Poly(val, q)
-            coeffs = tuple(int(c) for c in poly.all_coeffs()[::-1])
-            # zero normalizes to the empty tuple, matching IntPolynomial
-            q_poly[(lam, mu)] = () if coeffs == (0,) else coeffs
+    for pair, degree in bound.items():
+        coeffs = interpolate([(t, values[t][pair]) for t in ts[:degree + 2]])
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        # zero normalizes to the empty tuple, matching IntPolynomial
+        q_poly[pair] = tuple(c.numerator if c.denominator == 1 else c
+                             for c in coeffs)
     return q_poly
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_kostka_matches_orthogonalization(n):
     table = kostka_by_orthogonalization(n)
+    assert len(table) == len(partitions_of(n)) ** 2
     for (lam, mu), want in table.items():
         got = kostka_foulkes(lam, mu).coeffs
         assert got == want, (tuple(lam), tuple(mu))

@@ -1103,6 +1103,21 @@ class TestCosetCensus:
                 assert coset_census(cfg, j) == enumerated_census(cfg, j), \
                     (cfg, j)
 
+    @pytest.mark.parametrize("configs", [one_row_configs, rotating_block_configs,
+                                         regular_twist_configs])
+    def test_keys_are_valid_partitions_and_counts_positive_ints(self, configs):
+        # the tally builds its keys without Partition's checks, so each
+        # key must pass them as a plain tuple and fill all n letters
+        for cfg in configs():
+            for j in range(cfg.e):
+                for rho, by_profile in coset_census(cfg, j).items():
+                    assert type(rho) is Partition, (cfg, j, rho)
+                    assert rho == Partition(tuple(rho)), (cfg, j, rho)
+                    assert rho.size == cfg.n, (cfg, j, rho)
+                    assert by_profile, (cfg, j, rho)
+                    assert all(type(count) is int and count > 0
+                               for count in by_profile.values()), (cfg, j, rho)
+
     @settings(max_examples=30, deadline=None)
     @given(cfg=block_permuting_configs())
     def test_class_sizes_match_the_walk_on_any_block_permuting_twist(self, cfg):
