@@ -452,11 +452,12 @@ def test_graded_character_requires_full_domain():
 # functions over power sums, orthogonalize in the inner product with
 # <p_rho, p_rho> = z_rho * prod_i 1/(1 - q^(rho_i)), and read off the
 # change of basis to the resulting unitriangular orthogonal family.
-# Each entry is a polynomial in q of degree n(mu) - n(lam), so the
-# orthogonalization runs in exact Fractions at integer points q = t >= 2
-# and the polynomial is interpolated through one point more than its
-# degree needs: an entry of higher degree, or not a polynomial at all,
-# comes back with a coefficient beyond the bound or a non-integer one.
+# Each entry is a polynomial in q of degree at most n(mu) - n(lam), so
+# the orthogonalization runs in exact Fractions at integer points
+# q = t >= 2, and each entry is interpolated through one point more than
+# its degree bound needs: an entry of higher degree then reads as a
+# coefficient beyond the bound, or a non-integer one, unless its excess
+# vanishes at every point used.
 
 
 def kostka_values_at(n, t):
