@@ -79,6 +79,9 @@ class IntPolynomial:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as the int it equals
+        if len(self.coeffs) < 2:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("IntPolynomial", self.coeffs))
 
     def __add__(self, other):
@@ -139,7 +142,7 @@ class IntPolynomial:
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be an int, Fraction or Cyclotomic.
-        At a root of unity, eval_at_root is the faster route."""
+        At powers of a root of unity, root_values is the faster route."""
         acc = x - x
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -425,18 +428,7 @@ class Cyclotomic:
 
 def eval_at_root(p: IntPolynomial, e: int, j: int) -> Cyclotomic:
     """p evaluated at the j-th power of the distinguished primitive e-th root."""
-    return Cyclotomic(e, _root_value(p, e, j))
-
-
-def _root_value(p: IntPolynomial, e: int, j: int) -> list:
-    """The coordinates of p at the j-th power of the root, in one pass
-    over the coefficients: the coefficient of q^k lands on x^(jk mod e)."""
-    if e < 1:
-        raise ValueError("conductor must be positive")
-    buckets = [0] * e
-    for k, c in enumerate(p.coeffs):
-        buckets[(j * k) % e] += c
-    return _reduce(e, buckets)
+    return Cyclotomic(e, root_values(p, e, (j,))[0])
 
 
 def root_values(p: IntPolynomial, e: int, exponents) -> list:

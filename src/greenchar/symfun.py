@@ -40,8 +40,10 @@ must give D_kappa back.
 
 The Green table of mu stays packed too.  Its value at rho is
 S_rho(X) = sum over lambda dominating mu of chi^lambda_rho K(lambda,mu)(X),
-read back as signed base-X digits and reversed to degree n(mu).  B
-matters only when a value is read back.  Every coefficient of S_rho is
+read back as n(mu) + 1 signed base-X digits and reversed.  K(lambda,mu)
+is read back by the same reader, to n(mu) - n(lambda) + 1 digits.  B
+matters only when a value is read back, and a value left above the
+last digit read raises ArithmeticError.  Every coefficient of S_rho is
 at most sum over lambda of chi^lambda(1) K(lambda,mu)(1)
 = n!/prod_i mu_i! <= n! in absolute value, because |chi^lambda_rho| <= chi^lambda(1) and K has
 nonnegative coefficients; so B = bit_length(n!) + 1 bits hold each
@@ -57,8 +59,8 @@ Characters run Murnaghan-Nakayama on beta-sets held as bitmasks:
 removing a border strip of size r moves one bead down r places.
 
 springer_graded_char is cached: each Jordan type is built once per
-process, and every caller gets the same GradedCharacter.  Its values
-are a read-only mapping, so no caller can change a shared table.
+process, and every caller gets the same table, a read-only mapping from
+each cycle type to its Green polynomial, so no caller can change it.
 """
 
 from __future__ import annotations
@@ -78,7 +80,10 @@ class Partition(tuple):
     def __new__(cls, parts=()):
         if type(parts) is Partition:
             return parts
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        for p in parts:
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise ValueError(f"partition parts must be ints, got {p!r}")
         if any(p < 1 for p in parts):
             raise ValueError(f"partition parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -250,42 +255,42 @@ class _KostkaSolve:
             self.packed[lam, kappa] = k
         return k
 
+    def _digits(self, value: int, count: int):
+        """The count lowest signed base-X digits of value, and the rest."""
+        half = 1 << (self.width - 1)
+        digits = []
+        for _ in range(count):
+            digits.append(((value + half) & (2 * half - 1)) - half)
+            value = (value - digits[-1]) >> self.width
+        return digits, value
+
     def polynomial(self, lam, mu) -> IntPolynomial:
         """K(lam, mu) read off the base-X digits of its value."""
         if not self.dominates(lam, mu):
             return IntPolynomial()
-        k = self._packed(lam, mu)
-        mask = (1 << self.width) - 1
-        coeffs = []
-        while k:
-            coeffs.append(k & mask)
-            k >>= self.width
+        degree = mu.n_stat - lam.n_stat
+        coeffs, rest = self._digits(self._packed(lam, mu), degree + 1)
+        if rest:
+            raise ArithmeticError(f"K({tuple(lam)}, {tuple(mu)}) has degree "
+                                  f"above n(mu) - n(lam) = {degree}")
         return IntPolynomial(coeffs)
 
     def green_table(self, mu) -> dict:
-        """The Green polynomial of (mu, rho) for every rho: the signed
-        base-X digits of sum over lam of chi^lam_rho K(lam, mu)(X),
-        reversed to degree n(mu)."""
+        """The Green polynomial of (mu, rho) for every rho, in the order
+        of partitions_of: the signed base-X digits of sum over lam of
+        chi^lam_rho K(lam, mu)(X), reversed to degree n(mu)."""
         terms = [(self._chars(lam), self._packed(lam, mu))
                  for lam in self.parts if self.dominates(lam, mu)]
         nmu = mu.n_stat
-        width = self.width
-        mask, half = (1 << width) - 1, 1 << (width - 1)
         table = {}
         for i, rho in enumerate(self.parts):
             value = sum(chars[i] * k for chars, k in terms)
-            coeffs = [0] * (nmu + 1)
-            for d in range(nmu, -1, -1):
-                digit = value & mask
-                if digit >= half:
-                    digit -= 1 << width
-                coeffs[d] = digit
-                value = (value - digit) >> width
-            if value:
+            coeffs, rest = self._digits(value, nmu + 1)
+            if rest:
                 raise ArithmeticError(
                     f"Green polynomial of {tuple(mu)} at {tuple(rho)} has "
                     f"degree above n(mu) = {nmu}")
-            table[rho] = IntPolynomial(coeffs)
+            table[rho] = IntPolynomial(coeffs[::-1])
         euler = factorial(mu.size) // prod(factorial(p) for p in mu)
         if sum(table[self.parts[-1]].coeffs) != euler:
             raise ArithmeticError(
@@ -373,43 +378,21 @@ def char_sn(lam, rho) -> int:
     return _murnaghan_nakayama(_beads(lam), rho)
 
 
-class GradedCharacter:
-    """Class function on S_n with IntPolynomial values, keyed by cycle
-    type; values is a read-only mapping."""
-
-    def __init__(self, n: int, values):
-        self.n = n
-        self.values = MappingProxyType({Partition(r): v for r, v in values.items()})
-        if set(self.values) != set(partitions_of(n)):
-            raise ValueError("graded character must cover every cycle type")
-
-    def __getitem__(self, rho) -> IntPolynomial:
-        return self.values[Partition(rho)]
-
-    def items(self):
-        return [(rho, self.values[rho]) for rho in partitions_of(self.n)]
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedCharacter)
-                and self.n == other.n and self.values == other.values)
-
-    def __repr__(self):
-        return f"GradedCharacter(n={self.n})"
-
-
 @lru_cache(maxsize=None)
-def springer_graded_char(mu) -> GradedCharacter:
+def springer_graded_char(mu) -> MappingProxyType:
     """Graded character of the cohomology of the fiber for Jordan type mu.
 
-    Value at cycle type rho is the Green polynomial: the coefficient of
+    A read-only mapping from each cycle type rho, in the order of
+    partitions_of(|mu|), to the Green polynomial: the coefficient of
     q^d at the identity is the 2d-th Betti number of the fiber, and the
     top degree at the identity is n(mu).  Read off the Lusztig-Shoji
     solve of size |mu| (see the module docstring).  Cached per Jordan
-    type (a tuple and the equal Partition share one entry); the size is
-    not capped here, callers that take n from a user check it first.
+    type (a tuple and the equal Partition share one entry, and a tuple
+    looks up the same value as its Partition); the size is not capped
+    here, callers that take n from a user check it first.
     """
     mu = Partition(mu)
-    return GradedCharacter(mu.size, _kostka_solve(mu.size).green_table(mu))
+    return MappingProxyType(_kostka_solve(mu.size).green_table(mu))
 
 
 def green_at_root(mu, rho, e: int, j: int) -> Cyclotomic:

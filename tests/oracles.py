@@ -67,7 +67,6 @@ from greenchar.rootsys import (
     levi_config,
 )
 from greenchar.symfun import (
-    GradedCharacter,
     Partition,
     char_sn,
     closed_form_coset_count,
@@ -210,7 +209,7 @@ def class_size(rho) -> int:
     return factorial(rho.size) // rho.centralizer_order()
 
 
-def coinvariant_graded_char(n: int) -> GradedCharacter:
+def coinvariant_graded_char(n: int) -> dict:
     """Graded character of the coinvariant algebra of S_n in its
     n-dimensional permutation representation: the Molien-style quotient
     prod_{i=1..n} (1 - q^i) / det(1 - q w), computed by exact division.
@@ -224,7 +223,7 @@ def coinvariant_graded_char(n: int) -> GradedCharacter:
         for part in rho:
             den = den * (IntPolynomial((1,)) - monomial(part))
         values[rho] = num.exact_div(den)
-    return GradedCharacter(n, values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +352,7 @@ def norm_polynomial(n: int, nu) -> IntPolynomial:
     return phi_polynomial(n).exact_div(b) * factorial(n)
 
 
-def assembled_green_table(mu) -> GradedCharacter:
+def assembled_green_table(mu) -> dict:
     """The Green polynomials of mu summed coefficient by coefficient over
     lambda, rho and the degree from kostka_foulkes and char_sn: the
     assembly springer_graded_char ran before it read the packed solve."""
@@ -369,7 +368,7 @@ def assembled_green_table(mu) -> GradedCharacter:
             for d, c in enumerate(coeffs):
                 acc[d] += chi * c
         values[rho] = IntPolynomial(acc)
-    return GradedCharacter(mu.size, values)
+    return values
 
 
 # ---------------------------------------------------------------------------

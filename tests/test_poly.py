@@ -37,6 +37,16 @@ def test_canonical_form():
     assert IntPolynomial((0, 1)).degree == 1
 
 
+@pytest.mark.parametrize("c", [0, 5, -3])
+def test_constant_polynomial_is_one_key_with_its_int(c):
+    p = IntPolynomial((c,))
+    assert p == c and hash(p) == hash(c)
+    assert len({p, c}) == 1 and len({c, p}) == 1
+    assert {c: "int"}[p] == "int" and {p: "poly"}[c] == "poly"
+    assert len({p: 1, c: 2}) == 1
+    assert len({p, IntPolynomial((c, 1)), IntPolynomial((c, 0, 1))}) == 3
+
+
 def test_arithmetic_basics():
     p = IntPolynomial((1, 1))
     assert p * p == IntPolynomial((1, 2, 1))

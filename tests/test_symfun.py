@@ -1,6 +1,7 @@
 """Partitions, charge, Kostka-Foulkes, characters, graded characters."""
 
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from greenchar.poly import IntPolynomial
 from greenchar.symfun import (
-    GradedCharacter,
     Partition,
     char_sn,
     closed_form_coset_count,
@@ -87,6 +87,16 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+
+
+@pytest.mark.parametrize("part", [2.7, 1.0, "3", Fraction(5, 2), Fraction(2),
+                                  True, False])
+def test_partition_refuses_a_part_that_is_not_an_int(part):
+    message = re.escape(f"partition parts must be ints, got {part!r}")
+    with pytest.raises(ValueError, match=message):
+        Partition((3, part))
+    with pytest.raises(ValueError, match=message):
+        Partition([part])
 
 
 def test_partition_of_a_partition_is_itself():
@@ -176,7 +186,7 @@ def test_kostka_solve_matches_charge():
 def test_kostka_solve_empty_partition():
     assert kostka_foulkes((), ()) == IntPolynomial((1,))
     gc = springer_graded_char(())
-    assert gc.items() == [(Partition(()), IntPolynomial((1,)))]
+    assert list(gc.items()) == [(Partition(()), IntPolynomial((1,)))]
     with pytest.raises(ValueError):
         kostka_foulkes((1,), ())
 
@@ -221,6 +231,18 @@ def test_kostka_solve_rejects_a_bad_quotient(row):
     solve.chars[Partition((4,))] = row
     with pytest.raises(ArithmeticError, match="not an integer polynomial"):
         solve.polynomial(Partition((4,)), Partition((1, 1, 1, 1)))
+
+
+def test_kostka_readback_rejects_an_extra_high_digit():
+    # K((3,1), (2,1,1)) = q + q^2 has degree n(mu) - n(lam) = 2; one more
+    # digit above that is not read as a coefficient
+    lam, mu = Partition((3, 1)), Partition((2, 1, 1))
+    solve = symfun._KostkaSolve(4)
+    assert solve.polynomial(lam, mu) == IntPolynomial((0, 1, 1))
+    solve.packed[lam, mu] = solve._packed(lam, mu) + (1 << 3 * solve.width)
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("above n(mu) - n(lam) = 2")):
+        solve.polynomial(lam, mu)
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -340,10 +362,20 @@ def test_springer_table_is_cached_per_jordan_type():
 def test_springer_table_is_read_only():
     gc = springer_graded_char((2, 2))
     with pytest.raises(TypeError):
-        gc.values[Partition((4,))] = IntPolynomial((7,))
+        gc[Partition((4,))] = IntPolynomial((7,))
     with pytest.raises(TypeError):
-        del gc.values[Partition((4,))]
+        del gc[Partition((4,))]
     assert springer_graded_char((2, 2))[(4,)] == IntPolynomial((1, -1))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_springer_tables_are_shared_read_only_and_cover_every_class(n):
+    for mu in partitions_of(n):
+        table = springer_graded_char(mu)
+        assert springer_graded_char(mu) is table
+        assert tuple(table) == partitions_of(n), mu
+        with pytest.raises(TypeError):
+            table[partitions_of(n)[0]] = IntPolynomial((7,))
 
 
 def test_springer_n2_table():
@@ -436,11 +468,6 @@ def test_closed_form_readings():
         closed_form_coset_count(2, 2, (2, 1))
     with pytest.raises(ValueError):
         closed_form_coset_count(2, 2, (2, 2), "other")
-
-
-def test_graded_character_requires_full_domain():
-    with pytest.raises(ValueError):
-        GradedCharacter(3, {Partition((3,)): IntPolynomial((1,))})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,6 @@ from greenchar import symfun, verify, weyl
 from greenchar.cli import main
 from greenchar.poly import Cyclotomic, IntPolynomial, eval_at_root
 from greenchar.symfun import (
-    GradedCharacter,
     Partition,
     partitions_of,
     springer_graded_char,
@@ -428,12 +428,12 @@ def flip_green_coefficient(monkeypatch, mu, rho, e):
     a degree prime to e, so that the values at the primitive roots turn
     irrational; the library and the Fraction route both see it."""
     original = springer_graded_char
-    table = dict(original(mu).values)
+    table = dict(original(mu))
     coeffs = list(table[rho].coeffs)
     k = max(i for i, c in enumerate(coeffs) if c and gcd(i, e) == 1)
     coeffs[k] = -coeffs[k]
     table[rho] = IntPolynomial(coeffs)
-    flipped = GradedCharacter(mu.size, table)
+    flipped = MappingProxyType(table)
     for module in (symfun, verify):
         monkeypatch.setattr(module, "springer_graded_char", lambda nu: (
             flipped if Partition(nu) == mu else original(nu)))
