@@ -4,8 +4,8 @@ Integer polynomials in one variable q, cyclotomic polynomials, elements
 of cyclotomic number fields in the power basis, and exact linear algebra
 (reduced echelon form and right kernel) over the rationals or over a
 cyclotomic field.  That one Gauss-Jordan elimination is the package's
-only solver: kernels, matrix inverses and field inverses all go through
-it, and IntPolynomial.divmod_exact is the only long division.
+only solver, behind kernels and field inverses (a Weyl matrix inverse
+is a power), and IntPolynomial.divmod_exact is the only long division.
 
 A field element keeps its coordinates as Python ints while they are
 integral.  Reduction mod Phi_e reads one cached table per conductor,
@@ -74,12 +74,12 @@ class IntPolynomial:
     def __eq__(self, other):
         if isinstance(other, IntPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == (() if other == 0 else (other,))
+        if isinstance(other, (int, Fraction)):
+            return len(self.coeffs) < 2 and (self.coeffs or (0,))[0] == other
         return NotImplemented
 
     def __hash__(self):
-        # a constant hashes as the int it equals
+        # a constant equals and hashes as its int, or an integral Fraction
         if len(self.coeffs) < 2:
             return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("IntPolynomial", self.coeffs))
@@ -423,7 +423,12 @@ class Cyclotomic:
         return hash((self.e, self.coords))
 
     def __repr__(self):
-        return f"Cyclotomic(e={self.e}: {render_terms(self.coords, 'z')})"
+        return cyclotomic_text(self.e, self.coords)
+
+
+def cyclotomic_text(e: int, coords) -> str:
+    """repr of the element of conductor e with these coordinates."""
+    return f"Cyclotomic(e={e}: {render_terms(coords, 'z')})"
 
 
 def eval_at_root(p: IntPolynomial, e: int, j: int) -> Cyclotomic:

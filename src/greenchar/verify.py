@@ -7,14 +7,13 @@ counts, graded traces and induced residue characters, all read off the
 census of each shifted coset (tallied from class sizes, no coset
 walked, one table per orbit shape), or, for the ungraded identity
 alone, from Frobenius induction over the enumerated block subgroup.
-The root-of-unity, closed-form and residue checks compare on integers:
-a value scaled by the subgroup order against z_rho times the census
-side, with no Fraction and no field element made unless a
-counterexample is written.  Twisted induction still compares in
-Q(zeta_e), but reads each class by its cycle type: the Green values
-and the weight z_rho/|L| once per class, each coset sum once per twist
-exponent, and one field element times the weight per trace; no class
-representative is built.
+The root-of-unity, closed-form and residue checks compare on integers
+by one rule (census_agrees), with no Fraction and no field element made
+unless a counterexample is written (poly.cyclotomic_text).  Twisted
+induction still compares in Q(zeta_e), but reads each class by its
+cycle type: the Green values and the weight z_rho/|L| once per class,
+each coset sum once per twist exponent, and one field element times
+the weight per trace; no class representative is built.
 """
 
 import math
@@ -23,7 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .poly import Cyclotomic, IntPolynomial, _reduce, eval_at_root, root_values
+from .poly import (Cyclotomic, IntPolynomial, _reduce, cyclotomic_text,
+                   eval_at_root, root_values)
 from .symfun import Partition, partitions_of, springer_graded_char
 from .symfun import closed_form_coset_count
 from .weyl import (
@@ -34,6 +34,7 @@ from .weyl import (
     _config_echo,
     _require_regular_blocks,
     block_restriction,
+    census_agrees,
     eigenspace,
     embed_component_element,
     induced_character,
@@ -55,23 +56,14 @@ from .weyl import (
 # the extension of the block character to the twisted subgroup
 
 
-class ExtendedGradedCharacter:
-    """Graded trace of every element of the twisted block subgroup.
-
-    The trace polynomial of z is Sigma_n Tr(z, component of degree n)
-    q^n.  A block orbit of length l under z contributes the per-block
-    graded character of the return map with q replaced by q^l, so the
-    i = 0 layer restricts to the ordinary product character of the block
-    subgroup.  coset_sums[i] maps each cycle type to the sum of the
-    trace polynomials over the elements of that type in the i-th
-    shifted coset, read from the table of its orbit shape (shape_sums),
-    which exponents and configurations of one shape share.
-    """
-
-    def __init__(self, config: InductionConfig):
-        self.config = config
-        self.coset_sums = [shape_sums(orbit_shape(config, i))
-                           for i in range(config.e)]
+def coset_sums(cfg: InductionConfig) -> list:
+    """Entry i maps each cycle type to the sum of the graded traces
+    Sigma_n Tr(z, component of degree n) q^n (_assemble) over the
+    elements z of that type in the i-th shifted coset, read from the
+    table of its orbit shape (shape_sums), which exponents and
+    configurations of one shape share.  Entry 0 restricts to the
+    ordinary product character of the block subgroup."""
+    return [shape_sums(orbit_shape(cfg, i)) for i in range(cfg.e)]
 
 
 @lru_cache(maxsize=None)
@@ -95,16 +87,16 @@ def _assemble(profile) -> IntPolynomial:
     return poly
 
 
-def extend_block_character(cfg: InductionConfig) -> ExtendedGradedCharacter:
-    """Extension attached to a validated configuration: blocks fixed by
-    the twist keep their own graded character, rotating families carry
-    the cyclic permutation action on the tensor product."""
+def extend_block_character(cfg: InductionConfig) -> list:
+    """coset_sums of a validated configuration: blocks fixed by the twist
+    keep their own graded character, rotating families carry the cyclic
+    permutation action on the tensor product."""
     validate_config(cfg)
-    return ExtendedGradedCharacter(cfg)
+    return coset_sums(cfg)
 
 
-def twisted_induction_trace(ext: ExtendedGradedCharacter, w: WeylElt,
-                            i: int, j_root: int = 1) -> Cyclotomic:
+def twisted_induction_trace(cfg: InductionConfig, w: WeylElt, i: int,
+                            j_root: int = 1) -> Cyclotomic:
     """Trace of the commuting pair (i-th twist, w) on the induced graded
     module, with the grading read through the j_root-th primitive root.
 
@@ -112,10 +104,9 @@ def twisted_induction_trace(ext: ExtendedGradedCharacter, w: WeylElt,
     cosets x with x^-1 w x in the i-th shifted coset, and those are
     counted by the centralizer weight.
     """
-    cfg = ext.config
     e = cfg.e
     key = w.cycle_type()
-    poly = ext.coset_sums[i % e].get(key, IntPolynomial())
+    poly = coset_sums(cfg)[i % e].get(key, IntPolynomial())
     weight = Fraction(key.centralizer_order(), levi_order(cfg))
     return eval_at_root(poly, e, (j_root * i) % e) * weight
 
@@ -164,7 +155,7 @@ def check_twisted_induction(cfg: InductionConfig) -> VerificationReport:
     primitive j in one call; the trace is that value times the weight,
     compared with the Green value in the field."""
     t0 = time.perf_counter()
-    ext = extend_block_character(cfg)
+    sums_by_exponent = extend_block_character(cfg)
     mu = cfg.merged_type()
     g = springer_graded_char(mu)
     e = cfg.e
@@ -176,7 +167,7 @@ def check_twisted_induction(cfg: InductionConfig) -> VerificationReport:
     for rho in partitions_of(cfg.n):
         green = root_values(g[rho], e, range(e))
         weight = Fraction(rho.centralizer_order(), order)
-        for i, sums in enumerate(ext.coset_sums):
+        for i, sums in enumerate(sums_by_exponent):
             powers = [(j * i) % e for j in primitive]
             induced = root_values(sums.get(rho, none), e, powers)
             for j, k, coords in zip(primitive, powers, induced):
@@ -228,23 +219,15 @@ def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
         values = root_values(g[rho], e, range(e))
         for j, (value, scaled) in enumerate(zip(values, counts.scaled(rho))):
             if not counts.agrees(value, scaled):
-                bad.append((tuple(rho), j, str(Cyclotomic(e, value)),
+                bad.append((tuple(rho), j, cyclotomic_text(e, value),
                             counts.text(scaled)))
             for t in primitive:
                 other = values[(t * j) % e]
                 if other != value:
-                    bad.append((tuple(rho), (j, t), str(Cyclotomic(e, value)),
-                                str(Cyclotomic(e, other))))
+                    bad.append((tuple(rho), (j, t), cyclotomic_text(e, value),
+                                cyclotomic_text(e, other)))
     return _finish("roots-of-unity", _config_echo(cfg), bad, t0,
                    f"merged type {tuple(mu)}")
-
-
-def _induced_text(e: int, coords, z: int, order: int) -> str:
-    """The induced value z/order times the element with these coordinates,
-    written as an int, a Fraction or a Cyclotomic, whichever it is."""
-    if not any(coords[1:]):
-        return str(Fraction(z * coords[0], order))
-    return str(Cyclotomic(e, [Fraction(z * c, order) for c in coords]))
 
 
 def _check_residue_induction(check: str, cfg: InductionConfig, t0: float,
@@ -257,12 +240,12 @@ def _check_residue_induction(check: str, cfg: InductionConfig, t0: float,
     of zeta^(-k i) times coset_sums[i] at zeta^i: the coefficients of
     coset_sums[i] in degrees congruent to r mod e land in bucket
     i (r - k) mod e, and the buckets reduce mod Phi_e to integer
-    coordinates c.  The slice s agrees when c vanishes beyond c_0 and
-    e |L| s = z_rho c_0, the rule of CosetCounts; nothing is divided."""
+    coordinates c.  The slice s agrees when e |L| s = z_rho c, s padded
+    with zeros (census_agrees); nothing is divided."""
     e = cfg.e
     mu = cfg.merged_type()
     g = springer_graded_char(mu)
-    sums = ExtendedGradedCharacter(cfg).coset_sums
+    sums = coset_sums(cfg)
     order = e * levi_order(cfg)
     none = IntPolynomial()
 
@@ -282,9 +265,11 @@ def _check_residue_induction(check: str, cfg: InductionConfig, t0: float,
                     if c:
                         buckets[(i * (r - k)) % e] += c
             coords = _reduce(e, buckets)
-            if any(coords[1:]) or order * slices[k] != z * coords[0]:
+            if not census_agrees(order, (slices[k],), z, coords):
+                value = [Fraction(z * c, order) for c in coords]
                 bad.append((tuple(rho), k, slices[k],
-                            _induced_text(e, coords, z, order)))
+                            cyclotomic_text(e, value) if any(coords[1:])
+                            else str(value[0])))
     return _finish(check, _config_echo(cfg), bad, t0,
                    f"{detail}merged type {tuple(mu)}")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, permutations, product, zip_longest
 from math import factorial, lcm, prod
 from operator import mul
 
@@ -659,13 +659,22 @@ def coset_count(w: WeylElt, cfg: InductionConfig, j: int) -> Fraction:
     return Fraction(key.centralizer_order() * matches, levi_order(cfg))
 
 
+def census_agrees(order: int, green, z: int, census) -> bool:
+    """Whether order * green == z * census coordinate by coordinate, the
+    shorter tuple padded with zeros: the one rule comparing a Green value
+    with its census side z/order * census, with nothing divided."""
+    for g, c in zip_longest(green, census, fillvalue=0):
+        if order * g != z * c:
+            return False
+    return True
+
+
 class CosetCounts:
     """Coset counts of one configuration as integers, keyed by cycle type.
 
     The count of class rho at the j-th shift is z_rho * m / |L|, m being
-    the census matches of type rho there, so a value is compared with it
-    as |L| * value == z_rho * m, and nothing is divided.  z_rho * m is
-    formed once per census entry when the counts are built."""
+    the census matches of type rho there; z_rho * m is formed once per
+    census entry when the counts are built, for census_agrees."""
 
     def __init__(self, cfg: InductionConfig, exponents):
         self.order = levi_order(cfg)
@@ -680,7 +689,7 @@ class CosetCounts:
 
     def agrees(self, coords, scaled: int) -> bool:
         """Whether the value with these coordinates is that count."""
-        return not any(coords[1:]) and self.order * coords[0] == scaled
+        return census_agrees(self.order, coords, 1, (scaled,))
 
     def text(self, scaled: int) -> str:
         """That count as coset_count prints it."""

@@ -74,7 +74,7 @@ from greenchar.symfun import (
     kostka_foulkes,
     partitions_of,
 )
-from greenchar.verify import ExtendedGradedCharacter, _assemble
+from greenchar.verify import _assemble
 from greenchar.weyl import (
     DEFAULT_BOUND,
     InductionConfig,
@@ -422,10 +422,9 @@ def power_orbit_shape(cfg: InductionConfig, j: int):
                          cfg.block_types[orbit[0]]) for orbit in orbits(sigma)))
 
 
-def trace_poly(ext: ExtendedGradedCharacter, z: WeylElt) -> IntPolynomial:
+def trace_poly(cfg: InductionConfig, z: WeylElt) -> IntPolynomial:
     """The graded trace polynomial of one element of the twisted block
     subgroup, assembled from its own orbit profile."""
-    cfg = ext.config
     if not any(z in coset_elements(cfg, i) for i in range(cfg.e)):
         raise ValueError("element lies outside the extended subgroup")
     return _assemble(orbit_profile(cfg, z))
@@ -914,7 +913,7 @@ def representative_twisted_induction(cfg: InductionConfig):
     polynomials by eval_at_root.  The Green table is read through the
     symfun module and the coset sums through the verify module, so a
     test can replace either."""
-    ext = verify.extend_block_character(cfg)
+    verify.extend_block_character(cfg)  # validates cfg
     mu = cfg.merged_type()
     g = symfun.springer_graded_char(mu)
     primitive = [j for j in range(1, cfg.e) if gcd(j, cfg.e) == 1] or [0]
@@ -925,7 +924,7 @@ def representative_twisted_induction(cfg: InductionConfig):
         poly = g[rho]
         for i in range(cfg.e):
             for j in primitive:
-                lhs = verify.twisted_induction_trace(ext, w, i, j)
+                lhs = verify.twisted_induction_trace(cfg, w, i, j)
                 rhs = eval_at_root(poly, cfg.e, (j * i) % cfg.e)
                 tried += 1
                 if lhs != rhs:
@@ -938,19 +937,20 @@ def representative_twisted_induction(cfg: InductionConfig):
 # the Fraction route of the mod-e and component induction checks
 
 
-def induced_residues(ext: ExtendedGradedCharacter) -> dict:
+def induced_residues(cfg: InductionConfig) -> dict:
     """Induced class function of zeta^(-k i) times the graded trace at
     zeta^i on the i-th shifted coset, keyed by (cycle type, k): the
     coefficient of q^n in coset_sums[i] lands in bucket i (n - k) mod e,
     and the buckets are reduced mod Phi_e once and scaled by z/(e |L|)."""
-    cfg, e = ext.config, ext.config.e
+    e = cfg.e
     order = e * levi_order(cfg)
+    by_exponent = verify.coset_sums(cfg)
     values = {}
     for rho in partitions_of(cfg.n):
         weight = Fraction(rho.centralizer_order(), order)
         for k in range(e):
             buckets = [0] * e
-            for i, sums in enumerate(ext.coset_sums):
+            for i, sums in enumerate(by_exponent):
                 for n, c in enumerate(sums.get(rho, IntPolynomial()).coeffs):
                     buckets[(i * (n - k)) % e] += c
             values[rho, k] = _normalize_scalar(
@@ -966,7 +966,7 @@ def fraction_residue_induction(cfg: InductionConfig, detail: str = ""):
     sums through the verify module, so a test can replace either."""
     mu = cfg.merged_type()
     g = symfun.springer_graded_char(mu)
-    rhs = induced_residues(verify.ExtendedGradedCharacter(cfg))
+    rhs = induced_residues(cfg)
     bad = []
     for k in range(cfg.e):
         for rho in partitions_of(cfg.n):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import greenchar
 from greenchar import cli, verify
 from greenchar.cli import main
+import cli_parity
 from oracles import DEGREES
 
 
@@ -911,3 +912,21 @@ def test_cli_import_loads_no_other_greenchar_module():
 
 def test_check_choices_are_the_checks_of_verify():
     assert cli.CHECKS == tuple(verify.ALL_CHECKS)
+
+
+# ---------------------------------------------------------------------------
+# byte identity over fixed request corpora
+
+
+@pytest.mark.parametrize("corpus,count,digest", [
+    ("cli-cold", 87,
+     "4a0dff877c8ca976b2e700a2e14262a74de2fe2918b37fd6dda5657324b99ad8"),
+    ("regular-catalog", 432,
+     "f893a13a7ee93a8ec9bd64223b2f1859c8eabb941c0e5fa177185d1ee0a57657"),
+])
+def test_cli_parity_corpus_keeps_its_digest(monkeypatch, corpus, count, digest):
+    # every answer of tests/cli_parity.py's corpus, byte for byte, with
+    # elapsed_ms frozen at 0.0 for this test only; the larger regular
+    # corpus (about 30 s) stays a manual run of that script
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: 0.0)
+    assert cli_parity.digest(cli_parity.CORPORA[corpus]()) == (count, digest)

@@ -47,6 +47,16 @@ def test_constant_polynomial_is_one_key_with_its_int(c):
     assert len({p, IntPolynomial((c, 1)), IntPolynomial((c, 0, 1))}) == 3
 
 
+@pytest.mark.parametrize("c", [0, 5, -3])
+def test_constant_polynomial_is_one_key_with_its_integral_fraction(c):
+    p, f = IntPolynomial((c,)), Fraction(c)
+    assert p == f and f == p and hash(p) == hash(f)
+    assert len({p, c, f}) == 1 and len({f, c, p}) == 1
+    assert {p: "poly"}[f] == "poly" and {f: "fraction"}[p] == "fraction"
+    assert p != Fraction(2 * c + 1, 2) and Fraction(2 * c + 1, 2) != p
+    assert IntPolynomial((c, 1)) != f
+
+
 def test_arithmetic_basics():
     p = IntPolynomial((1, 1))
     assert p * p == IntPolynomial((1, 2, 1))

@@ -52,7 +52,6 @@ from greenchar.verify import (
     check_roots_of_unity,
     check_twisted_induction,
     check_ungraded_induction,
-    extend_block_character,
     twisted_induction_trace,
 )
 
@@ -100,16 +99,15 @@ def test_trace_census_two_trivial_blocks():
     # four elements: (13)(24), (1423), (1324), (14)(23), so cycle types
     # (2,2) and (4) twice each.  Weights |C(w)| / |L| are 8/4 and 4/4.
     cfg = two_blocks((2,))
-    ext = extend_block_character(cfg)
     w22 = from_cycles(4, (1, 2), (3, 4))
     w4 = from_cycles(4, (1, 2, 3, 4))
-    assert as_int(twisted_induction_trace(ext, w22, 1)) == 4
-    assert as_int(twisted_induction_trace(ext, w4, 1)) == 2
+    assert as_int(twisted_induction_trace(cfg, w22, 1)) == 4
+    assert as_int(twisted_induction_trace(cfg, w4, 1)) == 2
     # plain coset: 2 of type (2,2) (identity excluded), 1 of each flip
-    assert as_int(twisted_induction_trace(ext, w22, 0)) == 2
-    assert as_int(twisted_induction_trace(ext, w4, 0)) == 0
-    assert as_int(twisted_induction_trace(ext, identity_elt(4), 0)) == 6
-    assert as_int(twisted_induction_trace(ext, identity_elt(4), 1)) == 0
+    assert as_int(twisted_induction_trace(cfg, w22, 0)) == 2
+    assert as_int(twisted_induction_trace(cfg, w4, 0)) == 0
+    assert as_int(twisted_induction_trace(cfg, identity_elt(4), 0)) == 6
+    assert as_int(twisted_induction_trace(cfg, identity_elt(4), 1)) == 0
 
 
 def test_trace_vanishes_without_matching_class():
@@ -117,20 +115,18 @@ def test_trace_vanishes_without_matching_class():
     # the trace is 0 regardless of the extension values
     w = from_cycles(4, (1, 2))
     for nu in [(2,), (1, 1)]:
-        ext = extend_block_character(two_blocks(nu))
-        assert as_int(twisted_induction_trace(ext, w, 1)) == 0
+        assert as_int(twisted_induction_trace(two_blocks(nu), w, 1)) == 0
 
 
 def test_trace_census_coinvariant_blocks():
     cfg = two_blocks((1, 1))
-    ext = extend_block_character(cfg)
     # dimension 6 * 4 = 24 at the identity, and the twisted layer kills
     # it: the graded shift distributes the 24 evenly over both residues
-    assert as_int(twisted_induction_trace(ext, identity_elt(4), 0)) == 24
-    assert as_int(twisted_induction_trace(ext, identity_elt(4), 1)) == 0
+    assert as_int(twisted_induction_trace(cfg, identity_elt(4), 0)) == 24
+    assert as_int(twisted_induction_trace(cfg, identity_elt(4), 1)) == 0
     w22 = from_cycles(4, (1, 2), (3, 4))
-    assert as_int(twisted_induction_trace(ext, w22, 0)) == 0
-    assert as_int(twisted_induction_trace(ext, w22, 1)) == 8
+    assert as_int(twisted_induction_trace(cfg, w22, 0)) == 0
+    assert as_int(twisted_induction_trace(cfg, w22, 1)) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +135,16 @@ def test_trace_census_coinvariant_blocks():
 
 def test_extension_layer_polynomials():
     cfg = two_blocks((1, 1))
-    ext = extend_block_character(cfg)
     a = cfg.a
     assert a.perm == (3, 4, 1, 2)
     # the a-orbit glues the two rank-one coinvariant blocks: per-block
     # character 1 + q of the return map (identity), q replaced by q^2
-    assert trace_poly(ext, a).coeffs == (1, 0, 1)
+    assert trace_poly(cfg, a).coeffs == (1, 0, 1)
     assert orbit_profile(cfg, a) == ((2, (1, 1), (1, 1)),)
     # untwisted layer restricts to the product character
-    assert trace_poly(ext, identity_elt(4)).coeffs == (1, 2, 1)
-    trivial = extend_block_character(two_blocks((2,)))
-    assert trace_poly(trivial, trivial.config.a).coeffs == (1,)
+    assert trace_poly(cfg, identity_elt(4)).coeffs == (1, 2, 1)
+    trivial = two_blocks((2,))
+    assert trace_poly(trivial, trivial.a).coeffs == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +154,10 @@ def test_extension_layer_polynomials():
 @pytest.mark.parametrize("nu", [(2,), (1, 1)])
 def test_model_matches_trace_formula_two_blocks(nu):
     cfg = two_blocks(nu)
-    ext = extend_block_character(cfg)
     for rho in partitions_of(4):
         w = class_representative(rho)
         for i in range(2):
-            fast = twisted_induction_trace(ext, w, i)
+            fast = twisted_induction_trace(cfg, w, i)
             assert model_twisted_trace(cfg, w, i) == fast
 
 
@@ -171,12 +165,11 @@ def test_model_matches_trace_formula_regular_twist():
     # order-3 twist on three free letters, fixed block of type (2,);
     # both primitive cube roots exercised
     cfg = l_regular_config(5, 2, 3)
-    ext = extend_block_character(cfg)
     for rho in partitions_of(5):
         w = class_representative(rho)
         for i in range(3):
             for j in (1, 2):
-                fast = twisted_induction_trace(ext, w, i, j)
+                fast = twisted_induction_trace(cfg, w, i, j)
                 assert model_twisted_trace(cfg, w, i, j) == fast
 
 
@@ -248,7 +241,6 @@ def test_trace_matches_per_element_horner(tag):
     # reference route: evaluate each element's own trace polynomial by
     # Horner's rule at the root and sum over the matching coset elements
     cfg = CONFIGS[tag]
-    ext = extend_block_character(cfg)
     e = cfg.e
     order = len(coset_elements(cfg, 0))
     for rho in partitions_of(cfg.n):
@@ -259,9 +251,9 @@ def test_trace_matches_per_element_horner(tag):
                 total = Cyclotomic.zeta(e, 0) * 0
                 for z in coset_elements(cfg, i):
                     if z.cycle_type() == rho:
-                        total = total + trace_poly(ext, z)(point)
+                        total = total + trace_poly(cfg, z)(point)
                 expected = total * Fraction(rho.centralizer_order(), order)
-                assert twisted_induction_trace(ext, w, i, j) == expected, \
+                assert twisted_induction_trace(cfg, w, i, j) == expected, \
                     (rho, i, j)
 
 
@@ -337,7 +329,7 @@ def test_census_route_matches_enumeration_on_one_row_blocks(cfg):
             hits = sum(1 for y in coset if y.cycle_type() == rho)
             assert coset_count(class_representative(rho), cfg, j) == \
                 Fraction(rho.centralizer_order() * hits, order), (rho, j)
-    rhs = _induced_residues(extend_block_character(cfg))
+    rhs = _induced_residues(cfg)
     for k in range(cfg.e):
         ind = induced_character(extended_subgroup(cfg), coset_character(cfg, k))
         for rho in partitions_of(cfg.n):
@@ -354,7 +346,7 @@ def test_census_route_matches_per_element_evaluator(cfg):
     e = cfg.e
     distinguished = cfg.blocks[-1]
     g_block = springer_graded_char(cfg.block_types[-1])
-    rhs = _induced_residues(extend_block_character(cfg))
+    rhs = _induced_residues(cfg)
     for k in range(e):
         def evaluate(y):
             i = coset_exponent(cfg, y)
@@ -544,19 +536,20 @@ def flip_coset_sum(monkeypatch, cfg, i):
     shifted coset alone.  The table of its orbit shape is shared with
     the Galois-conjugate exponents, and stays as it was: a flip there
     would keep every induced value rational."""
-    class Flipped(verify.ExtendedGradedCharacter):
-        def __init__(self, config):
-            super().__init__(config)
-            if config != cfg:
-                return
-            sums = dict(self.coset_sums[i])
-            rho = next(rho for rho, poly in sums.items() if poly)
-            coeffs = list(sums[rho].coeffs)
-            coeffs[-1] = -coeffs[-1]
-            sums[rho] = IntPolynomial(coeffs)
-            self.coset_sums = list(self.coset_sums)
-            self.coset_sums[i] = sums
-    monkeypatch.setattr(verify, "ExtendedGradedCharacter", Flipped)
+    coset_sums = verify.coset_sums
+
+    def flipped(config):
+        by_exponent = coset_sums(config)
+        if config != cfg:
+            return by_exponent
+        sums = dict(by_exponent[i])
+        rho = next(rho for rho, poly in sums.items() if poly)
+        coeffs = list(sums[rho].coeffs)
+        coeffs[-1] = -coeffs[-1]
+        sums[rho] = IntPolynomial(coeffs)
+        by_exponent[i] = sums
+        return by_exponent
+    monkeypatch.setattr(verify, "coset_sums", flipped)
 
 
 @pytest.mark.parametrize("check,cfg", [
@@ -643,9 +636,10 @@ def test_config_checks_walk_no_coset(monkeypatch, capsys):
     # representative, read no cycle type off an element and call no
     # coset_count when they pass, twisted induction reads each class by
     # its cycle type without twisted_induction_trace or eval_at_root,
-    # and the residue checks make no field element and no Fraction
-    # either; no check raises the twist to a power, since orbit shapes
-    # compose how it permutes the blocks
+    # and the integer checks (roots of unity, closed form, residues)
+    # make no field element and no Fraction either; no check raises the
+    # twist to a power, since orbit shapes compose how it permutes the
+    # blocks
     def refuse(*args):
         raise AssertionError("a group was enumerated")
 
@@ -656,7 +650,7 @@ def test_config_checks_walk_no_coset(monkeypatch, capsys):
         raise AssertionError("a class was read through one element")
 
     def refuse_number(*args):
-        raise AssertionError("a passing residue check left the integers")
+        raise AssertionError("a passing integer check left the integers")
 
     for module in (weyl, verify):
         for name in ("coset_elements", "levi_elements", "young_subgroup"):
@@ -679,13 +673,15 @@ def test_config_checks_walk_no_coset(monkeypatch, capsys):
     for name in ("twisted_induction_trace", "eval_at_root"):
         monkeypatch.setattr(verify, name, refuse_element)
     reports = ([check_twisted_induction(cfg) for cfg in general]
-               + [check_component_dims(cfg) for cfg in general]
-               + [check_roots_of_unity(cfg) for cfg in one_row]
-               + [check_closed_form(m, e) for m, e in ((2, 2), (3, 2), (2, 3))])
+               + [check_component_dims(cfg) for cfg in general])
     with monkeypatch.context() as patch:
-        for name in ("Cyclotomic", "Fraction"):
-            patch.setattr(verify, name, refuse_number)
-        reports += ([check_mod_e_induction(cfg) for cfg in one_row]
+        for module in (verify, weyl):
+            for name in ("Cyclotomic", "Fraction"):
+                patch.setattr(module, name, refuse_number)
+        reports += ([check_roots_of_unity(cfg) for cfg in one_row]
+                    + [check_closed_form(m, e)
+                       for m, e in ((2, 2), (3, 2), (2, 3))]
+                    + [check_mod_e_induction(cfg) for cfg in one_row]
                     + [check_component_induction(cfg) for cfg in regular])
     assert all(report.passed for report in reports)
     assert main(["eval", "--mu", "2,2,1", "--e", "2", "--nu", "2"]) == 0
@@ -695,10 +691,10 @@ def test_config_checks_walk_no_coset(monkeypatch, capsys):
 def test_trace_poly_refuses_elements_outside_the_extension():
     # (1 2) permutes the three one-letter blocks, so it has an orbit
     # profile, but it lies outside the cyclic group the twist generates
-    ext = extend_block_character(standard_block_config(1, 3))
-    assert trace_poly(ext, ext.config.a).coeffs == (1,)
+    cfg = standard_block_config(1, 3)
+    assert trace_poly(cfg, cfg.a).coeffs == (1,)
     with pytest.raises(ValueError, match="outside the extended subgroup"):
-        trace_poly(ext, from_cycles(3, (1, 2)))
+        trace_poly(cfg, from_cycles(3, (1, 2)))
 
 
 def test_ungraded_induction_rows():

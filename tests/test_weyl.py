@@ -26,6 +26,7 @@ from greenchar.weyl import (
     InvalidConfigError,
     SubgroupTable,
     WeylElt,
+    census_agrees,
     coset_census,
     coset_count,
     coset_elements,
@@ -954,6 +955,21 @@ class TestCosetCount:
             assert coset_count(w1, self.cfg, j) == coset_count(w2, self.cfg, j)
 
 
+def test_census_agrees_scales_each_side_and_pads_the_shorter():
+    # |L| = 2 and z = 3: a Green value 3 matches a census coordinate 2
+    assert census_agrees(2, (3,), 3, (2,))
+    assert not census_agrees(3, (3,), 2, (2,))
+    assert not census_agrees(2, (2,), 3, (3,))
+    # zeros pad either side, and a nonzero coordinate past the rational
+    # part fails on either side
+    assert census_agrees(2, (3, 0, 0), 3, (2,))
+    assert census_agrees(2, (3,), 3, (2, 0, 0))
+    assert census_agrees(5, (), 7, (0, 0))
+    assert not census_agrees(2, (3, 1), 3, (2,))
+    assert not census_agrees(2, (3,), 3, (2, 0, -1))
+    assert not census_agrees(2, (3, 0, 1), 3, (2, 0, 0))
+
+
 @st.composite
 def block_permuting_configs(draw, max_letters=7):
     """Consecutive blocks on at most max_letters letters, each with any
@@ -1140,14 +1156,13 @@ class TestCosetCensus:
         assert orbit_shape(first, 1) == orbit_shape(last, 2) == shape
         assert coset_census(first, 1) is coset_census(last, 2)
         assert coset_census(first, 2) is coset_census(last, 1)
-        assert verify.ExtendedGradedCharacter(first).coset_sums[1] is \
-            verify.ExtendedGradedCharacter(last).coset_sums[2]
+        assert verify.coset_sums(first)[1] is verify.coset_sums(last)[2]
 
     def test_a_rotating_block_type_gets_its_own_table(self):
         plain = standard_block_config(2, 2)
         split = standard_block_config(2, 2, Partition((1, 1)))
-        plain_sums = verify.ExtendedGradedCharacter(plain).coset_sums
-        split_sums = verify.ExtendedGradedCharacter(split).coset_sums
+        plain_sums = verify.coset_sums(plain)
+        split_sums = verify.coset_sums(split)
         for j in range(2):
             assert orbit_shape(plain, j) != orbit_shape(split, j)
             assert coset_census(plain, j) is not coset_census(split, j)
