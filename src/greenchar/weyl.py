@@ -674,14 +674,22 @@ class CosetCounts:
 
     The count of class rho at the j-th shift is z_rho * m / |L|, m being
     the census matches of type rho there; z_rho * m is formed once per
-    census entry when the counts are built, for census_agrees."""
+    census entry when the counts are built, for census_agrees.  Exponents
+    whose coset_census is one table share one dict of counts, so
+    by_exponent[i] is by_exponent[j] exactly when their tables are one
+    object; each table is kept while its id keys the dicts."""
 
     def __init__(self, cfg: InductionConfig, exponents):
         self.order = levi_order(cfg)
-        self.by_exponent = [
-            {rho: rho.centralizer_order() * sum(by_profile.values())
-             for rho, by_profile in coset_census(cfg, j).items()}
-            for j in exponents]
+        built = {}
+        self.by_exponent = []
+        for j in exponents:
+            census = coset_census(cfg, j)
+            if id(census) not in built:
+                built[id(census)] = census, {
+                    rho: rho.centralizer_order() * sum(by_profile.values())
+                    for rho, by_profile in census.items()}
+            self.by_exponent.append(built[id(census)][1])
 
     def scaled(self, rho: Partition) -> list:
         """z_rho * m at each exponent, in the order given."""

@@ -16,8 +16,17 @@ that twist exists, relative to every pi_L of at most five labels;
 ``regular-catalog`` runs every family and rank slice of the catalog,
 in either case, the empty ones included, and the full catalog;
 ``cli-cold`` is the pool of requests the benchmark's ``cli_cold``
-workload sends.  The name has no ``test_`` prefix, so pytest does not
-collect it.
+workload sends; ``roots`` runs ``verify --check roots-of-unity`` and
+``eval --nu`` on every one-row shape ``--mu mu --nu m --e e`` with
+e >= 2 and at most 10 letters: e blocks of one row of m letters, after
+a fixed block of one row when mu has letters left over.
+
+Tier-1 asserts the recorded digests of the three fast corpora,
+``cli-cold``, ``regular-catalog`` and ``roots`` (about 3 s together;
+``tests/test_cli.py::test_cli_parity_corpus_keeps_its_digest``).
+``regular`` takes about 30 s, so its digest stays a manual run of this
+script.  The file has no ``test_`` prefix, so pytest does not collect
+it.
 """
 
 import hashlib
@@ -85,8 +94,19 @@ def cold_requests():
         yield line.split()
 
 
+def roots_requests():
+    for e in range(2, 11):
+        for m in range(1, 10 // e + 1):
+            for k in range(10 - m * e + 1):
+                mu = sorted([m] * e + ([k] if k else []), reverse=True)
+                flags = ["--mu", ",".join(map(str, mu)), "--nu", str(m),
+                         "--e", str(e)]
+                yield ["verify", "--check", "roots-of-unity"] + flags
+                yield ["eval"] + flags
+
+
 CORPORA = {"regular": regular_requests, "regular-catalog": catalog_requests,
-           "cli-cold": cold_requests}
+           "cli-cold": cold_requests, "roots": roots_requests}
 
 
 def digest(requests):

@@ -40,6 +40,9 @@ block-index powers, the residue fold and the sparse rows that replaced
 them.  The twisted induction check as it ran through one class
 representative and one pair of root evaluations per trace checks the
 loop that reads each class by its cycle type and evaluates it once.
+The roots-of-unity check comparing on integers at every exponent and
+every primitive root checks the Galois descent that compares at one
+exponent per divisor of e.
 """
 
 from collections import Counter
@@ -54,8 +57,10 @@ from greenchar.poly import (
     IntPolynomial,
     _echelon,
     cyclotomic_poly,
+    cyclotomic_text,
     eval_at_root,
     kernel_basis,
+    root_values,
 )
 from greenchar.rootsys import (
     LeviConfig,
@@ -77,6 +82,7 @@ from greenchar.symfun import (
 from greenchar.verify import _assemble
 from greenchar.weyl import (
     DEFAULT_BOUND,
+    CosetCounts,
     InductionConfig,
     InvalidConfigError,
     SubgroupTable,
@@ -884,6 +890,35 @@ def fraction_roots_of_unity(cfg: InductionConfig):
                 if other != value:
                     bad.append((tuple(rho), (j, t), str(value), str(other)))
     return bad, f"merged type {tuple(mu)}"
+
+
+def all_exponent_roots_of_unity(cfg: InductionConfig):
+    """The status, config, counterexamples and notes check_roots_of_unity
+    reported when it compared on integers at every exponent j < e, and
+    each value with its conjugates at every primitive t, with no Galois
+    descent.  The Green table is read through the symfun module and the
+    census through CosetCounts, so a test can replace either."""
+    _require_regular_blocks(cfg)
+    validate_config(cfg)
+    mu = cfg.merged_type()
+    g = symfun.springer_graded_char(mu)
+    e = cfg.e
+    counts = CosetCounts(cfg, range(e))
+    primitive = [t for t in range(1, e) if gcd(t, e) == 1] or [0]
+    bad = []
+    for rho in partitions_of(cfg.n):
+        values = root_values(g[rho], e, range(e))
+        for j, (value, scaled) in enumerate(zip(values, counts.scaled(rho))):
+            if not counts.agrees(value, scaled):
+                bad.append((tuple(rho), j, cyclotomic_text(e, value),
+                            counts.text(scaled)))
+            for t in primitive:
+                other = values[(t * j) % e]
+                if other != value:
+                    bad.append((tuple(rho), (j, t), cyclotomic_text(e, value),
+                                cyclotomic_text(e, other)))
+    return ("fail" if bad else "pass", verify._config_echo(cfg), bad,
+            f"merged type {tuple(mu)}")
 
 
 def fraction_closed_form(m: int, e: int):

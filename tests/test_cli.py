@@ -923,6 +923,8 @@ def test_check_choices_are_the_checks_of_verify():
      "4a0dff877c8ca976b2e700a2e14262a74de2fe2918b37fd6dda5657324b99ad8"),
     ("regular-catalog", 432,
      "f893a13a7ee93a8ec9bd64223b2f1859c8eabb941c0e5fa177185d1ee0a57657"),
+    ("roots", 432,
+     "ee660f76c02e12ab964f5a6b5689de9efdb730d5d92c08c8e9d74913df1cc023"),
 ])
 def test_cli_parity_corpus_keeps_its_digest(monkeypatch, corpus, count, digest):
     # every answer of tests/cli_parity.py's corpus, byte for byte, with

@@ -7,6 +7,7 @@ tests pin down the exact pass/fail shape of every check on a spread of
 small configurations.
 """
 
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -56,6 +57,7 @@ from greenchar.verify import (
 )
 
 from oracles import (
+    all_exponent_roots_of_unity,
     block_shift_element,
     class_representative,
     coset_character,
@@ -451,10 +453,12 @@ def flip_census_count(monkeypatch, cfg, j, rho):
     standard_block_config(2, 2), standard_block_config(2, 3),
     standard_block_config(1, 3, fixed_size=2),
     standard_block_config(1, 4, fixed_size=2), l_regular_config(5, 2, 3),
+    standard_block_config(1, 6, fixed_size=1),
 ], ids=_config_echo)
 def test_roots_of_unity_fails_like_fraction_route_on_a_flip(monkeypatch, cfg):
-    # a Green coefficient of the identity class, then one count of the
-    # last shifted coset
+    # a Green coefficient of the identity class, then one count of each
+    # shifted coset in turn: 0, the divisors of e, which Galois descent
+    # compares, and the exponents they stand for
     with monkeypatch.context() as patch:
         flip_green_coefficient(patch, cfg.merged_type(),
                                Partition((1,) * cfg.n), cfg.e)
@@ -463,11 +467,81 @@ def test_roots_of_unity_fails_like_fraction_route_on_a_flip(monkeypatch, cfg):
         galois = [index for _, index, _, _ in bad if isinstance(index, tuple)]
         assert bad and (galois or cfg.e == 2)
         assert check_roots_of_unity(cfg).counterexamples == bad
-    j = cfg.e - 1
-    with monkeypatch.context() as patch:
-        flip_census_count(patch, cfg, j, next(iter(weyl.coset_census(cfg, j))))
-        bad, _ = fraction_roots_of_unity(cfg)
-        assert bad and check_roots_of_unity(cfg).counterexamples == bad
+    for j in range(cfg.e):
+        with monkeypatch.context() as patch:
+            flip_census_count(patch, cfg, j,
+                              next(iter(weyl.coset_census(cfg, j))))
+            bad, _ = fraction_roots_of_unity(cfg)
+            assert bad and check_roots_of_unity(cfg).counterexamples == bad
+
+
+# ---------------------------------------------------------------------------
+# Galois descent in the root-of-unity check against the all-exponent loop
+
+
+# e blocks of one row of m letters after a fixed row of k, n <= 10
+ONE_ROW_SHAPES_TO_10 = [standard_block_config(m, e, fixed_size=k)
+                        for e in range(2, 11) for m in range(1, 10 // e + 1)
+                        for k in range(10 - m * e + 1)]
+
+
+def full_report(report):
+    return report.status, report.config, report.counterexamples, report.notes
+
+
+def test_one_row_shapes_to_ten_letters_hold_the_sweep():
+    assert len(set(ONE_ROW_SHAPES_TO_10)) == 72
+    assert set(one_row_configs()) <= set(ONE_ROW_SHAPES_TO_10)
+
+
+@pytest.mark.parametrize("cfg", ONE_ROW_SHAPES_TO_10, ids=_config_echo)
+def test_roots_of_unity_equals_all_exponent_loop(cfg):
+    assert full_report(check_roots_of_unity(cfg)) == \
+        all_exponent_roots_of_unity(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=one_row_shapes())
+def test_roots_of_unity_equals_all_exponent_loop_on_drawn_shapes(cfg):
+    library = outcome(lambda c: full_report(check_roots_of_unity(c)), cfg)
+    assert library == outcome(all_exponent_roots_of_unity, cfg)
+
+
+@pytest.mark.parametrize("cfg", ONE_ROW_SHAPES_TO_10
+                         + list(regular_twist_configs()), ids=_config_echo)
+def test_coset_counts_hold_one_dict_per_census_table(cfg):
+    counts = weyl.CosetCounts(cfg, range(cfg.e))
+    tables = [weyl.coset_census(cfg, j) for j in range(cfg.e)]
+    for i in range(cfg.e):
+        for j in range(cfg.e):
+            assert (counts.by_exponent[i] is counts.by_exponent[j]) == \
+                (tables[i] is tables[j])
+
+
+class FreshTable(dict):
+    """A census table made afresh, which a weak reference can follow."""
+
+
+def test_coset_counts_keep_fresh_tables_apart(monkeypatch):
+    # a census made afresh at every call is one table per exponent, even
+    # where the tables are equal; each must live while the counts are
+    # built, or a later table could take its id and its dict of counts
+    cfg = standard_block_config(1, 6, fixed_size=1)
+    expected = all_exponent_roots_of_unity(cfg)
+    shared = weyl.CosetCounts(cfg, range(6)).by_exponent
+    original = weyl.coset_census
+    made = []
+
+    def census(c, j):
+        assert all(ref() is not None for ref in made)
+        table = FreshTable(original(c, j))
+        made.append(weakref.ref(table))
+        return table
+    monkeypatch.setattr(weyl, "coset_census", census)
+    fresh = weyl.CosetCounts(cfg, range(6)).by_exponent
+    assert len({id(counts) for counts in fresh}) == 6 and fresh == shared
+    made.clear()
+    assert full_report(check_roots_of_unity(cfg)) == expected
 
 
 @pytest.mark.parametrize("m,e,rho", [(2, 2, (4,)), (2, 3, (6,)),
