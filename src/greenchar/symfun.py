@@ -41,11 +41,15 @@ must give D_kappa back.
 The Green table of mu stays packed too.  Its value at rho is
 S_rho(X) = sum over lambda dominating mu of chi^lambda_rho K(lambda,mu)(X),
 read back as n(mu) + 1 signed base-X digits and reversed.  K(lambda,mu)
-is read back by the same reader, to n(mu) - n(lambda) + 1 digits.  B
-matters only when a value is read back, and a value left above the
-last digit read raises ArithmeticError.  Every coefficient of S_rho is
-at most sum over lambda of chi^lambda(1) K(lambda,mu)(1)
-= n!/prod_i mu_i! <= n! in absolute value, because |chi^lambda_rho| <= chi^lambda(1) and K has
+is read back by the same reader, to n(mu) - n(lambda) + 1 digits.  The
+reader takes all count digits in one pass: it adds X/2 times
+1 + X + ... + X^(count-1) to the value, so that each signed digit plus
+X/2 is one plain base-X digit of the sum, read with a shift and a mask.
+B matters only when a value is read back, and a value left above the
+last digit read (the sum shifted past it) raises ArithmeticError.
+Every coefficient of S_rho is at most
+sum over lambda of chi^lambda(1) K(lambda,mu)(1) = n!/prod_i mu_i! <= n!
+in absolute value, because |chi^lambda_rho| <= chi^lambda(1) and K has
 nonnegative coefficients; so B = bit_length(n!) + 1 bits hold each
 signed digit, and the nonnegative digits of K as well.  As a guard on
 the whole table, the coefficients at the identity class must sum to
@@ -68,6 +72,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod
+from operator import ge, mul
 from types import MappingProxyType
 
 from greenchar.poly import Cyclotomic, IntPolynomial, eval_at_root
@@ -105,16 +110,21 @@ class Partition(tuple):
             out[p] = out.get(p, 0) + 1
         return out
 
-    def centralizer_order(self) -> int:
-        """Order of the centralizer of this cycle type in S_|lambda|."""
-        out = 1
-        for part, mult in self.multiplicities().items():
-            out *= part ** mult * factorial(mult)
-        return out
-
     def sign(self) -> int:
         """Sign character of S_n on this cycle type."""
         return (-1) ** (self.size - len(self))
+
+
+@lru_cache(maxsize=None)
+def centralizer_order(rho) -> int:
+    """z_rho, the order of the centralizer of an element of cycle type rho
+    in S_|rho|: the product over the parts i of i^m m!, where m is the
+    multiplicity of i.  Cached per cycle type, since every census and
+    class weight asks for it again."""
+    out = 1
+    for part, mult in Partition(rho).multiplicities().items():
+        out *= part ** mult * factorial(mult)
+    return out
 
 
 def trusted_partition(parts) -> Partition:
@@ -185,6 +195,11 @@ class _KostkaSolve:
     Entries are computed on demand and kept: K(lam, kappa) for lam
     dominating kappa, and per kappa the products D_tau K(kappa, tau) for
     every tau strictly below it, so each term of a sum is one product.
+    The sums walk per-partition lists, each built from the prefix sums
+    the first time it is asked for: the partitions strictly below kappa,
+    and those weakly above mu, in the order of partitions_of.  No partition
+    dominates one before it in that order, so each list is one scan of
+    one side of its partition.
     """
 
     def __init__(self, n: int):
@@ -201,15 +216,38 @@ class _KostkaSolve:
         self.chars = {}
         self.packed = {}
         self.rows = {}
+        self.below = {}
+        self.above = {}
+        self.offsets = {}
 
     def dominates(self, lam, mu) -> bool:
-        return all(a >= b for a, b in zip(self.prefix[lam], self.prefix[mu]))
+        return all(map(ge, self.prefix[lam], self.prefix[mu]))
+
+    def _below(self, kappa):
+        """The partitions strictly below kappa, in the order of
+        partitions_of."""
+        below = self.below.get(kappa)
+        if below is None:
+            top = self.prefix[kappa]
+            below = self.below[kappa] = [
+                tau for tau in self.parts[self.parts.index(kappa) + 1:]
+                if all(map(ge, top, self.prefix[tau]))]
+        return below
+
+    def _above(self, mu):
+        """The partitions weakly above mu, in the order of partitions_of."""
+        above = self.above.get(mu)
+        if above is None:
+            bottom = self.prefix[mu]
+            above = self.above[mu] = [
+                lam for lam in self.parts[:self.parts.index(mu) + 1]
+                if all(map(ge, self.prefix[lam], bottom))]
+        return above
 
     def _omega(self, lam, kappa) -> int:
         """Omega_{lam,kappa} at X: sum over rho of chi^lam chi^kappa W_rho."""
-        return sum(a * b * w for a, b, w in zip(self._chars(lam),
-                                                self._chars(kappa),
-                                                self.weights))
+        return sum(map(mul, map(mul, self._chars(lam), self._chars(kappa)),
+                       self.weights))
 
     def _chars(self, lam):
         row = self.chars.get(lam)
@@ -226,12 +264,11 @@ class _KostkaSolve:
         if row is None:
             row = []
             rest = self._omega(kappa, kappa)
-            for tau in self.parts:
-                if tau != kappa and self.dominates(kappa, tau):
-                    k = self._packed(kappa, tau)
-                    scaled = self.norms[tau] * k
-                    row.append((tau, scaled))
-                    rest -= k * scaled
+            for tau in self._below(kappa):
+                k = self._packed(kappa, tau)
+                scaled = self.norms[tau] * k
+                row.append((tau, scaled))
+                rest -= k * scaled
             if rest != self.norms[kappa]:
                 raise ArithmeticError(
                     f"Omega does not factor at {tuple(kappa)}: wrong D")
@@ -256,13 +293,23 @@ class _KostkaSolve:
         return k
 
     def _digits(self, value: int, count: int):
-        """The count lowest signed base-X digits of value, and the rest."""
-        half = 1 << (self.width - 1)
-        digits = []
-        for _ in range(count):
-            digits.append(((value + half) & (2 * half - 1)) - half)
-            value = (value - digits[-1]) >> self.width
-        return digits, value
+        """The count lowest signed base-X digits of value, and the rest.
+
+        Each signed digit d lies in [-half, half), so d + half is one
+        base-X digit of value + offset, offset = sum over i < count of
+        half X^i: every digit is one shift and one mask of that sum, and
+        the rest is the sum shifted past its count lowest digits."""
+        width = self.width
+        half = 1 << (width - 1)
+        offset = self.offsets.get(count)
+        if offset is None:
+            offset = self.offsets[count] = (
+                half * ((1 << width * count) - 1) // ((1 << width) - 1))
+        value += offset
+        mask = (1 << width) - 1
+        digits = [(value >> shift & mask) - half
+                  for shift in range(0, width * count, width)]
+        return digits, value >> width * count
 
     def polynomial(self, lam, mu) -> IntPolynomial:
         """K(lam, mu) read off the base-X digits of its value."""
@@ -279,13 +326,13 @@ class _KostkaSolve:
         """The Green polynomial of (mu, rho) for every rho, in the order
         of partitions_of: the signed base-X digits of sum over lam of
         chi^lam_rho K(lam, mu)(X), reversed to degree n(mu)."""
-        terms = [(self._chars(lam), self._packed(lam, mu))
-                 for lam in self.parts if self.dominates(lam, mu)]
+        above = self._above(mu)
+        ks = [self._packed(lam, mu) for lam in above]
+        columns = zip(*map(self._chars, above))
         nmu = mu.n_stat
         table = {}
-        for i, rho in enumerate(self.parts):
-            value = sum(chars[i] * k for chars, k in terms)
-            coeffs, rest = self._digits(value, nmu + 1)
+        for rho, column in zip(self.parts, columns):
+            coeffs, rest = self._digits(sum(map(mul, column, ks)), nmu + 1)
             if rest:
                 raise ArithmeticError(
                     f"Green polynomial of {tuple(mu)} at {tuple(rho)} has "
@@ -311,7 +358,7 @@ def _class_weight(rho, x: int, phi) -> int:
     phi lists phi_0(X), ..., phi_n(X)."""
     n = rho.size
     return (_exact_quotient(phi[n], prod(1 - x ** part for part in rho))
-            * (factorial(n) // rho.centralizer_order()))
+            * (factorial(n) // centralizer_order(rho)))
 
 
 def _norm(nu, phi) -> int:

@@ -29,7 +29,8 @@ from itertools import combinations, product
 
 from .poly import (Cyclotomic, IntPolynomial, _reduce, cyclotomic_text,
                    eval_at_root, root_values)
-from .symfun import Partition, partitions_of, springer_graded_char
+from .symfun import (Partition, centralizer_order, partitions_of,
+                     springer_graded_char)
 from .symfun import closed_form_coset_count
 from .weyl import (
     CosetCounts,
@@ -112,7 +113,7 @@ def twisted_induction_trace(cfg: InductionConfig, w: WeylElt, i: int,
     e = cfg.e
     key = w.cycle_type()
     poly = coset_sums(cfg)[i % e].get(key, IntPolynomial())
-    weight = Fraction(key.centralizer_order(), levi_order(cfg))
+    weight = Fraction(centralizer_order(key), levi_order(cfg))
     return eval_at_root(poly, e, (j_root * i) % e) * weight
 
 
@@ -171,7 +172,7 @@ def check_twisted_induction(cfg: InductionConfig) -> VerificationReport:
     tried = 0
     for rho in partitions_of(cfg.n):
         green = root_values(g[rho], e, range(e))
-        weight = Fraction(rho.centralizer_order(), order)
+        weight = Fraction(centralizer_order(rho), order)
         for i, sums in enumerate(sums_by_exponent):
             powers = [(j * i) % e for j in primitive]
             induced = root_values(sums.get(rho, none), e, powers)
@@ -293,7 +294,7 @@ def _check_residue_induction(check: str, cfg: InductionConfig, t0: float,
         return [p.mod_sum(e, r) for r in range(e)]
 
     # per class: z_rho, the slices of g_rho and the folded coset sums
-    rows = [(rho, rho.centralizer_order(), fold(g[rho]),
+    rows = [(rho, centralizer_order(rho), fold(g[rho]),
              [fold(s.get(rho, none)) for s in sums])
             for rho in partitions_of(cfg.n)]
     bad = []

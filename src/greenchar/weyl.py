@@ -30,7 +30,8 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .poly import Cyclotomic, kernel_basis
-from .symfun import Partition, partitions_of, trusted_partition
+from .symfun import (Partition, centralizer_order, partitions_of,
+                     trusted_partition)
 
 # rootsys is imported only where a root system is built, so a block
 # configuration of the general linear group loads none; the RootSystem
@@ -275,7 +276,7 @@ def induced_character(H: SubgroupTable, chi) -> dict:
     for y in H.elements:
         sums[y.cycle_type()] += chi(y)
     return {rho: _normalize_scalar(
-                Fraction(rho.centralizer_order(), len(H)) * total)
+                Fraction(centralizer_order(rho), len(H)) * total)
             for rho, total in sums.items()}
 
 
@@ -638,7 +639,7 @@ def shape_census(shape):
         # m!^(L-1) choices per return map, m!/z_lambda maps of type lambda
         ways = factorial(m) ** length
         choices.append([((length, lam, jtype), [length * part for part in lam],
-                         ways // lam.centralizer_order())
+                         ways // centralizer_order(lam))
                         for lam in partitions_of(m)])
     census = {}
     for picks in product(*choices):
@@ -656,7 +657,7 @@ def coset_count(w: WeylElt, cfg: InductionConfig, j: int) -> Fraction:
     meets the conjugacy class of w, counted with the centralizer weight."""
     key = w.cycle_type()
     matches = sum(coset_census(cfg, j).get(key, {}).values())
-    return Fraction(key.centralizer_order() * matches, levi_order(cfg))
+    return Fraction(centralizer_order(key) * matches, levi_order(cfg))
 
 
 def census_agrees(order: int, green, z: int, census) -> bool:
@@ -687,7 +688,7 @@ class CosetCounts:
             census = coset_census(cfg, j)
             if id(census) not in built:
                 built[id(census)] = census, {
-                    rho: rho.centralizer_order() * sum(by_profile.values())
+                    rho: centralizer_order(rho) * sum(by_profile.values())
                     for rho, by_profile in census.items()}
             self.by_exponent.append(built[id(census)][1])
 

@@ -19,11 +19,12 @@ in either case, the empty ones included, and the full catalog;
 workload sends; ``roots`` runs ``verify --check roots-of-unity`` and
 ``eval --nu`` on every one-row shape ``--mu mu --nu m --e e`` with
 e >= 2 and at most 10 letters: e blocks of one row of m letters, after
-a fixed block of one row when mu has letters left over.
+a fixed block of one row when mu has letters left over; ``green`` asks
+``green --mu mu`` for every Jordan type mu of 1 to 10 letters.
 
-Tier-1 asserts the recorded digests of the three fast corpora,
-``cli-cold``, ``regular-catalog`` and ``roots`` (about 3 s together;
-``tests/test_cli.py::test_cli_parity_corpus_keeps_its_digest``).
+Tier-1 asserts the recorded digests of the four fast corpora,
+``cli-cold``, ``regular-catalog``, ``roots`` and ``green`` (about 4 s
+together; ``tests/test_cli.py::test_cli_parity_corpus_keeps_its_digest``).
 ``regular`` takes about 30 s, so its digest stays a manual run of this
 script.  The file has no ``test_`` prefix, so pytest does not collect
 it.
@@ -38,6 +39,7 @@ from itertools import combinations
 from pathlib import Path
 
 from greenchar import cli, verify
+from greenchar.symfun import partitions_of
 
 FORMATS = ("json", "text", "csv")
 SYSTEMS = ([("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 8)]
@@ -105,8 +107,15 @@ def roots_requests():
                 yield ["eval"] + flags
 
 
+def green_requests():
+    for n in range(1, 11):
+        for mu in partitions_of(n):
+            yield ["green", "--mu", ",".join(map(str, mu))]
+
+
 CORPORA = {"regular": regular_requests, "regular-catalog": catalog_requests,
-           "cli-cold": cold_requests, "roots": roots_requests}
+           "cli-cold": cold_requests, "roots": roots_requests,
+           "green": green_requests}
 
 
 def digest(requests):

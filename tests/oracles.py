@@ -19,7 +19,8 @@ matrix element by elimination, check the root counts and the powers
 that replaced them.  Root systems
 built in Fraction arithmetic throughout check the integer coordinates
 of the library.  The class weights, norms and Green tables as
-polynomials check the packed integers of the Lusztig-Shoji solve, and a
+polynomials check the packed integers of the Lusztig-Shoji solve, the
+signed digits read one at a time check its one-pass reader, and a
 few methods the library dropped because only the tests called them
 (Galois action, vector action, signed cycle type, type of Pi', conjugate
 partition, sign character, items of a graded character, monomials,
@@ -73,6 +74,7 @@ from greenchar.rootsys import (
 )
 from greenchar.symfun import (
     Partition,
+    centralizer_order,
     char_sn,
     closed_form_coset_count,
     enumerate_ssyt,
@@ -212,7 +214,7 @@ def class_representative(rho) -> WeylElt:
 
 def class_size(rho) -> int:
     rho = Partition(rho)
-    return factorial(rho.size) // rho.centralizer_order()
+    return factorial(rho.size) // centralizer_order(rho)
 
 
 def coinvariant_graded_char(n: int) -> dict:
@@ -346,7 +348,7 @@ def class_weight_polynomial(n: int, rho) -> IntPolynomial:
     for part in rho:
         den = den * (1 - monomial(part))
     return phi_polynomial(n).exact_div(den) * (factorial(n)
-                                               // rho.centralizer_order())
+                                               // centralizer_order(rho))
 
 
 def norm_polynomial(n: int, nu) -> IntPolynomial:
@@ -375,6 +377,18 @@ def assembled_green_table(mu) -> dict:
                 acc[d] += chi * c
         values[rho] = IntPolynomial(acc)
     return values
+
+
+def signed_digits(value: int, count: int, width: int):
+    """The count lowest signed base-2^width digits of value, each in
+    [-2^(width-1), 2^(width-1)), and the rest, one digit at a time: the
+    loop the solve read its values with before its one-pass reader."""
+    half = 1 << (width - 1)
+    digits = []
+    for _ in range(count):
+        digits.append(((value + half) & (2 * half - 1)) - half)
+        value = (value - digits[-1]) >> width
+    return digits, value
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +996,7 @@ def induced_residues(cfg: InductionConfig) -> dict:
     by_exponent = verify.coset_sums(cfg)
     values = {}
     for rho in partitions_of(cfg.n):
-        weight = Fraction(rho.centralizer_order(), order)
+        weight = Fraction(centralizer_order(rho), order)
         for k in range(e):
             buckets = [0] * e
             for i, sums in enumerate(by_exponent):

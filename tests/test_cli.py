@@ -925,6 +925,8 @@ def test_check_choices_are_the_checks_of_verify():
      "f893a13a7ee93a8ec9bd64223b2f1859c8eabb941c0e5fa177185d1ee0a57657"),
     ("roots", 432,
      "ee660f76c02e12ab964f5a6b5689de9efdb730d5d92c08c8e9d74913df1cc023"),
+    ("green", 414,
+     "d12166f54d69b0d2791df8e81ab682a6142b2827324cb5756de0f825fbe58602"),
 ])
 def test_cli_parity_corpus_keeps_its_digest(monkeypatch, corpus, count, digest):
     # every answer of tests/cli_parity.py's corpus, byte for byte, with

@@ -2,17 +2,19 @@
 
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenchar.poly import IntPolynomial
 from greenchar.symfun import (
     Partition,
+    centralizer_order,
     char_sn,
     closed_form_coset_count,
     enumerate_ssyt,
@@ -33,6 +35,7 @@ from oracles import (
     conjugate,
     monomial,
     norm_polynomial,
+    signed_digits,
     strip_character,
 )
 
@@ -126,10 +129,21 @@ def test_partition_stats():
     assert lam.n_stat == 0 * 3 + 1 * 2 + 2 * 2 + 3 * 1
     assert conjugate(lam) == Partition((4, 3, 1))
     assert conjugate(conjugate(lam)) == lam
-    assert Partition((2, 2)).centralizer_order() == 8
-    assert Partition((1, 1, 1)).centralizer_order() == 6
+    assert centralizer_order(Partition((2, 2))) == 8
+    assert centralizer_order(Partition((1, 1, 1))) == 6
     assert class_size((2, 1, 1)) == 6
     assert Partition((2, 1, 1)).sign() == -1
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_centralizer_order_is_the_multiplicity_formula(n):
+    for rho in partitions_of(n):
+        want = prod(part ** mult * factorial(mult)
+                    for part, mult in Counter(rho).items())
+        assert centralizer_order(rho) == want, rho
+    # the class equation: the classes of S_n partition its n! elements
+    assert sum(factorial(n) // centralizer_order(rho)
+               for rho in partitions_of(n)) == factorial(n)
 
 
 def test_partitions_of_order():
@@ -243,6 +257,46 @@ def test_kostka_readback_rejects_an_extra_high_digit():
     with pytest.raises(ArithmeticError,
                        match=re.escape("above n(mu) - n(lam) = 2")):
         solve.polynomial(lam, mu)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+@settings(max_examples=25, deadline=None)
+@given(raw=st.lists(st.one_of(st.just(0), st.just(-1), st.integers()),
+                    max_size=92),
+       rest=st.one_of(st.sampled_from((-1, 0, 1)), st.integers()))
+@example(raw=[], rest=-1)
+@example(raw=[], rest=0)
+@example(raw=[], rest=1)
+@example(raw=[0, 0, 0], rest=-1)
+@example(raw=[-1, -1, -1], rest=1)
+@example(raw=[0, -1, 0, -1], rest=0)
+def test_one_pass_digit_reader_matches_the_loop(n, raw, rest):
+    # raw u stands for the signed digit u mod X - half: 0 gives -half and
+    # -1 gives half - 1, the two ends of the digit range; up to n(n-1)/2 + 1
+    # digits, the most a Green polynomial of size n has at n = 14
+    solve = symfun._kostka_solve(n)
+    x = 1 << solve.width
+    digits = [u % x - x // 2 for u in raw]
+    value = sum(d * x ** i for i, d in enumerate(digits))
+    value += rest * x ** len(digits)
+    want = signed_digits(value, len(digits), solve.width)
+    assert want == (digits, rest)
+    assert solve._digits(value, len(digits)) == want
+
+
+def _dominates(lam, mu):
+    return all(sum(lam[:i]) >= sum(mu[:i]) for i in range(1, len(mu) + 1))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_dominance_lists_are_the_pairwise_relation(n):
+    solve = symfun._KostkaSolve(n)
+    for kappa in solve.parts:
+        assert solve._below(kappa) == [
+            tau for tau in solve.parts
+            if tau != kappa and _dominates(kappa, tau)], kappa
+        assert solve._above(kappa) == [
+            lam for lam in solve.parts if _dominates(lam, kappa)], kappa
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -491,7 +545,7 @@ def kostka_values_at(n, t):
     """<s_lam, b_mu> / <b_mu, b_mu> for all pairs at q = t, b_mu being
     the Gram-Schmidt family of the Schur functions in that product."""
     parts = list(partitions_of(n))
-    weight = {rho: Fraction(1, rho.centralizer_order()
+    weight = {rho: Fraction(1, centralizer_order(rho)
                             * prod(1 - t ** part for part in rho))
               for rho in parts}
     gram = {(a, b): sum(char_sn(a, rho) * char_sn(b, rho) * weight[rho]
