@@ -27,22 +27,28 @@ from functools import lru_cache
 def render_terms(coeffs, var: str) -> str:
     """Plain text for sum(coeffs[k] * var^k), lowest degree first, such
     as "1 - q + 2q^2" or "-1/2 + z"; "0" when every coefficient is zero.
-    Coefficients may be ints or Fractions."""
-    out = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        size = abs(c)
-        if k == 0:
-            term = str(size)
-        else:
-            power = var if k == 1 else f"{var}^{k}"
-            term = power if size == 1 else f"{size}{power}"
-        if not out:
-            out.append(("-" if c < 0 else "") + term)
-        else:
-            out.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(out) or "0"
+    Coefficients may be ints or Fractions.
+
+    Each nonzero term is written with its sign, as "+ 2q^2" or "- q",
+    the unit terms read whole from cached rows of power strings; the
+    lead sign of the joined text then becomes "" or "-"."""
+    names, plus, minus = _power_names(var, len(coeffs))
+    text = " ".join([(plus[k] if c == 1 else f"+ {c}{names[k]}") if c > 0
+                     else (minus[k] if c == -1 else f"- {-c}{names[k]}")
+                     for k, c in enumerate(coeffs) if c])
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+@lru_cache(maxsize=None)
+def _power_names(var: str, length: int):
+    """The powers "", var, var^2, ... of a coefficient list of this
+    length, and its unit terms "+ 1", "+ var", ... and "- 1", "- var", ...."""
+    names = ("", var) + tuple(f"{var}^{k}" for k in range(2, length))
+    units = ("1",) + names[1:]
+    return (names, tuple("+ " + u for u in units),
+            tuple("- " + u for u in units))
 
 
 class IntPolynomial:
@@ -175,17 +181,6 @@ class IntPolynomial:
         if rem:
             raise ValueError("inexact polynomial division")
         return quo
-
-    def compose_power(self, k: int) -> "IntPolynomial":
-        """p(q^k)."""
-        if k < 1:
-            raise ValueError("power substitution needs k >= 1")
-        if not self.coeffs:
-            return IntPolynomial()
-        cs = [0] * (k * self.degree + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[k * i] = c
-        return IntPolynomial(cs)
 
     def mod_sum(self, e: int, k: int) -> int:
         """Sum of the coefficients in degrees congruent to k mod e."""

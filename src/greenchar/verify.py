@@ -7,12 +7,15 @@ counts, graded traces and induced residue characters, all read off the
 census of each shifted coset (tallied from class sizes, no coset
 walked, one table per orbit shape), or, for the ungraded identity
 alone, from Frobenius induction over the enumerated block subgroup.
-The root-of-unity, closed-form and residue checks compare on integers
-by one rule (census_agrees), with no Fraction and no field element made
-unless a counterexample is written (poly.cyclotomic_text).  The
-root-of-unity check descends by the Galois group of Q(zeta_e): where
-the exponents j and gcd(j, e) share one census table, it compares each
-class at one exponent per divisor of e, and it falls back to every
+The graded traces are only ever read at e-th roots of unity or by
+residue mod e, so each coset sum is kept folded mod q^e - 1, of degree
+< e: one cyclic convolution of length e per orbit, no polynomial
+product.  The root-of-unity, closed-form and residue checks compare on
+integers by one rule (census_agrees), with no Fraction and no field
+element made unless a counterexample is written (poly.cyclotomic_text).
+The root-of-unity check descends by the Galois group of Q(zeta_e):
+where the exponents j and gcd(j, e) share one census table, it compares
+each class at one exponent per divisor of e, and it falls back to every
 exponent and every primitive root where a table stands alone or a
 comparison fails.  Twisted induction still compares in Q(zeta_e) at
 every exponent, but reads each class by its cycle type: the Green
@@ -64,33 +67,54 @@ from .weyl import (
 
 def coset_sums(cfg: InductionConfig) -> list:
     """Entry i maps each cycle type to the sum of the graded traces
-    Sigma_n Tr(z, component of degree n) q^n (_assemble) over the
-    elements z of that type in the i-th shifted coset, read from the
-    table of its orbit shape (shape_sums), which exponents and
-    configurations of one shape share.  Entry 0 restricts to the
-    ordinary product character of the block subgroup."""
-    return [shape_sums(orbit_shape(cfg, i)) for i in range(cfg.e)]
+    Sigma_n Tr(z, component of degree n) q^n over the elements z of that
+    type in the i-th shifted coset, folded mod q^e - 1 to degree < e,
+    read from the table of its orbit shape and e (shape_sums), which
+    exponents and configurations of one shape share.  Every reader takes
+    the sums at e-th roots of unity or by residue mod e, where the fold
+    changes nothing.  Entry 0 restricts to the ordinary product
+    character of the block subgroup."""
+    return [shape_sums(orbit_shape(cfg, i), cfg.e) for i in range(cfg.e)]
 
 
 @lru_cache(maxsize=None)
-def shape_sums(shape) -> dict:
+def shape_sums(shape, e: int) -> dict:
     """Each cycle type's sum of trace polynomials over a coset of the
-    given orbit shape, one term per orbit profile of its census.  The
-    table is cached and shared; no caller may change it."""
-    return {ctype: sum((_assemble(profile) * count
-                        for profile, count in by_profile.items()),
-                       IntPolynomial())
-            for ctype, by_profile in shape_census(shape).items()}
+    given orbit shape, folded mod q^e - 1, one term per orbit profile of
+    its census.  An element's trace is the product over its orbits of
+    the block character of the return map's type at q^L, L the orbit
+    length (Macdonald, Symmetric Functions and Hall Polynomials, I.7).
+    In Z[q]/(q^e - 1) the coefficient of q^k of that character lands on
+    q^(k L mod e), and the orbits' factors multiply by a cyclic
+    convolution of length e; each profile's product is scaled by its
+    census count.  The table is cached and shared; no caller may change
+    it."""
+    sums = {}
+    for ctype, by_profile in shape_census(shape).items():
+        total = [0] * e
+        for profile, count in by_profile.items():
+            term = {0: count}
+            for length, inner_type, jtype in profile:
+                out = {}
+                for i, a in term.items():
+                    for r, c in _folded_factor(jtype, inner_type, length, e):
+                        k = (i + r) % e
+                        out[k] = out.get(k, 0) + a * c
+                term = out
+            for k, a in term.items():
+                total[k] += a
+        sums[ctype] = IntPolynomial(total)
+    return sums
 
 
-def _assemble(profile) -> IntPolynomial:
-    """The trace polynomial of an element with this orbit profile: the
-    product over its orbits of the block character of the return map's
-    type, with q replaced by q^(orbit length)."""
-    poly = IntPolynomial((1,))
-    for length, inner_type, jtype in profile:
-        poly = poly * springer_graded_char(jtype)[inner_type].compose_power(length)
-    return poly
+@lru_cache(maxsize=None)
+def _folded_factor(jtype, inner_type, length: int, e: int) -> tuple:
+    """The nonzero (residue, coefficient) pairs of the block character of
+    type jtype at inner_type, with q replaced by q^length, mod q^e - 1."""
+    folded = [0] * e
+    for k, c in enumerate(springer_graded_char(jtype)[inner_type].coeffs):
+        folded[(k * length) % e] += c
+    return tuple((r, c) for r, c in enumerate(folded) if c)
 
 
 def extend_block_character(cfg: InductionConfig) -> list:
@@ -278,24 +302,21 @@ def _check_residue_induction(check: str, cfg: InductionConfig, t0: float,
     on integers.
 
     The induced value at (rho, k) is z_rho/(e |L|) times the sum over i
-    of zeta^(-k i) times coset_sums[i] at zeta^i: the coefficients of
-    coset_sums[i] in degrees congruent to r mod e land in bucket
-    i (r - k) mod e, and the buckets reduce mod Phi_e to integer
-    coordinates c.  The slice s agrees when e |L| s = z_rho c, s padded
-    with zeros (census_agrees); nothing is divided."""
+    of zeta^(-k i) times coset_sums[i] at zeta^i: the coset sums are
+    folded mod q^e - 1, so the coefficient of q^r in coset_sums[i] lands
+    in bucket i (r - k) mod e, and the buckets reduce mod Phi_e to
+    integer coordinates c.  The slice s agrees when e |L| s = z_rho c,
+    s padded with zeros (census_agrees); nothing is divided."""
     e = cfg.e
     mu = cfg.merged_type()
     g = springer_graded_char(mu)
     sums = coset_sums(cfg)
     order = e * levi_order(cfg)
     none = IntPolynomial()
-
-    def fold(p):
-        return [p.mod_sum(e, r) for r in range(e)]
-
     # per class: z_rho, the slices of g_rho and the folded coset sums
-    rows = [(rho, centralizer_order(rho), fold(g[rho]),
-             [fold(s.get(rho, none)) for s in sums])
+    rows = [(rho, centralizer_order(rho),
+             [g[rho].mod_sum(e, r) for r in range(e)],
+             [s.get(rho, none).coeffs for s in sums])
             for rho in partitions_of(cfg.n)]
     bad = []
     for k in range(e):

@@ -20,11 +20,18 @@ workload sends; ``roots`` runs ``verify --check roots-of-unity`` and
 ``eval --nu`` on every one-row shape ``--mu mu --nu m --e e`` with
 e >= 2 and at most 10 letters: e blocks of one row of m letters, after
 a fixed block of one row when mu has letters left over; ``green`` asks
-``green --mu mu`` for every Jordan type mu of 1 to 10 letters.
+``green --mu mu`` for every Jordan type mu of 1 to 10 letters;
+``configs`` runs ``verify --check all`` on each configuration of the
+benchmark's ``trace_sweep`` pool, by ``--mu --nu --e`` for a rotating
+layout and by ``--n --nu --e --variant`` for a regular-twist one, which
+pins the twisted, mod-e and component induction outputs, then ``eval``
+at three large conductors, up to the cap e = 200, which pins
+``render_terms`` on long values.
 
-Tier-1 asserts the recorded digests of the four fast corpora,
-``cli-cold``, ``regular-catalog``, ``roots`` and ``green`` (about 4 s
-together; ``tests/test_cli.py::test_cli_parity_corpus_keeps_its_digest``).
+Tier-1 asserts the recorded digests of the five fast corpora,
+``cli-cold``, ``regular-catalog``, ``roots``, ``green`` and ``configs``
+(about 6 s together;
+``tests/test_cli.py::test_cli_parity_corpus_keeps_its_digest``).
 ``regular`` takes about 30 s, so its digest stays a manual run of this
 script.  The file has no ``test_`` prefix, so pytest does not collect
 it.
@@ -86,14 +93,39 @@ def catalog_requests():
             yield argv
 
 
-def cold_requests():
+def load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def cold_requests():
     # the pool asks for json; the format is appended below instead
-    for line in workloads.CLI_POOL:
+    for line in load_workloads().CLI_POOL:
         yield line.split()
+
+
+def parts(p):
+    return ",".join(map(str, p))
+
+
+def config_requests():
+    for spec in load_workloads().general_type_configs():
+        # every item names its block types, and its fixed type if any
+        if spec[0] == "std":
+            _, _, e, nu, _, fixed_type = spec
+            mu = sorted(nu * e + (fixed_type or []), reverse=True)
+            flags = ["--mu", parts(mu), "--nu", parts(nu), "--e", str(e)]
+        else:
+            _, n, _, e, nu, variant = spec
+            flags = ["--n", str(n), "--nu", parts(nu), "--e", str(e),
+                     "--variant", variant]
+        yield ["verify", "--check", "all"] + flags
+    for mu, e in (((1,) * 10, 200), ((2, 2, 1, 1, 1, 1), 128),
+                  ((3, 3, 2), 97)):
+        yield ["eval", "--mu", parts(mu), "--e", str(e)]
 
 
 def roots_requests():
@@ -101,7 +133,7 @@ def roots_requests():
         for m in range(1, 10 // e + 1):
             for k in range(10 - m * e + 1):
                 mu = sorted([m] * e + ([k] if k else []), reverse=True)
-                flags = ["--mu", ",".join(map(str, mu)), "--nu", str(m),
+                flags = ["--mu", parts(mu), "--nu", str(m),
                          "--e", str(e)]
                 yield ["verify", "--check", "roots-of-unity"] + flags
                 yield ["eval"] + flags
@@ -115,7 +147,7 @@ def green_requests():
 
 CORPORA = {"regular": regular_requests, "regular-catalog": catalog_requests,
            "cli-cold": cold_requests, "roots": roots_requests,
-           "green": green_requests}
+           "green": green_requests, "configs": config_requests}
 
 
 def digest(requests):

@@ -24,8 +24,11 @@ signed digits read one at a time check its one-pass reader, and a
 few methods the library dropped because only the tests called them
 (Galois action, vector action, signed cycle type, type of Pi', conjugate
 partition, sign character, items of a graded character, monomials,
-reversal and shift of polynomials, orbit profiles and the trace
-polynomial of one element) live on here as functions.
+reversal, shift and power substitution of polynomials, orbit profiles
+and the trace polynomial of one element) live on here as functions.
+The coset sums assembled as polynomials, one product of power
+substitutions per orbit profile, check the sums the library folds mod
+q^e - 1 by cyclic convolution.
 The root-of-unity and closed-form checks as they ran in Fractions, one
 class representative and one coset count per class, and the induced
 residue characters as field elements scaled by Fractions, check the
@@ -81,7 +84,6 @@ from greenchar.symfun import (
     kostka_foulkes,
     partitions_of,
 )
-from greenchar.verify import _assemble
 from greenchar.weyl import (
     DEFAULT_BOUND,
     CosetCounts,
@@ -102,6 +104,7 @@ from greenchar.weyl import (
     levi_order,
     orbits,
     runs,
+    shape_census,
     standard_block_config,
     trapping_roots,
     validate_config,
@@ -417,6 +420,18 @@ def shift(p: IntPolynomial, k: int) -> IntPolynomial:
     return IntPolynomial((0,) * k + p.coeffs)
 
 
+def compose_power(p: IntPolynomial, k: int) -> IntPolynomial:
+    """p(q^k)."""
+    if k < 1:
+        raise ValueError("power substitution needs k >= 1")
+    if not p.coeffs:
+        return IntPolynomial()
+    cs = [0] * (k * p.degree + 1)
+    for i, c in enumerate(p.coeffs):
+        cs[k * i] = c
+    return IntPolynomial(cs)
+
+
 def orbit_profile(cfg: InductionConfig, z: WeylElt):
     """How z moves the blocks around: one entry per block orbit, holding
     the orbit length, the cycle type of the return map on the starting
@@ -447,7 +462,35 @@ def trace_poly(cfg: InductionConfig, z: WeylElt) -> IntPolynomial:
     subgroup, assembled from its own orbit profile."""
     if not any(z in coset_elements(cfg, i) for i in range(cfg.e)):
         raise ValueError("element lies outside the extended subgroup")
-    return _assemble(orbit_profile(cfg, z))
+    return assemble(orbit_profile(cfg, z))
+
+
+def assemble(profile) -> IntPolynomial:
+    """The trace polynomial of an element with this orbit profile: the
+    product over its orbits of the block character of the return map's
+    type, with q replaced by q^(orbit length)."""
+    poly = IntPolynomial((1,))
+    for length, inner_type, jtype in profile:
+        poly = poly * compose_power(
+            symfun.springer_graded_char(jtype)[inner_type], length)
+    return poly
+
+
+@lru_cache(maxsize=None)
+def polynomial_shape_sums(shape) -> dict:
+    """verify.shape_sums as it built each cycle type's sum over a coset
+    of the given orbit shape unfolded, of degree up to n(mu): one
+    assembled polynomial per orbit profile of the census, times its
+    count."""
+    return {ctype: sum((assemble(profile) * count
+                        for profile, count in by_profile.items()),
+                       IntPolynomial())
+            for ctype, by_profile in shape_census(shape).items()}
+
+
+def fold(p: IntPolynomial, e: int) -> IntPolynomial:
+    """p mod q^e - 1, of degree < e."""
+    return IntPolynomial([p.mod_sum(e, r) for r in range(e)])
 
 
 def conjugate(lam) -> Partition:

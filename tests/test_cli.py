@@ -22,6 +22,7 @@ from greenchar import cli, verify
 from greenchar.cli import main
 import cli_parity
 from oracles import DEGREES
+from test_verify import trace_sweep_configs
 
 
 def run_cli(capsys, *argv):
@@ -927,6 +928,8 @@ def test_check_choices_are_the_checks_of_verify():
      "ee660f76c02e12ab964f5a6b5689de9efdb730d5d92c08c8e9d74913df1cc023"),
     ("green", 414,
      "d12166f54d69b0d2791df8e81ab682a6142b2827324cb5756de0f825fbe58602"),
+    ("configs", 267,
+     "4cb61787cbabbbcfacc5d121c7702920dff63bbfd965a0f54c599c68ddaf2868"),
 ])
 def test_cli_parity_corpus_keeps_its_digest(monkeypatch, corpus, count, digest):
     # every answer of tests/cli_parity.py's corpus, byte for byte, with
@@ -934,3 +937,13 @@ def test_cli_parity_corpus_keeps_its_digest(monkeypatch, corpus, count, digest):
     # corpus (about 30 s) stays a manual run of that script
     monkeypatch.setattr(verify.time, "perf_counter", lambda: 0.0)
     assert cli_parity.digest(cli_parity.CORPORA[corpus]()) == (count, digest)
+
+
+def test_configs_corpus_asks_for_the_trace_sweep_configs():
+    # each verify request of the configs corpus lays out, through the
+    # CLI's flags, the configuration its trace_sweep item builds
+    parser = cli.build_parser()
+    requests = [argv for argv in cli_parity.config_requests()
+                if argv[0] == "verify"]
+    assert [cli.build_block_config(parser.parse_args(argv))
+            for argv in requests] == trace_sweep_configs()

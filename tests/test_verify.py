@@ -10,7 +10,7 @@ small configurations.
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 from types import MappingProxyType
 
@@ -39,6 +39,7 @@ from greenchar.weyl import (
     induced_character,
     l_regular_config,
     levi_elements,
+    orbit_shape,
     standard_block_config,
     validate_config,
 )
@@ -64,6 +65,7 @@ from oracles import (
     coset_character,
     coset_exponent,
     extended_subgroup,
+    fold,
     fraction_closed_form,
     fraction_component_induction,
     fraction_mod_e_induction,
@@ -71,6 +73,7 @@ from oracles import (
     induced_residues as _induced_residues,
     model_twisted_trace,
     orbit_profile,
+    polynomial_shape_sums,
     representative_twisted_induction,
     trace_poly,
 )
@@ -79,7 +82,7 @@ from test_acceptance import (
     regular_twist_configs,
     rotating_block_configs,
 )
-from test_weyl import load_perfbench
+from test_weyl import load_perfbench, pool_configs
 
 
 def two_blocks(nu):
@@ -702,6 +705,95 @@ def test_twisted_induction_fails_like_representative_route_on_a_flip(
         expected = representative_twisted_induction(cfg)
         assert expected[0] == "fail"
         assert twisted_outcome(cfg) == expected
+
+
+# ---------------------------------------------------------------------------
+# the folded coset sums against the polynomial route
+
+
+def block_layouts(n):
+    """Every layout on n letters that standard_block_config and
+    l_regular_config build and validate_config accepts, each once: e >= 2
+    rotating blocks of each type of m letters after a fixed block of each
+    type of the letters left over, then one block of each type beside
+    the catalog twist of each order and variant."""
+    layouts = [standard_block_config(m, e, nu, n - e * m, tau)
+               for e in range(2, n + 1) for m in range(1, n // e + 1)
+               for nu in partitions_of(m)
+               for tau in (partitions_of(n - e * m) if n > e * m else [None])]
+    for m, e, variant in product(range(1, n), range(2, n + 1), "ab"):
+        for nu in partitions_of(m):
+            try:
+                cfg = l_regular_config(n, m, e, nu, variant)
+            except ValueError:  # the catalog has no such twist
+                continue
+            layouts.append(cfg)
+    valid = []
+    for cfg in layouts:
+        try:
+            validate_config(cfg)
+        except InvalidConfigError:
+            continue
+        valid.append(cfg)
+    return list(dict.fromkeys(valid))
+
+
+def assert_folds_the_polynomial_sums(configs) -> int:
+    """Each (orbit shape, e) the configs reach: the folded table is the
+    polynomial table of the oracle reduced mod q^e - 1, of degree < e.
+    Returns how many of them have an unfolded sum of degree e or more,
+    which the fold shortens."""
+    shortened = 0
+    for shape, e in {(orbit_shape(cfg, i), cfg.e) for cfg in configs
+                     for i in range(cfg.e)}:
+        unfolded = polynomial_shape_sums(shape)
+        table = verify.shape_sums(shape, e)
+        assert table == {ctype: fold(poly, e)
+                         for ctype, poly in unfolded.items()}, (shape, e)
+        assert all(poly.degree < e for poly in table.values()), (shape, e)
+        shortened += any(poly.degree >= e for poly in unfolded.values())
+    return shortened
+
+
+def test_folded_sums_match_the_polynomial_route_on_the_benchmark_pools():
+    # the roots_sweep, trace_sweep and induction_sweep configs
+    assert assert_folds_the_polynomial_sums(pool_configs()) > 0
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_folded_sums_match_the_polynomial_route_on_every_layout(n):
+    configs = block_layouts(n)
+    assert configs
+    assert_folds_the_polynomial_sums(configs)
+
+
+@st.composite
+def large_layouts(draw):
+    """A validated standard_block_config or l_regular_config layout on
+    11 or 12 letters."""
+    n = draw(st.integers(11, 12))
+    if draw(st.booleans()):
+        e = draw(st.integers(2, n))
+        m = draw(st.integers(1, n // e))
+        k = n - e * m
+        return standard_block_config(
+            m, e, draw(st.sampled_from(partitions_of(m))), k,
+            draw(st.sampled_from(partitions_of(k))) if k else None)
+    m = draw(st.integers(1, n - 1))
+    try:
+        cfg = l_regular_config(n, m, draw(st.integers(2, n)),
+                               draw(st.sampled_from(partitions_of(m))),
+                               draw(st.sampled_from("ab")))
+        validate_config(cfg)
+    except ValueError:  # no catalog twist, or an inadmissible layout
+        assume(False)
+    return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=large_layouts())
+def test_folded_sums_match_the_polynomial_route_on_large_layouts(cfg):
+    assert_folds_the_polynomial_sums([cfg])
 
 
 def test_config_checks_walk_no_coset(monkeypatch, capsys):
