@@ -26,11 +26,13 @@ benchmark's ``trace_sweep`` pool, by ``--mu --nu --e`` for a rotating
 layout and by ``--n --nu --e --variant`` for a regular-twist one, which
 pins the twisted, mod-e and component induction outputs, then ``eval``
 at three large conductors, up to the cap e = 200, which pins
-``render_terms`` on long values.
+``render_terms`` on long values; ``twisted`` runs ``verify --check
+twisted-induction`` on every layout of ``tests/test_verify.py``
+``block_layouts(n)`` with n <= 8, each by the flags that rebuild it.
 
-Tier-1 asserts the recorded digests of the five fast corpora,
-``cli-cold``, ``regular-catalog``, ``roots``, ``green`` and ``configs``
-(about 6 s together;
+Tier-1 asserts the recorded digests of the six fast corpora,
+``cli-cold``, ``regular-catalog``, ``roots``, ``green``, ``configs`` and
+``twisted`` (about 8 s together;
 ``tests/test_cli.py::test_cli_parity_corpus_keeps_its_digest``).
 ``regular`` takes about 30 s, so its digest stays a manual run of this
 script.  The file has no ``test_`` prefix, so pytest does not collect
@@ -47,6 +49,7 @@ from pathlib import Path
 
 from greenchar import cli, verify
 from greenchar.symfun import partitions_of
+from test_verify import block_layouts
 
 FORMATS = ("json", "text", "csv")
 SYSTEMS = ([("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 8)]
@@ -128,6 +131,31 @@ def config_requests():
         yield ["eval", "--mu", parts(mu), "--e", str(e)]
 
 
+def layout_flags(cfg):
+    """The flags that lay cfg out: --mu, --nu and --e when they rebuild
+    it as a rotating layout, else --n, --nu, --e and the --variant whose
+    regular-twist layout it is."""
+    parser = cli.build_parser()
+    common = ["--nu", parts(cfg.block_types[-1]), "--e", str(cfg.e)]
+    candidates = [["--mu", parts(cfg.merged_type())] + common]
+    candidates += [["--n", str(cfg.n)] + common + ["--variant", variant]
+                   for variant in "ab"]
+    for flags in candidates:
+        argv = ["verify", "--check", "twisted-induction"] + flags
+        try:
+            if cli.build_block_config(parser.parse_args(argv)) == cfg:
+                return flags
+        except ValueError:  # no catalog twist, or an inadmissible layout
+            continue
+    raise ValueError(f"no flags lay out {verify._config_echo(cfg)}")
+
+
+def twisted_requests():
+    for n in range(2, 9):
+        for cfg in block_layouts(n):
+            yield ["verify", "--check", "twisted-induction"] + layout_flags(cfg)
+
+
 def roots_requests():
     for e in range(2, 11):
         for m in range(1, 10 // e + 1):
@@ -147,7 +175,8 @@ def green_requests():
 
 CORPORA = {"regular": regular_requests, "regular-catalog": catalog_requests,
            "cli-cold": cold_requests, "roots": roots_requests,
-           "green": green_requests, "configs": config_requests}
+           "green": green_requests, "configs": config_requests,
+           "twisted": twisted_requests}
 
 
 def digest(requests):

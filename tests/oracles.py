@@ -46,7 +46,9 @@ representative and one pair of root evaluations per trace checks the
 loop that reads each class by its cycle type and evaluates it once.
 The roots-of-unity check comparing on integers at every exponent and
 every primitive root checks the Galois descent that compares at one
-exponent per divisor of e.
+exponent per divisor of e, and the twisted induction check comparing in
+Q(zeta_e) at every primitive root checks the descent that compares each
+class and twist exponent at one root.
 """
 
 from collections import Counter
@@ -1023,6 +1025,40 @@ def representative_twisted_induction(cfg: InductionConfig):
                     bad.append((tuple(rho), (i, j), str(lhs), str(rhs)))
     return ("fail" if bad else "pass", verify._config_echo(cfg), bad,
             f"merged type {tuple(mu)}; {tried} traces compared")
+
+
+def all_primitive_twisted_induction(cfg: InductionConfig):
+    """The status, config, counterexamples and notes check_twisted_induction
+    reported when it compared every class, twist exponent and primitive
+    root in Q(zeta_e), with no Galois descent: per class the Green values
+    at every power and the weight z_rho/|L| once, per twist exponent the
+    coset sum at the powers (j i) mod e of the primitive j in one call.
+    The Green table is read through the symfun module and the coset sums
+    through the verify module, so a test can replace either."""
+    sums_by_exponent = verify.extend_block_character(cfg)
+    mu = cfg.merged_type()
+    g = symfun.springer_graded_char(mu)
+    e = cfg.e
+    order = levi_order(cfg)
+    primitive = [j for j in range(1, e) if gcd(j, e) == 1] or [0]
+    none = IntPolynomial()
+    bad = []
+    tried = 0
+    for rho in partitions_of(cfg.n):
+        green = root_values(g[rho], e, range(e))
+        weight = Fraction(centralizer_order(rho), order)
+        for i, sums in enumerate(sums_by_exponent):
+            powers = [(j * i) % e for j in primitive]
+            induced = root_values(sums.get(rho, none), e, powers)
+            for j, k, coords in zip(primitive, powers, induced):
+                lhs = Cyclotomic(e, coords) * weight
+                rhs = Cyclotomic(e, green[k])
+                tried += 1
+                if lhs != rhs:
+                    bad.append((tuple(rho), (i, j), str(lhs), str(rhs)))
+    return ("fail" if bad else "pass", verify._config_echo(cfg), bad,
+            f"merged type {tuple(mu)}; {tried} traces compared")
+
 
 
 # ---------------------------------------------------------------------------

@@ -930,6 +930,8 @@ def test_check_choices_are_the_checks_of_verify():
      "d12166f54d69b0d2791df8e81ab682a6142b2827324cb5756de0f825fbe58602"),
     ("configs", 267,
      "4cb61787cbabbbcfacc5d121c7702920dff63bbfd965a0f54c599c68ddaf2868"),
+    ("twisted", 648,
+     "df0ad78a2e6d90451c9c76fdae7124d1ae4cb5d55b728fbbff024beeaf99f6d3"),
 ])
 def test_cli_parity_corpus_keeps_its_digest(monkeypatch, corpus, count, digest):
     # every answer of tests/cli_parity.py's corpus, byte for byte, with

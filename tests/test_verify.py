@@ -60,6 +60,7 @@ from greenchar.verify import (
 
 from oracles import (
     all_exponent_roots_of_unity,
+    all_primitive_twisted_induction,
     block_shift_element,
     class_representative,
     coset_character,
@@ -614,20 +615,42 @@ def flip_coset_sum(monkeypatch, cfg, i):
     shifted coset alone.  The table of its orbit shape is shared with
     the Galois-conjugate exponents, and stays as it was: a flip there
     would keep every induced value rational."""
+    def negate_top(coeffs):
+        coeffs[-1] = -coeffs[-1]
+    edit_coset_sum(monkeypatch, cfg, i, negate_top)
+
+
+def shift_coset_sum(monkeypatch, cfg, i):
+    """Move one unit of one cycle type's sum over cfg's i-th shifted coset
+    alone from the residue r of its lowest nonzero coefficient to
+    r + 1 mod e.  Its value at q = 1 stays as it was; at zeta^(j i) it
+    moves by zeta^(j i r)(zeta^(j i) - 1), which is zero only for i = 0."""
+    def shift(coeffs):
+        r = next(r for r, c in enumerate(coeffs) if c)
+        coeffs += [0] * (cfg.e - len(coeffs))
+        coeffs[r] -= 1
+        coeffs[(r + 1) % cfg.e] += 1
+    edit_coset_sum(monkeypatch, cfg, i, shift)
+
+
+def edit_coset_sum(monkeypatch, cfg, i, edit):
+    """Pass the coefficients of the first nonzero cycle type's sum over
+    cfg's i-th shifted coset through edit, which changes the list in
+    place; every other sum, and the cached table, stay as they were."""
     coset_sums = verify.coset_sums
 
-    def flipped(config):
+    def edited(config):
         by_exponent = coset_sums(config)
         if config != cfg:
             return by_exponent
         sums = dict(by_exponent[i])
         rho = next(rho for rho, poly in sums.items() if poly)
         coeffs = list(sums[rho].coeffs)
-        coeffs[-1] = -coeffs[-1]
+        edit(coeffs)
         sums[rho] = IntPolynomial(coeffs)
         by_exponent[i] = sums
         return by_exponent
-    monkeypatch.setattr(verify, "coset_sums", flipped)
+    monkeypatch.setattr(verify, "coset_sums", edited)
 
 
 @pytest.mark.parametrize("check,cfg", [
@@ -693,18 +716,71 @@ def test_twisted_induction_matches_representative_route_on_drawn_shapes(cfg):
 def test_twisted_induction_fails_like_representative_route_on_a_flip(
         monkeypatch, cfg):
     # a Green coefficient of the identity class, then one coefficient of
-    # the last shifted coset's sums
+    # each shifted coset's sums in turn, negated or moved up one residue;
+    # the move leaves every value at q = 1, and so the untwisted coset's
+    # traces, as they were
     with monkeypatch.context() as patch:
         flip_green_coefficient(patch, cfg.merged_type(),
                                Partition((1,) * cfg.n), cfg.e)
         expected = representative_twisted_induction(cfg)
         assert expected[0] == "fail"
         assert twisted_outcome(cfg) == expected
-    with monkeypatch.context() as patch:
-        flip_coset_sum(patch, cfg, cfg.e - 1)
-        expected = representative_twisted_induction(cfg)
-        assert expected[0] == "fail"
-        assert twisted_outcome(cfg) == expected
+    for i in range(cfg.e):
+        with monkeypatch.context() as patch:
+            flip_coset_sum(patch, cfg, i)
+            expected = representative_twisted_induction(cfg)
+            assert expected[0] == "fail"
+            assert twisted_outcome(cfg) == expected
+        with monkeypatch.context() as patch:
+            shift_coset_sum(patch, cfg, i)
+            expected = representative_twisted_induction(cfg)
+            assert expected[0] == ("fail" if i else "pass")
+            assert twisted_outcome(cfg) == expected
+
+
+# ---------------------------------------------------------------------------
+# Galois descent in the twisted induction check against the all-primitive
+# loop
+
+
+@pytest.mark.parametrize("cfg", trace_sweep_configs(), ids=_config_echo)
+def test_twisted_induction_equals_all_primitive_loop(cfg):
+    assert twisted_outcome(cfg) == all_primitive_twisted_induction(cfg)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_twisted_induction_equals_all_primitive_loop_on_every_layout(n):
+    for cfg in block_layouts(n):
+        assert twisted_outcome(cfg) == all_primitive_twisted_induction(cfg), \
+            _config_echo(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=residue_shapes())
+def test_twisted_induction_equals_all_primitive_loop_on_drawn_shapes(cfg):
+    assert outcome(twisted_outcome, cfg) == \
+        outcome(all_primitive_twisted_induction, cfg)
+
+
+def test_twisted_induction_compares_once_per_class_and_exponent(monkeypatch):
+    # a passing pass over the trace_sweep pool compares each class and
+    # twist exponent at one root, p(n) e field comparisons per config,
+    # where the all-primitive loop makes p(n) e phi(e)
+    configs = trace_sweep_configs()
+    compared = []
+    equal = verify.Cyclotomic.__eq__
+
+    def counting(self, other):
+        compared.append(1)
+        return equal(self, other)
+    monkeypatch.setattr(verify.Cyclotomic, "__eq__", counting)
+    assert all(check_twisted_induction(cfg).passed for cfg in configs)
+    assert len(compared) == 2490 == sum(len(partitions_of(cfg.n)) * cfg.e
+                                        for cfg in configs)
+    compared.clear()
+    assert all(all_primitive_twisted_induction(cfg)[0] == "pass"
+               for cfg in configs)
+    assert len(compared) == 4620
 
 
 # ---------------------------------------------------------------------------
