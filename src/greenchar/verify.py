@@ -20,11 +20,11 @@ exponent and every primitive root where a table stands alone or a
 comparison fails.  Twisted induction still compares in Q(zeta_e), at
 every twist exponent, but at one primitive root: the trace at the j-th
 root is sigma_j of the trace at the first, whatever the coset sums are,
-so it needs no guard, and every primitive root is compared only where a
-comparison fails.  It reads each class by its cycle type: the Green
-values and the weight z_rho/|L| once per class, each coset sum once per
-twist exponent, and one field element times the weight per trace; no
-class representative is built.
+so it needs no guard, and a trace that differs there differs at every
+primitive root, each written as a counterexample.  It reads each class
+by its cycle type: the Green values and the weight z_rho/|L| once per
+class, each coset sum once per twist exponent, and one field element
+times the weight per trace; no class representative is built.
 """
 
 import math
@@ -189,50 +189,40 @@ def check_twisted_induction(cfg: InductionConfig) -> VerificationReport:
     Introduction to Cyclotomic Fields, Thm. 2.5), and both sides at
     (i, j) are integer polynomials at zeta^(j i), one of them times a
     rational weight.  So the comparison at (i, j) is sigma_j of the one
-    at (i, 1), and the trace at the power i equal to the Green value
-    there settles every primitive j, whatever the coset sums are: no
-    table needs to be shared.  When any class and exponent fails there,
-    every primitive j is compared, the i-th coset sum at the powers
-    (j i) mod e in one call, so that the counterexamples and their order
-    are those of the full comparison."""
+    at (i, 1), and sigma_j is injective: the i-th coset sum at the power
+    i of the root, times the weight, equal to the Green value there
+    settles every primitive j, whatever the coset sums are, and no table
+    needs to be shared (for e = 1 the only j is 0, the same comparison).
+    Where it differs, it differs at every primitive j, and each j is
+    written as a counterexample, the coset sum at the powers (j i) mod e
+    in one call, in the order of the full comparison."""
     t0 = time.perf_counter()
     sums_by_exponent = extend_block_character(cfg)
     mu = cfg.merged_type()
     g = springer_graded_char(mu)
     e = cfg.e
     order = levi_order(cfg)
-    rows = [(rho, root_values(g[rho], e, range(e)),
-             Fraction(centralizer_order(rho), order))
-            for rho in partitions_of(cfg.n)]
     primitive = _primitive_exponents(e)
     none = IntPolynomial()
     bad = []
-    if not _traces_settled_by_descent(sums_by_exponent, rows, e):
-        for rho, green, weight in rows:
-            for i, sums in enumerate(sums_by_exponent):
-                powers = [(j * i) % e for j in primitive]
-                induced = root_values(sums.get(rho, none), e, powers)
-                for j, k, coords in zip(primitive, powers, induced):
-                    lhs = Cyclotomic(e, coords) * weight
-                    rhs = Cyclotomic(e, green[k])
-                    if lhs != rhs:
-                        bad.append((tuple(rho), (i, j), str(lhs), str(rhs)))
-    tried = len(rows) * e * len(primitive)
+    classes = partitions_of(cfg.n)
+    for rho in classes:
+        green = root_values(g[rho], e, range(e))
+        weight = Fraction(centralizer_order(rho), order)
+        for i, sums in enumerate(sums_by_exponent):
+            poly = sums.get(rho, none)
+            coords, = root_values(poly, e, (i,))
+            if Cyclotomic(e, coords) * weight == Cyclotomic(e, green[i]):
+                continue
+            powers = [(j * i) % e for j in primitive]
+            for j, k, coords in zip(primitive, powers,
+                                    root_values(poly, e, powers)):
+                lhs = Cyclotomic(e, coords) * weight
+                bad.append((tuple(rho), (i, j), str(lhs),
+                            str(Cyclotomic(e, green[k]))))
+    tried = len(classes) * e * len(primitive)
     notes = f"merged type {tuple(mu)}; {tried} traces compared"
     return _finish("twisted-induction", _config_echo(cfg), bad, t0, notes)
-
-
-def _traces_settled_by_descent(sums_by_exponent, rows, e: int) -> bool:
-    """Whether each class's trace at every twist exponent i, read at the
-    power i of the root (j = 1, or j = 0 when e = 1), is its Green
-    value there."""
-    none = IntPolynomial()
-    for rho, green, weight in rows:
-        for i, sums in enumerate(sums_by_exponent):
-            coords, = root_values(sums.get(rho, none), e, (i,))
-            if Cyclotomic(e, coords) * weight != Cyclotomic(e, green[i]):
-                return False
-    return True
 
 
 def check_component_dims(cfg: InductionConfig) -> VerificationReport:

@@ -27,8 +27,9 @@ layout and by ``--n --nu --e --variant`` for a regular-twist one, which
 pins the twisted, mod-e and component induction outputs, then ``eval``
 at three large conductors, up to the cap e = 200, which pins
 ``render_terms`` on long values; ``twisted`` runs ``verify --check
-twisted-induction`` on every layout of ``tests/test_verify.py``
-``block_layouts(n)`` with n <= 8, each by the flags that rebuild it.
+twisted-induction`` on every layout of ``tests/layouts.py``
+``block_layouts(n)`` with n <= 8, each by the flags of the build that
+made it.
 
 Tier-1 asserts the recorded digests of the six fast corpora,
 ``cli-cold``, ``regular-catalog``, ``roots``, ``green``, ``configs`` and
@@ -49,7 +50,7 @@ from pathlib import Path
 
 from greenchar import cli, verify
 from greenchar.symfun import partitions_of
-from test_verify import block_layouts
+from layouts import block_layouts, parts
 
 FORMATS = ("json", "text", "csv")
 SYSTEMS = ([("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 8)]
@@ -110,10 +111,6 @@ def cold_requests():
         yield line.split()
 
 
-def parts(p):
-    return ",".join(map(str, p))
-
-
 def config_requests():
     for spec in load_workloads().general_type_configs():
         # every item names its block types, and its fixed type if any
@@ -131,29 +128,10 @@ def config_requests():
         yield ["eval", "--mu", parts(mu), "--e", str(e)]
 
 
-def layout_flags(cfg):
-    """The flags that lay cfg out: --mu, --nu and --e when they rebuild
-    it as a rotating layout, else --n, --nu, --e and the --variant whose
-    regular-twist layout it is."""
-    parser = cli.build_parser()
-    common = ["--nu", parts(cfg.block_types[-1]), "--e", str(cfg.e)]
-    candidates = [["--mu", parts(cfg.merged_type())] + common]
-    candidates += [["--n", str(cfg.n)] + common + ["--variant", variant]
-                   for variant in "ab"]
-    for flags in candidates:
-        argv = ["verify", "--check", "twisted-induction"] + flags
-        try:
-            if cli.build_block_config(parser.parse_args(argv)) == cfg:
-                return flags
-        except ValueError:  # no catalog twist, or an inadmissible layout
-            continue
-    raise ValueError(f"no flags lay out {verify._config_echo(cfg)}")
-
-
 def twisted_requests():
     for n in range(2, 9):
-        for cfg in block_layouts(n):
-            yield ["verify", "--check", "twisted-induction"] + layout_flags(cfg)
+        for flags in block_layouts(n).values():
+            yield ["verify", "--check", "twisted-induction"] + flags
 
 
 def roots_requests():

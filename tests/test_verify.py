@@ -10,7 +10,7 @@ small configurations.
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import gcd
 from types import MappingProxyType
 
@@ -78,6 +78,7 @@ from oracles import (
     representative_twisted_induction,
     trace_poly,
 )
+from layouts import block_layouts
 from test_acceptance import (
     one_row_configs,
     regular_twist_configs,
@@ -785,33 +786,6 @@ def test_twisted_induction_compares_once_per_class_and_exponent(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the folded coset sums against the polynomial route
-
-
-def block_layouts(n):
-    """Every layout on n letters that standard_block_config and
-    l_regular_config build and validate_config accepts, each once: e >= 2
-    rotating blocks of each type of m letters after a fixed block of each
-    type of the letters left over, then one block of each type beside
-    the catalog twist of each order and variant."""
-    layouts = [standard_block_config(m, e, nu, n - e * m, tau)
-               for e in range(2, n + 1) for m in range(1, n // e + 1)
-               for nu in partitions_of(m)
-               for tau in (partitions_of(n - e * m) if n > e * m else [None])]
-    for m, e, variant in product(range(1, n), range(2, n + 1), "ab"):
-        for nu in partitions_of(m):
-            try:
-                cfg = l_regular_config(n, m, e, nu, variant)
-            except ValueError:  # the catalog has no such twist
-                continue
-            layouts.append(cfg)
-    valid = []
-    for cfg in layouts:
-        try:
-            validate_config(cfg)
-        except InvalidConfigError:
-            continue
-        valid.append(cfg)
-    return list(dict.fromkeys(valid))
 
 
 def assert_folds_the_polynomial_sums(configs) -> int:
