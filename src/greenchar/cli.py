@@ -109,8 +109,8 @@ def enumeration_bound(args) -> int:
 
 
 def require_letters_within_bound(n: int, args):
-    """The one letter cap, shared by green, eval and the letter requests
-    of verify; above it the request is invalid (exit 2)."""
+    """The one letter cap, shared by green, eval, regular and the letter
+    requests of verify; above it the request is invalid (exit 2)."""
     bound = enumeration_bound(args)
     if n > bound:
         raise ValueError(f"n = {n} exceeds the enumeration bound {bound}")
@@ -386,8 +386,10 @@ def cmd_verify(args) -> int:
 def cmd_regular(args) -> int:
     from .rootsys import build_root_system, levi_config
     from .weyl import eigenspace, is_L_regular, regular_element
-    # a rank with no root system is refused before the catalog's rules
+    # a rank with no root system is refused before the letter cap on its
+    # ambient space, and both before the catalog's rules
     rs = build_root_system(args.family, args.rank)
+    require_letters_within_bound(rs.dim, args)
     a = regular_element(args.family, args.rank, args.e, args.variant)
     lv = levi_config(rs, args.pi_L or ())
     regular = is_L_regular(a, args.e, lv)

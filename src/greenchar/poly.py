@@ -6,6 +6,9 @@ of cyclotomic number fields in the power basis, and exact linear algebra
 cyclotomic field.  That one Gauss-Jordan elimination is the package's
 only solver, behind kernels and field inverses (a Weyl matrix inverse
 is a power), and IntPolynomial.divmod_exact is the only long division.
+IntPolynomial is a coefficient type, not a ring: it is built, compared,
+hashed, evaluated, divided exactly and summed by residue, and no
+library path adds or multiplies two polynomials.
 
 A field element keeps its coordinates as Python ints while they are
 integral.  Reduction mod Phi_e reads one cached table per conductor,
@@ -89,62 +92,6 @@ class IntPolynomial:
         if len(self.coeffs) < 2:
             return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("IntPolynomial", self.coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        return IntPolynomial(cs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
-        cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    cs[i + j] += a * b
-        return IntPolynomial(cs)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = IntPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be an int, Fraction or Cyclotomic.

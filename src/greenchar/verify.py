@@ -13,11 +13,12 @@ residue mod e, so each coset sum is kept folded mod q^e - 1, of degree
 product.  The root-of-unity, closed-form and residue checks compare on
 integers by one rule (census_agrees), with no Fraction and no field
 element made unless a counterexample is written (poly.cyclotomic_text).
-The root-of-unity check descends by the Galois group of Q(zeta_e):
-where the exponents j and gcd(j, e) share one census table, it compares
-each class at one exponent per divisor of e, and it falls back to every
-exponent and every primitive root where a table stands alone or a
-comparison fails.  Twisted induction still compares in Q(zeta_e), at
+The root-of-unity check descends by the Galois group of Q(zeta_e), in
+one pass over the classes: where the exponents j and gcd(j, e) share
+one census table, it compares each class at one exponent per divisor of
+e, and it expands a class that fails there, or every class where a
+table stands alone, into the comparison at every exponent and every
+primitive root.  Twisted induction still compares in Q(zeta_e), at
 every twist exponent, but at one primitive root: the trace at the j-th
 root is sigma_j of the trace at the first, whatever the coset sums are,
 so it needs no guard, and a trace that differs there differs at every
@@ -258,12 +259,13 @@ def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
     Thm. 2.5), and each exponent j is t d for some such t, d being its
     representative gcd(j, e) mod e.  So when every exponent reads the
     counts of its representative (one CosetCounts dict, shared because
-    coset_census gave one table), a rational value equal to its count
-    at each representative settles every exponent and every primitive
-    root: one comparison per divisor of e and class.  Where an exponent
-    has a table of its own, or a representative fails, every exponent
-    and primitive root is compared, so that the counterexamples and
-    their order are those of the full comparison."""
+    coset_census gave one table), a class whose rational value equals
+    its count at each representative is settled at every exponent and
+    every primitive root: one comparison per divisor of e.  A class
+    that fails there, or every class when an exponent has a table of
+    its own, is expanded: each exponent is compared with its count and
+    each value with its conjugates at every primitive root, so that the
+    counterexamples and their order are those of the full comparison."""
     t0 = time.perf_counter()
     _require_regular_blocks(cfg)
     validate_config(cfg)
@@ -271,43 +273,33 @@ def check_roots_of_unity(cfg: InductionConfig) -> VerificationReport:
     g = springer_graded_char(mu)
     e = cfg.e
     counts = CosetCounts(cfg, range(e))
-    classes = partitions_of(cfg.n)
-    bad = []
-    if not _settled_by_descent(g, e, counts, classes):
-        primitive = _primitive_exponents(e)
-        for rho in classes:
-            values = root_values(g[rho], e, range(e))
-            scaled_counts = counts.scaled(rho)
-            for j, (value, scaled) in enumerate(zip(values, scaled_counts)):
-                if not counts.agrees(value, scaled):
-                    bad.append((tuple(rho), j, cyclotomic_text(e, value),
-                                counts.text(scaled)))
-                for t in primitive:
-                    other = values[(t * j) % e]
-                    if other != value:
-                        bad.append((tuple(rho), (j, t),
-                                    cyclotomic_text(e, value),
-                                    cyclotomic_text(e, other)))
-    return _finish("roots-of-unity", _config_echo(cfg), bad, t0,
-                   f"merged type {tuple(mu)}")
-
-
-def _settled_by_descent(g, e: int, counts: CosetCounts, classes) -> bool:
-    """Whether every exponent shares the counts of its representative
-    gcd(j, e) mod e, and each class's value at each representative is
-    its count there (census_agrees pads the count with zeros, so the
-    value must be rational)."""
     tables = counts.by_exponent
     representatives = [math.gcd(j, e) % e for j in range(e)]
-    if any(table is not tables[d]
-           for table, d in zip(tables, representatives)):
-        return False
+    shared = all(table is tables[d]
+                 for table, d in zip(tables, representatives))
     divisors = sorted(set(representatives))
-    for rho in classes:
-        for d, value in zip(divisors, root_values(g[rho], e, divisors)):
-            if not counts.agrees(value, tables[d].get(rho, 0)):
-                return False
-    return True
+    primitive = _primitive_exponents(e)
+    bad = []
+    for rho in partitions_of(cfg.n):
+        # census_agrees pads the count with zeros: the value is rational
+        if shared and all(
+                counts.agrees(value, tables[d].get(rho, 0))
+                for d, value in zip(divisors,
+                                    root_values(g[rho], e, divisors))):
+            continue
+        values = root_values(g[rho], e, range(e))
+        for j, (value, scaled) in enumerate(zip(values, counts.scaled(rho))):
+            if not counts.agrees(value, scaled):
+                bad.append((tuple(rho), j, cyclotomic_text(e, value),
+                            counts.text(scaled)))
+            for t in primitive:
+                other = values[(t * j) % e]
+                if other != value:
+                    bad.append((tuple(rho), (j, t),
+                                cyclotomic_text(e, value),
+                                cyclotomic_text(e, other)))
+    return _finish("roots-of-unity", _config_echo(cfg), bad, t0,
+                   f"merged type {tuple(mu)}")
 
 
 def _check_residue_induction(check: str, cfg: InductionConfig, t0: float,

@@ -604,7 +604,6 @@ def orbit_shape(cfg: InductionConfig, j: int):
                          cfg.block_types[orbit[0]]) for orbit in orbits(power)))
 
 
-@lru_cache(maxsize=None)
 def coset_census(cfg: InductionConfig, j: int):
     """The j-th shifted coset a^j W_L tallied from class sizes, walking
     no element: each cycle type maps to {orbit profile: number of coset
@@ -619,7 +618,8 @@ def coset_census(cfg: InductionConfig, j: int):
     the cycle type of z (Macdonald, Symmetric Functions and Hall
     Polynomials, I.7).  Orbits choose independently, so the table
     depends on the orbit shape alone, and exponents and configurations
-    of one shape share one table.  The table is a plain dict of plain
+    of one shape share one table, cached per shape by shape_census; this
+    function keeps no cache of its own.  The table is a plain dict of plain
     dicts, and its keys are built from sorted parts without Partition's
     checks (trusted_partition).  Counts, graded traces and induced
     residue characters are all read off it; every caller shares it and

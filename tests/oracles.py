@@ -24,8 +24,9 @@ signed digits read one at a time check its one-pass reader, and a
 few methods the library dropped because only the tests called them
 (Galois action, vector action, signed cycle type, type of Pi', conjugate
 partition, sign character, items of a graded character, monomials,
-reversal, shift and power substitution of polynomials, orbit profiles
-and the trace polynomial of one element) live on here as functions.
+reversal, shift and power substitution of polynomials, products and
+integer combinations of polynomials, orbit profiles and the trace
+polynomial of one element) live on here as functions.
 The coset sums assembled as polynomials, one product of power
 substitutions per orbit profile, check the sums the library folds mod
 q^e - 1 by cyclic convolution.
@@ -227,16 +228,9 @@ def coinvariant_graded_char(n: int) -> dict:
     n-dimensional permutation representation: the Molien-style quotient
     prod_{i=1..n} (1 - q^i) / det(1 - q w), computed by exact division.
     """
-    num = IntPolynomial((1,))
-    for i in range(1, n + 1):
-        num = num * (IntPolynomial((1,)) - monomial(i))
-    values = {}
-    for rho in partitions_of(n):
-        den = IntPolynomial((1,))
-        for part in rho:
-            den = den * (IntPolynomial((1,)) - monomial(part))
-        values[rho] = num.exact_div(den)
-    return values
+    num = phi_polynomial(n)
+    return {rho: num.exact_div(poly_product(*map(one_minus_power, rho)))
+            for rho in partitions_of(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -339,30 +333,24 @@ def strip_character(lam, rho) -> int:
 @lru_cache(maxsize=None)
 def phi_polynomial(m: int) -> IntPolynomial:
     """phi_m(t) = prod over k <= m of (1 - t^k)."""
-    out = IntPolynomial((1,))
-    for k in range(1, m + 1):
-        out = out * (1 - monomial(k))
-    return out
+    return poly_product(*map(one_minus_power, range(1, m + 1)))
 
 
 def class_weight_polynomial(n: int, rho) -> IntPolynomial:
     """W_rho = (n!/z_rho) phi_n / prod_i (1 - t^rho_i), by long division:
     the polynomial the library evaluates at X before its solve."""
     rho = Partition(rho)
-    den = IntPolynomial((1,))
-    for part in rho:
-        den = den * (1 - monomial(part))
-    return phi_polynomial(n).exact_div(den) * (factorial(n)
-                                               // centralizer_order(rho))
+    den = poly_product(*map(one_minus_power, rho))
+    return poly_combination((factorial(n) // centralizer_order(rho),
+                             phi_polynomial(n).exact_div(den)))
 
 
 def norm_polynomial(n: int, nu) -> IntPolynomial:
     """D_nu = n! phi_n / b_nu, where b_nu is the product of phi_m over the
     part multiplicities m of nu."""
-    b = IntPolynomial((1,))
-    for mult in Partition(nu).multiplicities().values():
-        b = b * phi_polynomial(mult)
-    return phi_polynomial(n).exact_div(b) * factorial(n)
+    b = poly_product(*map(phi_polynomial,
+                          Partition(nu).multiplicities().values()))
+    return poly_combination((factorial(n), phi_polynomial(n).exact_div(b)))
 
 
 def assembled_green_table(mu) -> dict:
@@ -403,6 +391,32 @@ def signed_digits(value: int, count: int, width: int):
 def monomial(n: int, c: int = 1) -> IntPolynomial:
     """c q^n."""
     return IntPolynomial((0,) * n + (c,))
+
+
+def one_minus_power(k: int) -> IntPolynomial:
+    """1 - q^k, for k >= 1."""
+    return IntPolynomial((1,) + (0,) * (k - 1) + (-1,))
+
+
+def poly_product(*factors) -> IntPolynomial:
+    """The product of integer polynomials, by convolution."""
+    cs = [1]
+    for p in factors:
+        out = [0] * (len(cs) + len(p.coeffs))
+        for i, a in enumerate(cs):
+            for j, b in enumerate(p.coeffs):
+                out[i + j] += a * b
+        cs = out
+    return IntPolynomial(cs)
+
+
+def poly_combination(*terms) -> IntPolynomial:
+    """The sum of c p over the pairs (c, p) of an int and a polynomial."""
+    cs = [0] * max((len(p.coeffs) for _, p in terms), default=0)
+    for c, p in terms:
+        for i, a in enumerate(p.coeffs):
+            cs[i] += c * a
+    return IntPolynomial(cs)
 
 
 def reverse(p: IntPolynomial, n: int) -> IntPolynomial:
@@ -471,11 +485,9 @@ def assemble(profile) -> IntPolynomial:
     """The trace polynomial of an element with this orbit profile: the
     product over its orbits of the block character of the return map's
     type, with q replaced by q^(orbit length)."""
-    poly = IntPolynomial((1,))
-    for length, inner_type, jtype in profile:
-        poly = poly * compose_power(
-            symfun.springer_graded_char(jtype)[inner_type], length)
-    return poly
+    return poly_product(*(
+        compose_power(symfun.springer_graded_char(jtype)[inner_type], length)
+        for length, inner_type, jtype in profile))
 
 
 @lru_cache(maxsize=None)
@@ -484,9 +496,8 @@ def polynomial_shape_sums(shape) -> dict:
     of the given orbit shape unfolded, of degree up to n(mu): one
     assembled polynomial per orbit profile of the census, times its
     count."""
-    return {ctype: sum((assemble(profile) * count
-                        for profile, count in by_profile.items()),
-                       IntPolynomial())
+    return {ctype: poly_combination(*((count, assemble(profile))
+                                      for profile, count in by_profile.items()))
             for ctype, by_profile in shape_census(shape).items()}
 
 

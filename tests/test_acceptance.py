@@ -34,7 +34,6 @@ import time
 from functools import lru_cache
 from itertools import product
 
-from greenchar.poly import IntPolynomial
 from greenchar.rootsys import build_root_system, levi_config
 from greenchar.symfun import (Partition, char_sn, green_at_root,
                               kostka_foulkes, partitions_of,
@@ -47,7 +46,7 @@ from greenchar.verify import (check_closed_form, check_component_dims,
 from greenchar.weyl import (embed_component_element, from_cycles,
                             l_regular_config, regular_element)
 
-from oracles import apply, class_size
+from oracles import apply, class_size, one_minus_power, poly_product
 
 
 def announce(num: int, ok: bool, detail: str) -> str:
@@ -347,10 +346,6 @@ def kostka_count(lam, mu) -> int:
     return grow((), 0)
 
 
-def one_minus_q(k: int) -> IntPolynomial:
-    return IntPolynomial((1,) + (0,) * (k - 1) + (-1,))
-
-
 def test_criterion_8_combinatorial_cross_checks():
     failures = []
     for n in range(1, 8):
@@ -387,13 +382,9 @@ def test_criterion_8_combinatorial_cross_checks():
     # of denominators: g[rho] * prod(1-q^rho_i) = prod_{i<=n} (1-q^i)
     for n in range(1, 7):
         g = springer_graded_char((1,) * n)
-        full = IntPolynomial((1,))
-        for i in range(1, n + 1):
-            full = full * one_minus_q(i)
+        full = poly_product(*map(one_minus_power, range(1, n + 1)))
         for rho in partitions_of(n):
-            lhs = g[rho]
-            for part in rho:
-                lhs = lhs * one_minus_q(part)
+            lhs = poly_product(g[rho], *map(one_minus_power, rho))
             if lhs != full:
                 failures.append(("coinvariant trace", rho))
     line = announce(8, not failures,

@@ -508,6 +508,22 @@ def test_regular_echoes_the_labels_it_tested(capsys):
     assert out.strip().endswith("for pi_L=1, a(e)=1")
 
 
+def test_regular_obeys_the_letter_bound(capsys, monkeypatch):
+    # A10 acts on 11 letters and B10 on 10
+    monkeypatch.delenv("GREENCHAR_BOUND", raising=False)
+    argv = ["regular", "--family", "A", "--rank", "10", "--e", "11"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "n = 11 exceeds the enumeration bound 10" in err
+    code, out, _ = run_cli(capsys, "regular", "--family", "B", "--rank", "10",
+                           "--e", "5")
+    assert code == 0 and "a(e)=" in out
+    monkeypatch.setenv("GREENCHAR_BOUND", "11")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.strip() == "(1,2,3,4,5,6,7,8,9,10,11), regular, a(e)=1"
+
+
 def test_regular_bad_family(capsys):
     code, _, err = run_cli(capsys, "regular", "--family", "E", "--rank", "6",
                            "--e", "5")
@@ -932,6 +948,8 @@ def test_check_choices_are_the_checks_of_verify():
      "4cb61787cbabbbcfacc5d121c7702920dff63bbfd965a0f54c599c68ddaf2868"),
     ("twisted", 648,
      "df0ad78a2e6d90451c9c76fdae7124d1ae4cb5d55b728fbbff024beeaf99f6d3"),
+    ("faults", 894,
+     "f61a5e2058d7b2ad695975c7e1040f241679144b966a01568a90c3dcfa562d16"),
 ])
 def test_cli_parity_corpus_keeps_its_digest(monkeypatch, corpus, count, digest):
     # every answer of tests/cli_parity.py's corpus, byte for byte, with
@@ -939,6 +957,14 @@ def test_cli_parity_corpus_keeps_its_digest(monkeypatch, corpus, count, digest):
     # corpus (about 30 s) stays a manual run of that script
     monkeypatch.setattr(verify.time, "perf_counter", lambda: 0.0)
     assert cli_parity.digest(cli_parity.CORPORA[corpus]()) == (count, digest)
+
+
+def test_uncalled_allowlist_names_functions_of_the_package():
+    # the trace behind the list is a manual run of tests/cli_parity.py
+    # --uncalled; a function deleted or renamed must leave the list too
+    names = [name for name, _ in cli_parity.src_functions().values()]
+    assert len(names) == len(set(names))
+    assert set(cli_parity.UNCALLED) <= set(names)
 
 
 def test_configs_corpus_asks_for_the_trace_sweep_configs():
@@ -949,3 +975,13 @@ def test_configs_corpus_asks_for_the_trace_sweep_configs():
                 if argv[0] == "verify"]
     assert [cli.build_block_config(parser.parse_args(argv))
             for argv in requests] == trace_sweep_configs()
+
+
+def test_faults_corpus_faults_the_configs_it_asks_for():
+    # each fault names the configuration its request lays out through
+    # the CLI's flags, so the fault reaches the checks of that request
+    parser = cli.build_parser()
+    for argv, cfg in cli_parity.trace_sweep_checks():
+        assert cli.build_block_config(parser.parse_args(argv)) == cfg
+    assert {name for _, name, _ in cli_parity.fault_requests()} == \
+        {"green", "census", "flip", "shift"}

@@ -35,6 +35,7 @@ from oracles import (
     conjugate,
     monomial,
     norm_polynomial,
+    poly_product,
     signed_digits,
     strip_character,
 )
@@ -219,17 +220,17 @@ def fresh_solve():
 
 
 @pytest.mark.parametrize("nu,wrong", [
-    ((2, 2), lambda d: d * 2),
-    ((2, 1, 1), lambda d: d + monomial(3)),
-    ((1, 1, 1, 1), lambda d: d - 1),
+    ((2, 2), lambda d, x: d * 2),
+    ((2, 1, 1), lambda d, x: d + x ** 3),
+    ((1, 1, 1, 1), lambda d, x: d - 1),
 ])
 def test_kostka_solve_rejects_a_wrong_norm(monkeypatch, fresh_solve, nu, wrong):
     norm = symfun._norm
 
     def patched(kappa, phi):
         d = norm(kappa, phi)
-        # D is an int at X; wrong acts on polynomials, and X = 1 - phi_1(X)
-        return wrong(IntPolynomial((d,)))(1 - phi[1]) if kappa == nu else d
+        # D is an int at X, and X = 1 - phi_1(X)
+        return wrong(d, 1 - phi[1]) if kappa == nu else d
 
     monkeypatch.setattr(symfun, "_norm", patched)
     with pytest.raises(ArithmeticError, match="does not factor"):
@@ -458,9 +459,7 @@ def test_springer_full_flag_matches_coinvariants(n):
 
 def test_coinvariant_identity_value():
     gc = coinvariant_graded_char(4)
-    qfact = IntPolynomial((1,))
-    for i in range(1, 5):
-        qfact = qfact * IntPolynomial((1,) * i)
+    qfact = poly_product(*(IntPolynomial((1,) * i) for i in range(1, 5)))
     assert gc[(1, 1, 1, 1)] == qfact
 
 

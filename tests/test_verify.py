@@ -8,17 +8,15 @@ small configurations.
 """
 
 import weakref
-from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from greenchar import symfun, verify, weyl
+from greenchar import verify, weyl
 from greenchar.cli import main
 from greenchar.poly import Cyclotomic, IntPolynomial, eval_at_root
 from greenchar.symfun import (
@@ -77,6 +75,12 @@ from oracles import (
     polynomial_shape_sums,
     representative_twisted_induction,
     trace_poly,
+)
+from faults import (
+    flip_census_count,
+    flip_coset_sum,
+    flip_green_coefficient,
+    shift_coset_sum,
 )
 from layouts import block_layouts
 from test_acceptance import (
@@ -423,60 +427,25 @@ def test_roots_of_unity_matches_fraction_route_on_drawn_shapes(cfg):
     assert library == outcome(fraction_roots_of_unity, cfg)
 
 
-def flip_green_coefficient(monkeypatch, mu, rho, e):
-    """Negate the top coefficient of the Green polynomial of (mu, rho) in
-    a degree prime to e, so that the values at the primitive roots turn
-    irrational; the library and the Fraction route both see it."""
-    original = springer_graded_char
-    table = dict(original(mu))
-    coeffs = list(table[rho].coeffs)
-    k = max(i for i, c in enumerate(coeffs) if c and gcd(i, e) == 1)
-    coeffs[k] = -coeffs[k]
-    table[rho] = IntPolynomial(coeffs)
-    flipped = MappingProxyType(table)
-    for module in (symfun, verify):
-        monkeypatch.setattr(module, "springer_graded_char", lambda nu: (
-            flipped if Partition(nu) == mu else original(nu)))
-
-
-def flip_census_count(monkeypatch, cfg, j, rho):
-    """Negate one count of the census of cfg's j-th shifted coset at the
-    cycle type rho; the cached table itself stays as it was."""
-    original = weyl.coset_census
-
-    def census(c, i):
-        table = original(c, i)
-        if (c, i) != (cfg, j):
-            return table
-        table = {key: Counter(value) for key, value in table.items()}
-        profile = next(iter(table[rho]))
-        table[rho][profile] = -table[rho][profile]
-        return table
-    monkeypatch.setattr(weyl, "coset_census", census)
-
-
 @pytest.mark.parametrize("cfg", [
     standard_block_config(2, 2), standard_block_config(2, 3),
     standard_block_config(1, 3, fixed_size=2),
     standard_block_config(1, 4, fixed_size=2), l_regular_config(5, 2, 3),
     standard_block_config(1, 6, fixed_size=1),
 ], ids=_config_echo)
-def test_roots_of_unity_fails_like_fraction_route_on_a_flip(monkeypatch, cfg):
+def test_roots_of_unity_fails_like_fraction_route_on_a_flip(cfg):
     # a Green coefficient of the identity class, then one count of each
     # shifted coset in turn: 0, the divisors of e, which Galois descent
     # compares, and the exponents they stand for
-    with monkeypatch.context() as patch:
-        flip_green_coefficient(patch, cfg.merged_type(),
-                               Partition((1,) * cfg.n), cfg.e)
+    with flip_green_coefficient(cfg.merged_type(), Partition((1,) * cfg.n),
+                                cfg.e):
         bad, _ = fraction_roots_of_unity(cfg)
         # with e = 2 the one primitive exponent leaves every value fixed
         galois = [index for _, index, _, _ in bad if isinstance(index, tuple)]
         assert bad and (galois or cfg.e == 2)
         assert check_roots_of_unity(cfg).counterexamples == bad
     for j in range(cfg.e):
-        with monkeypatch.context() as patch:
-            flip_census_count(patch, cfg, j,
-                              next(iter(weyl.coset_census(cfg, j))))
+        with flip_census_count(cfg, j, next(iter(weyl.coset_census(cfg, j)))):
             bad, _ = fraction_roots_of_unity(cfg)
             assert bad and check_roots_of_unity(cfg).counterexamples == bad
 
@@ -511,6 +480,31 @@ def test_roots_of_unity_equals_all_exponent_loop(cfg):
 def test_roots_of_unity_equals_all_exponent_loop_on_drawn_shapes(cfg):
     library = outcome(lambda c: full_report(check_roots_of_unity(c)), cfg)
     assert library == outcome(all_exponent_roots_of_unity, cfg)
+
+
+def flippable_classes(cfg):
+    """The classes whose Green polynomial has a nonzero coefficient in a
+    degree prime to e, which flip_green_coefficient can negate."""
+    g = springer_graded_char(cfg.merged_type())
+    return [rho for rho in partitions_of(cfg.n)
+            if any(c and gcd(k, cfg.e) == 1
+                   for k, c in enumerate(g[rho].coeffs))]
+
+
+@pytest.mark.parametrize("cfg", ONE_ROW_SHAPES_TO_10, ids=_config_echo)
+def test_roots_of_unity_expands_each_failing_class(cfg):
+    # the first and last flippable classes fail at the divisors of e, so
+    # each is expanded in turn, its counts and its conjugates at every
+    # primitive root, while every other class stays settled by descent
+    flippable = flippable_classes(cfg)
+    assert len(flippable) >= 2
+    first, last = flippable[0], flippable[-1]
+    mu = cfg.merged_type()
+    with flip_green_coefficient(mu, first, cfg.e), \
+            flip_green_coefficient(mu, last, cfg.e):
+        report = full_report(check_roots_of_unity(cfg))
+        assert report == all_exponent_roots_of_unity(cfg)
+    assert {rho for rho, *_ in report[2]} == {tuple(first), tuple(last)}
 
 
 @pytest.mark.parametrize("cfg", ONE_ROW_SHAPES_TO_10
@@ -552,12 +546,10 @@ def test_coset_counts_keep_fresh_tables_apart(monkeypatch):
 
 @pytest.mark.parametrize("m,e,rho", [(2, 2, (4,)), (2, 3, (6,)),
                                      (3, 2, (2, 2, 2))])
-def test_closed_form_fails_like_fraction_route_on_a_flip(monkeypatch,
-                                                        m, e, rho):
-    flip_census_count(monkeypatch, standard_block_config(m, e), 1,
-                      Partition(rho))
-    bad, _ = fraction_closed_form(m, e)
-    report = check_closed_form(m, e)
+def test_closed_form_fails_like_fraction_route_on_a_flip(m, e, rho):
+    with flip_census_count(standard_block_config(m, e), 1, Partition(rho)):
+        bad, _ = fraction_closed_form(m, e)
+        report = check_closed_form(m, e)
     assert bad and report.status == "fail"
     assert report.counterexamples == bad
 
@@ -611,49 +603,6 @@ def test_residue_checks_match_fraction_route_on_drawn_shapes(cfg):
             outcome(route, cfg), check.__name__
 
 
-def flip_coset_sum(monkeypatch, cfg, i):
-    """Negate the top coefficient of one cycle type's sum over cfg's i-th
-    shifted coset alone.  The table of its orbit shape is shared with
-    the Galois-conjugate exponents, and stays as it was: a flip there
-    would keep every induced value rational."""
-    def negate_top(coeffs):
-        coeffs[-1] = -coeffs[-1]
-    edit_coset_sum(monkeypatch, cfg, i, negate_top)
-
-
-def shift_coset_sum(monkeypatch, cfg, i):
-    """Move one unit of one cycle type's sum over cfg's i-th shifted coset
-    alone from the residue r of its lowest nonzero coefficient to
-    r + 1 mod e.  Its value at q = 1 stays as it was; at zeta^(j i) it
-    moves by zeta^(j i r)(zeta^(j i) - 1), which is zero only for i = 0."""
-    def shift(coeffs):
-        r = next(r for r, c in enumerate(coeffs) if c)
-        coeffs += [0] * (cfg.e - len(coeffs))
-        coeffs[r] -= 1
-        coeffs[(r + 1) % cfg.e] += 1
-    edit_coset_sum(monkeypatch, cfg, i, shift)
-
-
-def edit_coset_sum(monkeypatch, cfg, i, edit):
-    """Pass the coefficients of the first nonzero cycle type's sum over
-    cfg's i-th shifted coset through edit, which changes the list in
-    place; every other sum, and the cached table, stay as they were."""
-    coset_sums = verify.coset_sums
-
-    def edited(config):
-        by_exponent = coset_sums(config)
-        if config != cfg:
-            return by_exponent
-        sums = dict(by_exponent[i])
-        rho = next(rho for rho, poly in sums.items() if poly)
-        coeffs = list(sums[rho].coeffs)
-        edit(coeffs)
-        sums[rho] = IntPolynomial(coeffs)
-        by_exponent[i] = sums
-        return by_exponent
-    monkeypatch.setattr(verify, "coset_sums", edited)
-
-
 @pytest.mark.parametrize("check,cfg", [
     (check_mod_e_induction, standard_block_config(2, 2)),
     (check_mod_e_induction, standard_block_config(2, 3)),
@@ -662,18 +611,15 @@ def edit_coset_sum(monkeypatch, cfg, i, edit):
     (check_component_induction, l_regular_config(5, 2, 3, Partition((1, 1)))),
     (check_component_induction, l_regular_config(7, 3, 2, Partition((2, 1)))),
 ], ids=lambda x: getattr(x, "__name__", None) or _config_echo(x))
-def test_residue_checks_fail_like_fraction_route_on_a_flip(monkeypatch, check,
-                                                          cfg):
+def test_residue_checks_fail_like_fraction_route_on_a_flip(check, cfg):
     # a Green coefficient of the identity class, then one coefficient of
     # the last shifted coset's sums
     route = dict(RESIDUE_ROUTES)[check]
-    with monkeypatch.context() as patch:
-        flip_green_coefficient(patch, cfg.merged_type(),
-                               Partition((1,) * cfg.n), cfg.e)
+    with flip_green_coefficient(cfg.merged_type(), Partition((1,) * cfg.n),
+                                cfg.e):
         bad, _ = route(cfg)
         assert bad and check(cfg).counterexamples == bad
-    with monkeypatch.context() as patch:
-        flip_coset_sum(patch, cfg, cfg.e - 1)
+    with flip_coset_sum(cfg, cfg.e - 1):
         bad, _ = route(cfg)
         assert bad and check(cfg).counterexamples == bad
 
@@ -714,26 +660,22 @@ def test_twisted_induction_matches_representative_route_on_drawn_shapes(cfg):
     l_regular_config(5, 2, 3, Partition((1, 1))),
     standard_block_config(2, 2, Partition((1, 1)), fixed_size=1),
 ], ids=_config_echo)
-def test_twisted_induction_fails_like_representative_route_on_a_flip(
-        monkeypatch, cfg):
+def test_twisted_induction_fails_like_representative_route_on_a_flip(cfg):
     # a Green coefficient of the identity class, then one coefficient of
     # each shifted coset's sums in turn, negated or moved up one residue;
     # the move leaves every value at q = 1, and so the untwisted coset's
     # traces, as they were
-    with monkeypatch.context() as patch:
-        flip_green_coefficient(patch, cfg.merged_type(),
-                               Partition((1,) * cfg.n), cfg.e)
+    with flip_green_coefficient(cfg.merged_type(), Partition((1,) * cfg.n),
+                                cfg.e):
         expected = representative_twisted_induction(cfg)
         assert expected[0] == "fail"
         assert twisted_outcome(cfg) == expected
     for i in range(cfg.e):
-        with monkeypatch.context() as patch:
-            flip_coset_sum(patch, cfg, i)
+        with flip_coset_sum(cfg, i):
             expected = representative_twisted_induction(cfg)
             assert expected[0] == "fail"
             assert twisted_outcome(cfg) == expected
-        with monkeypatch.context() as patch:
-            shift_coset_sum(patch, cfg, i)
+        with shift_coset_sum(cfg, i):
             expected = representative_twisted_induction(cfg)
             assert expected[0] == ("fail" if i else "pass")
             assert twisted_outcome(cfg) == expected
@@ -874,7 +816,7 @@ def test_config_checks_walk_no_coset(monkeypatch, capsys):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(weyl.WeylElt, "__pow__", refuse_power)
-    for cached in (weyl.coset_census, weyl.shape_census, verify.shape_sums):
+    for cached in (weyl.shape_census, verify.shape_sums):
         cached.cache_clear()
     one_row = [CONFIGS[tag] for tag in (
         "two trivial blocks", "regular twist, block (2,)",

@@ -26,6 +26,7 @@ from greenchar.weyl import (
     InvalidConfigError,
     SubgroupTable,
     WeylElt,
+    _twist_blocks,
     census_agrees,
     coset_census,
     coset_count,
@@ -707,9 +708,9 @@ class TestConfigs:
         assert first == standard_block_config(2, 2)
         assert first != standard_block_config(2, 2, Partition((1, 1)))
         coset_census(first, 1)
-        hits = coset_census.cache_info().hits
+        hits = _twist_blocks.cache_info().hits
         assert coset_census(second, 1) is coset_census(first, 1)
-        assert coset_census.cache_info().hits == hits + 2
+        assert _twist_blocks.cache_info().hits == hits + 2
 
     def test_configs_are_immutable(self):
         cfg = standard_block_config(2, 2)
